@@ -11,6 +11,12 @@ multi-indices.  Everything is held as coefficient tables:
   monomial; column j corresponds to the monomial with exponents
   ``indices.rows[j]``
 
+The normalized three-term recurrence also gives the univariate operators
+in coefficient space, `jacobi_matrix` (multiplication by x) and
+`derivative_matrix` (d/dx), from which the Koopman matrix is assembled
+without expanding any polynomial; `evaluate_basis` runs the same
+recurrence at a point.
+
 Indexing is 0-based throughout.
 """
 
@@ -39,6 +45,8 @@ __all__ = [
     "multivariate_basis",
     "build_basis",
     "basis_as_polynomial",
+    "jacobi_matrix",
+    "derivative_matrix",
     "evaluate_basis",
 ]
 
@@ -134,6 +142,49 @@ def derivative_table(nlpc: np.ndarray) -> np.ndarray:
     return dlpc
 
 
+def _recurrence_coefficients(size: int) -> np.ndarray:
+    # a_0..a_{size-1} of the normalized recurrence
+    # x N_p = a_{p+1} N_{p+1} + a_p N_{p-1}, a_p = p / sqrt((2p-1)(2p+1)).
+    # a_0 multiplies the nonexistent N_{-1} and is 0.
+    a = np.zeros(size)
+    p = np.arange(1.0, size)
+    a[1:] = p / np.sqrt((2.0 * p - 1.0) * (2.0 * p + 1.0))
+    return a
+
+
+def jacobi_matrix(size: int) -> np.ndarray:
+    """Multiplication by x on N_0..N_{size-1}: x N_p = sum_q J[p, q] N_q.
+
+    J is symmetric tridiagonal.  Row size-1 drops its N_size term, so
+    (J^e)[p, q] = <x^e N_p, N_q> is exact whenever p + e < size.
+    """
+    a = _recurrence_coefficients(size)[1:]
+    return np.diag(a, 1) + np.diag(a, -1)
+
+
+def derivative_matrix(size: int) -> np.ndarray:
+    """d/dx on N_0..N_{size-1}: N_p' = sum_q D[p, q] N_q, exact at any size.
+
+    D[p, q] = sqrt((2p+1)(2q+1)) for q < p with p - q odd, else 0.
+    """
+    p = np.arange(size)
+    gap = p[:, None] - p[None, :]
+    scale = np.sqrt(np.multiply.outer(2.0 * p + 1.0, 2.0 * p + 1.0))
+    return np.where((gap > 0) & (gap % 2 == 1), scale, 0.0)
+
+
+def _legendre_values(c: int, x: np.ndarray) -> np.ndarray:
+    """N_0..N_c at the points x, stacked on a new leading axis, by the recurrence."""
+    x = np.asarray(x, dtype=float)
+    a = _recurrence_coefficients(c + 1)
+    values = np.empty((c + 1,) + x.shape)
+    values[0] = 1.0 / math.sqrt(2.0)
+    for p in range(c):
+        below = values[p - 1] if p else 0.0
+        values[p + 1] = (x * values[p] - a[p] * below) / a[p + 1]
+    return values
+
+
 def build_univariate_tables(c: int) -> UnivariateTables:
     """Raw, normalized, and differentiated coefficient tables up to order c."""
     lpc = legendre_coefficients(c)
@@ -163,6 +214,11 @@ class BasisSet:
     @property
     def c(self) -> int:
         return self.indices.c
+
+    @property
+    def orders(self) -> np.ndarray:
+        """Per-variable orders, shape (n, m): row i is ``indices.rows[i]``."""
+        return np.array(self.indices.rows, dtype=int).reshape(self.n, self.m)
 
 
 def multivariate_basis(tables: UnivariateTables, indices: MultiIndexSet) -> BasisSet:
@@ -200,10 +256,13 @@ def basis_as_polynomial(basis: BasisSet, i: int) -> Polynomial:
 
 
 def evaluate_basis(basis: BasisSet, x: Sequence[float]) -> np.ndarray:
-    """Values of all n basis functions at the point x."""
+    """Values of all n basis functions at the point x.
+
+    Each factor N_p(x_a) comes from the recurrence, so no monomial
+    expansion (and none of its cancellation) is involved.
+    """
     xa = np.asarray(x, dtype=float)
     if xa.shape != (basis.m,):
         raise ValueError(f"point has shape {xa.shape}, expected ({basis.m},)")
-    ind = np.array(basis.indices.rows, dtype=int)
-    monomials = np.prod(xa[None, :] ** ind, axis=1)
-    return basis.MLP @ monomials
+    values = _legendre_values(basis.c, xa)
+    return np.prod(values[basis.orders, np.arange(basis.m)], axis=1)

@@ -141,6 +141,13 @@ def _solve_spec(
     mark = time.perf_counter()
     K = assemble_koopman(basis, unit_vf)
     H = observable_matrix(basis, unit_observables)
+    # Track the (rescaled) state itself to flag departure from the unit box,
+    # where the Galerkin projection stops being optimal.  Its rows ride along
+    # in the observables' propagation pass.
+    state_H = None
+    if spec.order >= 1:
+        box_observables = ObservableSet.identity(tuple(f"y{k}" for k in range(basis.m)))
+        state_H = observable_matrix(basis, box_observables)
     timings["assemble"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
@@ -159,6 +166,7 @@ def _solve_spec(
             eigencondition=eig.eigencondition,
             skewness=skewness_diagnostic(K),
         ),
+        state_H=state_H,
     )
 
     mark = time.perf_counter()
@@ -170,14 +178,9 @@ def _solve_spec(
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     trajectory = propagate(model, phi0, times)
 
-    # Track the (rescaled) state itself to flag departure from the unit box,
-    # where the Galerkin projection stops being optimal.
     first_exit: Optional[float] = None
-    if spec.order >= 1:
-        box_observables = ObservableSet.identity(tuple(f"y{k}" for k in range(basis.m)))
-        box_H = observable_matrix(basis, box_observables)
-        box_traj = propagate_observables(box_H, eigenvalues, V, phi0, times)
-        outside = np.abs(box_traj.values).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
+    if trajectory.states is not None:
+        outside = np.abs(trajectory.states).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
         if outside.any():
             first_exit = float(times[int(np.argmax(outside))])
     timings["propagate"] = time.perf_counter() - mark

@@ -13,19 +13,36 @@ analytically:
 
 No time stepping is involved; each output time costs one set of scalar
 exponentials.
+
+K and H are assembled in coefficient space, without expanding any basis
+function into monomials.  Per axis, multiplication by x is the tridiagonal
+Jacobi matrix J and d/dx is the derivative matrix D of the normalized
+Legendre recurrence (`legkoop.basis`), so for each term coef * x^e of f_j
+
+    <dL_i/dx_j * x^e, L_k> = prod_a M_a[i_a, k_a],   M_a = J^{e_a}, M_j = D J^{e_j}
+
+with i_a, k_a the per-axis orders of L_i and L_k.  Built at size
+c + deg f + 1 the operators truncate nothing, so the projection is exact
+and entries that vanish by structure (parity, degree) come out as exact
+zeros.  `total_derivative` with `box_inner_product` is the independent
+monomial reference the tests check this against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSet, basis_as_polynomial
+from .basis import BasisSet, basis_as_polynomial, derivative_matrix, jacobi_matrix
 from .dynamics import MAX_POLY_DEGREE, ObservableSet, VectorField
 from .errors import NearDefectiveError, NonFiniteError, ValidationError
-from .polyalg import (
+
+# box_inner_product is not called here; it stays importable beside
+# total_derivative, the other half of the monomial reference.
+from .polyalg import (  # noqa: F401
     Polynomial,
     box_inner_product,
     canonicalize,
@@ -67,6 +84,26 @@ def total_derivative(basis: BasisSet, i: int, vf: VectorField) -> Polynomial:
     return total
 
 
+def _jacobi_powers(size: int, max_power: int) -> list[np.ndarray]:
+    # J^0..J^max_power; products of exact zeros stay exact zeros.
+    J = jacobi_matrix(size)
+    powers = [np.eye(size)]
+    for _ in range(max_power):
+        powers.append(powers[-1] @ J)
+    return powers
+
+
+def _tensor_entries(
+    factors: Sequence[np.ndarray], rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    # out[i, k] = prod_a factors[a][rows[i, a], cols[k, a]]: the Galerkin
+    # entries of a tensor product of univariate operators.
+    out = factors[0][np.ix_(rows[:, 0], cols[:, 0])]
+    for a in range(1, len(factors)):
+        out = out * factors[a][np.ix_(rows[:, a], cols[:, a])]
+    return out
+
+
 def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
     """Galerkin projection of the flow derivative onto the basis.
 
@@ -77,12 +114,17 @@ def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
         raise ValueError(f"vector field dimension {vf.m} != basis dimension {basis.m}")
     if vf.max_degree > MAX_POLY_DEGREE:
         raise ValueError(f"vector field degree {vf.max_degree} exceeds {MAX_POLY_DEGREE}")
-    funcs = [basis_as_polynomial(basis, k) for k in range(basis.n)]
-    K = np.empty((basis.n, basis.n))
-    for i in range(basis.n):
-        flow_derivative = total_derivative(basis, i, vf)
-        for k in range(basis.n):
-            K[i, k] = box_inner_product(flow_derivative, funcs[k])
+    size = basis.c + vf.max_degree + 1
+    powers = _jacobi_powers(size, vf.max_degree)
+    D = derivative_matrix(size)
+    orders = basis.orders
+    K = np.zeros((basis.n, basis.n))
+    for j, fj in enumerate(vf.components):
+        for term in fj.terms:
+            factors = [
+                D @ powers[e] if a == j else powers[e] for a, e in enumerate(term.exp)
+            ]
+            K += term.coef * _tensor_entries(factors, orders, orders)
     K.flags.writeable = False
     return K
 
@@ -102,11 +144,17 @@ def observable_matrix(basis: BasisSet, observables: ObservableSet) -> np.ndarray
             raise ValidationError(
                 f"observable '{name}' has degree {poly.total_degree} > order {basis.c}"
             )
-    funcs = [basis_as_polynomial(basis, k) for k in range(basis.n)]
-    H = np.empty((len(observables), basis.n))
+    # x^e = x^e * (sqrt(2) N_0) per axis, so <x^e, N_q> = sqrt(2) (J^e)[0, q].
+    max_degree = max(poly.total_degree for poly in observables.polys)
+    powers = _jacobi_powers(basis.c + max_degree + 1, max_degree)
+    origin = np.zeros((1, basis.m), dtype=int)
+    orders = basis.orders
+    scale = 2.0 ** (basis.m / 2)
+    H = np.zeros((len(observables), basis.n))
     for i, g in enumerate(observables.polys):
-        for k in range(basis.n):
-            H[i, k] = box_inner_product(g, funcs[k])
+        for term in g.terms:
+            factors = [powers[e] for e in term.exp]
+            H[i] += term.coef * scale * _tensor_entries(factors, origin, orders)[0]
     H.flags.writeable = False
     return H
 
@@ -185,7 +233,11 @@ class ModelDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class KoopmanModel:
-    """Assembled and eigendecomposed spectral model of one system."""
+    """Assembled and eigendecomposed spectral model of one system.
+
+    `state_H`, when set, projects the unit-box state coordinates; `propagate`
+    then carries them along with the observables for the box-exit check.
+    """
 
     basis: BasisSet
     K: np.ndarray
@@ -195,6 +247,7 @@ class KoopmanModel:
     V: np.ndarray
     Vinv: np.ndarray
     diagnostics: ModelDiagnostics
+    state_H: Optional[np.ndarray] = None
 
 
 def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) -> KoopmanModel:
@@ -233,23 +286,47 @@ class Trajectory:
     """Observable values on a time grid, one row per observable.
 
     `max_imag` is the largest imaginary magnitude discarded when taking the
-    real part; for a real initial state it should sit at roundoff level.
+    real part of `values`; for a real initial state it should sit at
+    roundoff level.  `states` holds the unit-box state coordinates when the
+    model carries `state_H`, else None.
     """
 
     times: np.ndarray
     values: np.ndarray
     max_imag: float
+    states: Optional[np.ndarray] = None
 
 
 def propagate(model: KoopmanModel, phi0: np.ndarray, times) -> Trajectory:
-    """Evaluate the model's observables at each requested time."""
-    return propagate_observables(model.H, model.eigenvalues, model.V, phi0, times)
+    """Evaluate the model's observables at each requested time.
+
+    The rows of `state_H`, if any, share the same exponentials: they are
+    stacked under H and evaluated in one pass.
+    """
+    rows = model.H.shape[0]
+    H = model.H if model.state_H is None else np.vstack((model.H, model.state_H))
+    times, full = _evaluate_rows(H, model.eigenvalues, model.V, phi0, times)
+    states = None if model.state_H is None else _real_part(full[rows:])
+    return Trajectory(
+        times=times,
+        values=_real_part(full[:rows]),
+        max_imag=_max_imag(full[:rows]),
+        states=states,
+    )
 
 
 def propagate_observables(
     H: np.ndarray, eigenvalues: np.ndarray, V: np.ndarray, phi0: np.ndarray, times
 ) -> Trajectory:
     """values[:, k] = Re[H V diag(exp(lambda t_k)) phi0], per-mode exponentials."""
+    times, full = _evaluate_rows(H, eigenvalues, V, phi0, times)
+    return Trajectory(times=times, values=_real_part(full), max_imag=_max_imag(full))
+
+
+def _evaluate_rows(
+    H: np.ndarray, eigenvalues: np.ndarray, V: np.ndarray, phi0: np.ndarray, times
+) -> tuple[np.ndarray, np.ndarray]:
+    # The validated, read-only time grid and H V diag(exp(lambda t_k)) phi0.
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
@@ -266,11 +343,17 @@ def propagate_observables(
             "exp would overflow"
         )
     modes = np.exp(np.multiply.outer(np.asarray(eigenvalues), times)) * phi0[:, None]
-    full = (np.asarray(H) @ np.asarray(V)) @ modes
-    max_imag = float(np.abs(full.imag).max()) if np.iscomplexobj(full) else 0.0
+    times.flags.writeable = False
+    return times, (np.asarray(H) @ np.asarray(V)) @ modes
+
+
+def _max_imag(full: np.ndarray) -> float:
+    return float(np.abs(full.imag).max()) if np.iscomplexobj(full) else 0.0
+
+
+def _real_part(full: np.ndarray) -> np.ndarray:
     values = np.ascontiguousarray(full.real)
     if not np.isfinite(values).all():
         raise NonFiniteError("propagation produced non-finite values")
-    times.flags.writeable = False
     values.flags.writeable = False
-    return Trajectory(times=times, values=values, max_imag=max_imag)
+    return values

@@ -5,15 +5,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 
 from legkoop.basis import (
     MAX_BASIS_SIZE,
     basis_as_polynomial,
     build_basis,
     build_univariate_tables,
+    derivative_matrix,
     derivative_table,
     enumerate_multi_indices,
     evaluate_basis,
+    jacobi_matrix,
     legendre_coefficients,
     multivariate_basis,
     normalize_legendre,
@@ -276,3 +279,37 @@ def test_evaluate_basis_dimension_mismatch():
     basis = build_basis(3, 2)
     with pytest.raises(ValueError):
         evaluate_basis(basis, (1.0,))
+
+
+@pytest.mark.parametrize("c, m", [(12, 2), (8, 4)])
+def test_evaluate_basis_matches_legval(c, m):
+    # The reference runs legval in extended precision: in double precision
+    # legval itself carries up to ~1e-14 of rounding at c = 12.
+    basis = build_basis(c, m)
+    ld = np.longdouble
+    norms = np.sqrt((2 * np.arange(c + 1, dtype=ld) + 1) / 2)[:, None]
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for x in rng.uniform(-1, 1, size=(100, m)):
+        per_axis = norms * legval(x.astype(ld), np.eye(c + 1, dtype=ld))
+        expected = np.prod(per_axis[basis.orders, np.arange(m)], axis=1)
+        worst = max(worst, float(np.abs(evaluate_basis(basis, x) - expected).max()))
+    assert worst <= 1e-14
+
+
+def test_jacobi_matrix_multiplies_by_x():
+    size = 8
+    nlpc = build_univariate_tables(size).NLPC  # N_0..N_8 by ascending power
+    J = jacobi_matrix(size)  # acts on N_0..N_7
+    x_times = np.zeros_like(nlpc)
+    x_times[:, 1:] = nlpc[:, :-1]
+    assert (J == J.T).all()
+    # Row size-1 drops its N_size term; every other row is exact.
+    assert np.abs(J[: size - 1] @ nlpc[:size] - x_times[: size - 1]).max() <= 1e-13
+
+
+def test_derivative_matrix_matches_derivative_table():
+    tables = build_univariate_tables(10)
+    D = derivative_matrix(11)
+    assert np.abs(D @ tables.NLPC - tables.DLPC).max() <= 1e-11 * np.abs(tables.DLPC).max()
+    assert (np.triu(D) == 0.0).all()

@@ -1,12 +1,18 @@
 """Koopman matrix assembly, eigendecomposition, analytic propagation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from legkoop.basis import basis_as_polynomial, build_basis, evaluate_basis
-from legkoop.dynamics import ObservableSet, VectorField, duffing_vector_field
+from legkoop.dynamics import (
+    MAX_POLY_DEGREE,
+    ObservableSet,
+    VectorField,
+    duffing_vector_field,
+)
 from legkoop.errors import NearDefectiveError, NonFiniteError, ValidationError
 from legkoop.koopman import (
     assemble_koopman,
@@ -19,7 +25,7 @@ from legkoop.koopman import (
     skewness_diagnostic,
     total_derivative,
 )
-from legkoop.polyalg import Polynomial, canonicalize, evaluate, variable
+from legkoop.polyalg import Polynomial, box_inner_product, canonicalize, evaluate, variable
 from legkoop.refinteg import gauss_legendre_inner_product, rk4_integrate
 
 HARMONIC = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
@@ -378,3 +384,104 @@ def test_duffing_skewness_is_finite_nonzero():
     s = skewness_diagnostic(K)
     assert math.isfinite(s)
     assert s > 0.0
+
+
+# ---------------------------------------------------------------------------
+# operator assembly against the monomial reference
+
+def random_poly(rng, m, degree, terms):
+    # `terms` monomials, each of a random total degree 0..degree.
+    exps = [rng.multinomial(rng.integers(0, degree + 1), [1 / m] * m) for _ in range(terms)]
+    return canonicalize([(rng.normal(), tuple(int(v) for v in e)) for e in exps], m)
+
+
+@pytest.mark.parametrize("m, c", [(1, 6), (2, 6), (3, 5), (4, 4)])
+def test_operator_assembly_matches_monomial_reference(m, c):
+    rng = np.random.default_rng(100 + m)
+    basis = build_basis(c, m)
+    funcs = [basis_as_polynomial(basis, k) for k in range(basis.n)]
+    vf = VectorField(m, tuple(random_poly(rng, m, 3, 4) for _ in range(m)))
+    K = assemble_koopman(basis, vf)
+    derivatives = [total_derivative(basis, i, vf) for i in range(basis.n)]
+    K_ref = np.array([[box_inner_product(d, f) for f in funcs] for d in derivatives])
+    assert np.abs(K - K_ref).max() <= 1e-12
+    observables = ObservableSet(
+        ("g0", "g1"), tuple(random_poly(rng, m, c, 5) for _ in range(2))
+    )
+    H = observable_matrix(basis, observables)
+    H_ref = np.array([[box_inner_product(g, f) for f in funcs] for g in observables.polys])
+    assert np.abs(H - H_ref).max() <= 1e-12
+
+
+def test_linear_fields_are_exactly_degree_triangular():
+    rng = np.random.default_rng(43)
+    for m, c in [(2, 4), (3, 3)]:
+        basis = build_basis(c, m)
+        degrees = basis.orders.sum(axis=1)
+        above = degrees[None, :] > degrees[:, None]
+        for _ in range(3):
+            A, b = rng.normal(size=(m, m)), rng.normal(size=m)
+            unit = [tuple(int(a == k) for a in range(m)) for k in range(m)]
+            vf = VectorField(
+                m,
+                tuple(
+                    canonicalize([(b[j], (0,) * m)] + list(zip(A[j], unit)), m)
+                    for j in range(m)
+                ),
+            )
+            K = assemble_koopman(basis, vf)
+            assert (K[above] == 0.0).all()
+
+
+def test_duffing_parity_blocks_are_exact_zeros():
+    for c in (3, 8, 12):
+        basis = build_basis(c, 2)
+        parity = basis.orders.sum(axis=1) % 2
+        K = assemble_koopman(basis, DUFFING)
+        assert (K[parity[:, None] != parity[None, :]] == 0.0).all()
+
+
+def test_field_of_max_degree_assembles():
+    basis = build_basis(3, 2)
+    top = VectorField(
+        2,
+        (
+            canonicalize([(1.0, (MAX_POLY_DEGREE, 0)), (0.5, (0, 1))], 2),
+            canonicalize([(-1.0, (1, MAX_POLY_DEGREE - 1))], 2),
+        ),
+    )
+    K = assemble_koopman(basis, top)
+    funcs = [basis_as_polynomial(basis, k) for k in range(basis.n)]
+    derivatives = [total_derivative(basis, i, top) for i in range(basis.n)]
+    K_ref = np.array([[box_inner_product(d, f) for f in funcs] for d in derivatives])
+    assert np.abs(K - K_ref).max() <= 1e-12
+
+
+def test_state_rows_share_the_observable_pass():
+    basis = build_basis(4, 2)
+    observables = ObservableSet(
+        ("energy",), (canonicalize([(0.5, (2, 0)), (0.5, (0, 2))], 2),)
+    )
+    model = build_model(basis, DUFFING, observables)
+    state_H = observable_matrix(basis, IDENTITY_QP)
+    with_states = replace(model, state_H=state_H)
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    times = np.linspace(0.0, 5.0, 40)
+    plain = propagate(model, phi0, times)
+    both = propagate(with_states, phi0, times)
+    states = propagate_observables(state_H, model.eigenvalues, model.V, phi0, times)
+    assert plain.states is None
+    assert np.abs(both.values - plain.values).max() <= 1e-15
+    assert np.abs(both.states - states.values).max() <= 1e-15
+    assert both.max_imag == pytest.approx(plain.max_imag, abs=1e-16)
+    # max_imag covers the observable rows only: here the state row is e^{it}.
+    rotating = replace(
+        model,
+        H=np.zeros((1, 2)),
+        state_H=np.array([[1.0, 0.0]]),
+        eigenvalues=np.array([1j, -1j]),
+        V=np.eye(2, dtype=complex),
+    )
+    traj = propagate(rotating, np.array([1.0 + 0j, 0j]), times)
+    assert traj.max_imag == 0.0
+    assert np.abs(traj.states[0] - np.cos(times)).max() <= 1e-15
