@@ -18,16 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import basis_as_polynomial, build_basis, evaluate_basis
-from .dynamics import (
-    ObservableSet,
-    SystemSpec,
-    duffing_vector_field,
-    parse_system_config,
-    rescale_to_unit_box,
-)
+from .basis import build_basis, evaluate_basis
+from .dynamics import ObservableSet, SystemSpec, parse_system_config, rescale_to_unit_box
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
-from .koopman import (
+
+# propagate_observables is not called here; perfbench/tracing.py swaps it
+# by name on this module, so it stays importable.
+from .koopman import (  # noqa: F401
     KoopmanModel,
     ModelDiagnostics,
     Trajectory,
@@ -38,14 +35,12 @@ from .koopman import (
     propagate,
     propagate_observables,
     skewness_diagnostic,
-    total_derivative,
 )
-from .polyalg import affine_substitute, box_inner_product, evaluate
-from .refinteg import ReferenceTrajectory, gauss_legendre_inner_product, rk4_integrate
+from .polyalg import affine_substitute, evaluate
+from .refinteg import ReferenceTrajectory, rk4_integrate
 
 __all__ = [
     "DEFAULT_RK_STEP",
-    "RunSummary",
     "run_solve",
     "run_sweep",
     "run_validate",
@@ -76,44 +71,9 @@ class SolveResult:
     times: np.ndarray
     trajectory: Trajectory
     first_box_exit: Optional[float]
-    reference: Optional[ReferenceTrajectory]
     reference_values: Optional[np.ndarray]
     observable_errors: Optional[dict]
     timings: dict
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Everything the summary JSON reports about one solve."""
-
-    system: str
-    m: int
-    c: int
-    n: int
-    eigenvalues: tuple[complex, ...]
-    eigenresidual: float
-    eigencondition: float
-    skewness: float
-    max_imag: float
-    observable_errors: Optional[dict]
-    first_box_exit_time: Optional[float]
-    timings: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "m": self.m,
-            "c": self.c,
-            "n": self.n,
-            "eigenvalues": [[float(v.real), float(v.imag)] for v in self.eigenvalues],
-            "eigenresidual": self.eigenresidual,
-            "eigencondition": self.eigencondition,
-            "skewness": self.skewness,
-            "max_imag": self.max_imag,
-            "observable_errors": self.observable_errors,
-            "first_box_exit_time": self.first_box_exit_time,
-            "timings": self.timings,
-        }
 
 
 def _solve_spec(
@@ -203,8 +163,6 @@ def _solve_spec(
                 "rms": float(np.sqrt(np.mean(diff**2))),
             }
         timings["reference"] = time.perf_counter() - mark
-    else:
-        reference = None
 
     timings["total"] = time.perf_counter() - started
     return SolveResult(
@@ -213,29 +171,29 @@ def _solve_spec(
         times=times,
         trajectory=trajectory,
         first_box_exit=first_exit,
-        reference=reference,
         reference_values=reference_values,
         observable_errors=observable_errors,
         timings=timings,
     )
 
 
-def _summarize(result: SolveResult) -> RunSummary:
+def _summary_json(result: SolveResult) -> dict:
+    """Everything the summary JSON reports about one solve."""
     model = result.model
-    return RunSummary(
-        system=result.spec.name,
-        m=model.basis.m,
-        c=model.basis.c,
-        n=model.basis.n,
-        eigenvalues=tuple(complex(v) for v in model.eigenvalues),
-        eigenresidual=model.diagnostics.eigenresidual,
-        eigencondition=model.diagnostics.eigencondition,
-        skewness=model.diagnostics.skewness,
-        max_imag=result.trajectory.max_imag,
-        observable_errors=result.observable_errors,
-        first_box_exit_time=result.first_box_exit,
-        timings=result.timings,
-    )
+    return {
+        "system": result.spec.name,
+        "m": model.basis.m,
+        "c": model.basis.c,
+        "n": model.basis.n,
+        "eigenvalues": [[float(v.real), float(v.imag)] for v in model.eigenvalues],
+        "eigenresidual": model.diagnostics.eigenresidual,
+        "eigencondition": model.diagnostics.eigencondition,
+        "skewness": model.diagnostics.skewness,
+        "max_imag": result.trajectory.max_imag,
+        "observable_errors": result.observable_errors,
+        "first_box_exit_time": result.first_box_exit,
+        "timings": result.timings,
+    }
 
 
 def _format_value(x: float) -> str:
@@ -261,6 +219,20 @@ def _write_trajectory_csv(path: Path, result: SolveResult) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _load_spec(config_path) -> SystemSpec | int:
+    """The parsed config, or the exit code after reporting why there is none."""
+    try:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        return parse_system_config(text)
+    except (SchemaError, ValidationError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
 def run_solve(
     config_path,
     *,
@@ -269,16 +241,9 @@ def run_solve(
     out_dir="out",
 ) -> int:
     """Solve one configured system; write trajectory CSV and summary JSON."""
-    try:
-        text = Path(config_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        spec = parse_system_config(text)
-    except (SchemaError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec = _load_spec(config_path)
+    if isinstance(spec, int):
+        return spec
     try:
         result = _solve_spec(spec, rk_step=rk_step, with_reference=reference)
     except NearDefectiveError as exc:
@@ -288,7 +253,6 @@ def run_solve(
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    summary = _summarize(result)
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -296,7 +260,7 @@ def run_solve(
         _write_trajectory_csv(csv_path, result)
         json_path = out / f"{spec.name}_summary.json"
         json_path.write_text(
-            json.dumps(summary.to_json_dict(), indent=2) + "\n", encoding="utf-8"
+            json.dumps(_summary_json(result), indent=2) + "\n", encoding="utf-8"
         )
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
@@ -308,11 +272,11 @@ def run_solve(
             "the projection is only optimal inside it",
             file=sys.stderr,
         )
-    diag = result.model.diagnostics
+    basis, diag = result.model.basis, result.model.diagnostics
     print(
-        f"{spec.name}: m={summary.m} c={summary.c} n={summary.n}  "
+        f"{spec.name}: m={basis.m} c={basis.c} n={basis.n}  "
         f"skewness={diag.skewness:.3e}  eigencondition={diag.eigencondition:.3e}  "
-        f"max_imag={summary.max_imag:.3e}"
+        f"max_imag={result.trajectory.max_imag:.3e}"
     )
     if result.observable_errors is not None:
         worst = max(err["max"] for err in result.observable_errors.values())
@@ -336,16 +300,9 @@ def run_sweep(
     if not orders:
         print("error: no orders requested", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        text = Path(config_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        spec = parse_system_config(text)
-    except (SchemaError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec = _load_spec(config_path)
+    if isinstance(spec, int):
+        return spec
 
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     try:
@@ -437,138 +394,35 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # validate: cross-module invariants with frozen expected values
 
-# Hand-checked basis fixtures for order 3, two variables (entries rounded to
-# three decimals; the exact values are products of sqrt((2i+1)/2)-scaled
-# Legendre coefficients).
-_EXPECTED_INDICES_C3_M2 = (
-    (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
-)
-_EXPECTED_LPC_ROWS = {
-    2: (-0.5, 0.0, 1.5, 0.0),
-    3: (0.0, -1.5, 0.0, 2.5),
-}
-_EXPECTED_MLP_C3_M2 = np.array(
-    [
-        [0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0.866, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0.866, 0, 0, 0, 0, 0, 0, 0],
-        [-0.559, 0, 0, 1.677, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1.5, 0, 0, 0, 0, 0],
-        [-0.559, 0, 0, 0, 0, 1.677, 0, 0, 0, 0],
-        [0, -1.984, 0, 0, 0, 0, 3.307, 0, 0, 0],
-        [0, 0, -0.968, 0, 0, 0, 0, 2.905, 0, 0],
-        [0, -0.968, 0, 0, 0, 0, 0, 0, 2.905, 0],
-        [0, 0, -1.984, 0, 0, 0, 0, 0, 0, 3.307],
-    ]
-)
-
-
-def _check_golden_tables():
-    basis = build_basis(3, 2)
-    if basis.indices.rows != _EXPECTED_INDICES_C3_M2 or basis.n != 10:
-        return False, "multi-index enumeration drifted"
-    for row, expected in _EXPECTED_LPC_ROWS.items():
-        if not np.allclose(basis.tables.LPC[row], expected, atol=1e-12):
-            return False, f"Legendre coefficient row {row} drifted"
-    worst = float(np.abs(basis.MLP - _EXPECTED_MLP_C3_M2).max())
-    if worst > 5e-4:
-        return False, f"basis matrix differs from golden values by {worst:.2e}"
-    func = basis_as_polynomial(basis, 8)
-    coefs = {t.exp: t.coef for t in func.terms}
-    if set(coefs) != {(1, 0), (1, 2)}:
-        return False, "basis function 8 has unexpected monomials"
-    if abs(coefs[(1, 0)] + 0.968) > 5e-4 or abs(coefs[(1, 2)] - 2.905) > 5e-4:
-        return False, "basis function 8 coefficients drifted"
-    return True, f"max golden deviation {worst:.2e}"
-
-
-def _check_orthonormality():
-    worst = 0.0
-    for c in range(1, 9):
-        basis = build_basis(c, 2)
-        funcs = [basis_as_polynomial(basis, i) for i in range(basis.n)]
-        for i in range(basis.n):
-            for k in range(basis.n):
-                g = box_inner_product(funcs[i], funcs[k])
-                worst = max(worst, abs(g - (1.0 if i == k else 0.0)))
-    return worst <= 1e-12, f"max |Gram - I| = {worst:.2e} over orders 1..8"
-
-
-def _check_koopman_vs_quadrature():
-    basis = build_basis(3, 2)
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.001)
-    K = assemble_koopman(basis, vf)
-    funcs = [basis_as_polynomial(basis, k) for k in range(basis.n)]
-    worst = 0.0
-    for i in range(basis.n):
-        flow_derivative = total_derivative(basis, i, vf)
-        for k in range(basis.n):
-            nodes = (flow_derivative.total_degree + funcs[k].total_degree) // 2 + 1
-            q = gauss_legendre_inner_product(flow_derivative, funcs[k], nodes)
-            worst = max(worst, abs(K[i, k] - q))
-    return worst <= 1e-10, f"max |K - quadrature| = {worst:.2e}"
-
-
-def _check_degree_triangularity():
-    basis = build_basis(3, 2)
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)  # linear dynamics
-    K = assemble_koopman(basis, vf)
-    degrees = [sum(row) for row in basis.indices.rows]
-    worst = 0.0
-    for i in range(basis.n):
-        for k in range(basis.n):
-            if degrees[k] > degrees[i]:
-                worst = max(worst, abs(K[i, k]))
-    return worst <= 1e-12, f"max |K[i,k]| with deg_k > deg_i = {worst:.2e}"
-
-
-def _check_t0_reconstruction():
-    basis = build_basis(3, 2)
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.001)
-    observables = ObservableSet.identity(("q", "p"))
-    K = assemble_koopman(basis, vf)
-    H = observable_matrix(basis, observables)
-    eigenvalues, V, Vinv, _ = eigendecompose(K)
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        x0 = rng.uniform(-1.0, 1.0, size=2)
-        h0 = evaluate_basis(basis, x0)
-        phi0 = initial_eigenfunctions(Vinv, h0)
-        traj = propagate_observables(H, eigenvalues, V, phi0, np.array([0.0]))
-        worst = max(worst, float(np.abs(traj.values[:, 0] - x0).max()))
-    return worst <= 1e-9, f"worst |g(0) - g(x0)| = {worst:.2e} over 100 states"
-
-
-def _check_rk4_order():
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
-    times = np.array([10.0])
-    exact = np.array([math.cos(10.0), -math.sin(10.0)])
-    errors = []
-    for step in (1e-2, 5e-3, 2.5e-3):
-        traj = rk4_integrate(vf, (1.0, 0.0), times, step)
-        errors.append(float(np.abs(traj.states[:, 0] - exact).max()))
-    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
-    ok = all(r >= 12.0 for r in ratios)
-    return ok, f"halving ratios {ratios[0]:.1f}, {ratios[1]:.1f} (>= 12 expected)"
-
-
 def run_validate() -> int:
     """Run the cross-module invariant suite and report pass/fail per check."""
+    # Imported here, not at the top: `import legkoop.cli` stays as light as
+    # the solve and sweep commands need.
+    from . import invariants
+
+    golden = invariants.golden_deviation(build_basis(3, 2))
+    gram = invariants.orthonormality_error()
+    quadrature = invariants.koopman_quadrature_error()
+    above_degree = invariants.above_degree_entry()
+    reconstruction = invariants.reconstruction_error()
+    ratios = invariants.rk4_halving_ratios()
     checks = [
-        ("golden basis tables (c=3, m=2)", _check_golden_tables),
-        ("basis orthonormality (orders 1..8)", _check_orthonormality),
-        ("Koopman matrix vs quadrature (Duffing, c=3)", _check_koopman_vs_quadrature),
-        ("degree triangularity for linear dynamics", _check_degree_triangularity),
-        ("t=0 reconstruction (100 random states)", _check_t0_reconstruction),
-        ("RK4 step-halving order", _check_rk4_order),
+        ("golden basis tables (c=3, m=2)", golden <= 5e-4,
+         f"max golden deviation {golden:.2e}"),
+        ("basis orthonormality (orders 1..8)", gram <= 1e-12,
+         f"max |Gram - I| = {gram:.2e} over orders 1..8"),
+        ("Koopman matrix vs quadrature (Duffing, c=3)", quadrature <= 1e-10,
+         f"max |K - quadrature| = {quadrature:.2e}"),
+        ("degree triangularity for linear dynamics", above_degree <= 1e-12,
+         f"max |K[i,k]| with deg_k > deg_i = {above_degree:.2e}"),
+        ("t=0 reconstruction (100 random states)", reconstruction <= 1e-9,
+         f"worst |g(0) - g(x0)| = {reconstruction:.2e} over 100 states"),
+        ("RK4 step-halving order", all(r >= 12.0 for r in ratios),
+         f"halving ratios {ratios[0]:.1f}, {ratios[1]:.1f} (>= 12 expected)"),
     ]
-    all_ok = True
-    for name, check in checks:
-        ok, detail = check()
-        all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'} - {name}: {detail}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    for label, ok, detail in checks:
+        print(f"{'PASS' if ok else 'FAIL'} - {label}: {detail}")
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +435,26 @@ def _orders_argument(text: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",")]
+            orders = list(range(lo, hi + 1))
+        else:
+            orders = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'A..B' or comma-separated integers, got {text!r}"
         ) from None
+    if min(orders) < 0:
+        raise argparse.ArgumentTypeError(f"orders must be >= 0, got {text!r}")
+    return orders
+
+
+def _step_argument(text: str) -> float:
+    try:
+        step = float(text)
+        if math.isfinite(step) and step > 0:
+            return step
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite step > 0, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -604,7 +472,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="also integrate with RK4 and report per-observable errors",
     )
-    solve.add_argument("--rk-step", type=float, default=DEFAULT_RK_STEP)
+    solve.add_argument("--rk-step", type=_step_argument, default=DEFAULT_RK_STEP)
     solve.add_argument("--out-dir", default="out")
 
     sweep = sub.add_parser("sweep", help="solve at several orders against one RK4 reference")
@@ -612,7 +480,7 @@ def main(argv=None) -> int:
     sweep.add_argument(
         "--orders", required=True, type=_orders_argument, help="range 'A..B' or list '1,3,5'"
     )
-    sweep.add_argument("--rk-step", type=float, default=DEFAULT_RK_STEP)
+    sweep.add_argument("--rk-step", type=_step_argument, default=DEFAULT_RK_STEP)
     sweep.add_argument("--out-dir", default="out")
 
     sub.add_parser("validate", help="run the cross-module invariant suite")

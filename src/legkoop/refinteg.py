@@ -76,11 +76,12 @@ def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> R
     """Classical Runge-Kutta from x(0) = x0, landing exactly on each time.
 
     Each segment between requested times is covered with the fixed internal
-    `step`; only the final sub-step of a segment is shortened.  Global error
-    is O(step**4).  Divergence (any |x| > 1e12) raises NonFiniteError.
+    `step`; only the final sub-step of a segment is shortened, and a step
+    longer than the segment covers it in one.  Global error is O(step**4).
+    Divergence (any |x| > 1e12) raises NonFiniteError.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
@@ -103,7 +104,9 @@ def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> R
                 for _ in range(full_steps):
                     x = _rk4_step(rhs, x, step)
                 remainder = span - full_steps * step
-                if remainder > 1e-12 * max(step, 1.0):
+                # Relative to the step actually taken, so a step far longer
+                # than the segment still advances the state.
+                if remainder > 1e-12 * max(min(step, span), 1.0):
                     x = _rk4_step(rhs, x, remainder)
             except OverflowError:
                 raise NonFiniteError(f"state diverged before t = {target}") from None

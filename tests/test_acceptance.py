@@ -6,25 +6,18 @@ per criterion.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 import pytest
 
+from legkoop import invariants
 from legkoop.basis import basis_as_polynomial, build_basis, evaluate_basis
 from legkoop.cli import main
 from legkoop.dynamics import ObservableSet, duffing_vector_field
-from legkoop.koopman import (
-    assemble_koopman,
-    build_model,
-    eigendecompose,
-    initial_eigenfunctions,
-    propagate,
-    total_derivative,
-)
-from legkoop.polyalg import box_inner_product
-from legkoop.refinteg import gauss_legendre_inner_product, rk4_integrate
+from legkoop.invariants import GOLDEN_INDICES
+from legkoop.koopman import build_model, initial_eigenfunctions, propagate
+from legkoop.refinteg import rk4_integrate
 
 DESK_CONFIG = {
     "name": "duffing",
@@ -39,24 +32,6 @@ DESK_CONFIG = {
     "num_steps": 100,
 }
 
-GOLDEN_INDICES = (
-    (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
-)
-GOLDEN_MLP = np.array(
-    [
-        [0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0.866, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0.866, 0, 0, 0, 0, 0, 0, 0],
-        [-0.559, 0, 0, 1.677, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1.5, 0, 0, 0, 0, 0],
-        [-0.559, 0, 0, 0, 0, 1.677, 0, 0, 0, 0],
-        [0, -1.984, 0, 0, 0, 0, 3.307, 0, 0, 0],
-        [0, 0, -0.968, 0, 0, 0, 0, 2.905, 0, 0],
-        [0, -0.968, 0, 0, 0, 0, 0, 0, 2.905, 0],
-        [0, 0, -1.984, 0, 0, 0, 0, 0, 0, 3.307],
-    ]
-)
-
 
 def test_criterion_1_basis_fixtures_order_3():
     started = time.perf_counter()
@@ -65,7 +40,7 @@ def test_criterion_1_basis_fixtures_order_3():
     assert basis.n == 10
     assert basis.tables.LPC[2].tolist() == pytest.approx([-0.5, 0.0, 1.5, 0.0])
     assert basis.tables.LPC[3].tolist() == pytest.approx([0.0, -1.5, 0.0, 2.5])
-    mlp_dev = float(np.abs(basis.MLP - GOLDEN_MLP).max())
+    mlp_dev = invariants.golden_deviation(basis)
     assert mlp_dev <= 5e-4
     L8 = {t.exp: t.coef for t in basis_as_polynomial(basis, 8).terms}
     assert set(L8) == {(1, 0), (1, 2)}
@@ -78,14 +53,7 @@ def test_criterion_1_basis_fixtures_order_3():
 
 def test_criterion_2_orthonormality_through_order_8():
     started = time.perf_counter()
-    worst = 0.0
-    for c in range(1, 9):
-        basis = build_basis(c, 2)
-        funcs = [basis_as_polynomial(basis, i) for i in range(basis.n)]
-        for i in range(basis.n):
-            for k in range(basis.n):
-                gram = box_inner_product(funcs[i], funcs[k])
-                worst = max(worst, abs(gram - (1.0 if i == k else 0.0)))
+    worst = invariants.orthonormality_error()
     elapsed = time.perf_counter() - started
     assert worst <= 1e-12
     assert elapsed < 5.0
@@ -93,17 +61,7 @@ def test_criterion_2_orthonormality_through_order_8():
 
 
 def test_criterion_3_koopman_matches_quadrature():
-    basis = build_basis(3, 2)
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.001)
-    K = assemble_koopman(basis, vf)
-    funcs = [basis_as_polynomial(basis, k) for k in range(basis.n)]
-    worst = 0.0
-    for i in range(basis.n):
-        d = total_derivative(basis, i, vf)
-        for k in range(basis.n):
-            nodes = (d.total_degree + funcs[k].total_degree) // 2 + 1
-            q = gauss_legendre_inner_product(d, funcs[k], nodes)
-            worst = max(worst, abs(K[i, k] - q))
+    worst = invariants.koopman_quadrature_error()
     assert worst <= 1e-10
     print(f"PASS criterion 3: max |K - quadrature| = {worst:.2e}")
 
@@ -172,28 +130,13 @@ def test_criterion_6_error_depends_on_order(tmp_path):
 
 
 def test_criterion_7_time_zero_reconstruction():
-    basis = build_basis(3, 2)
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.001)
-    model = build_model(basis, vf, ObservableSet.identity(("q", "p")))
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        x0 = rng.uniform(-1.0, 1.0, size=2)
-        phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, x0))
-        traj = propagate(model, phi0, np.array([0.0]))
-        worst = max(worst, float(np.abs(traj.values[:, 0] - x0).max()))
+    worst = invariants.reconstruction_error()
     assert worst <= 1e-9
     print(f"PASS criterion 7: worst t=0 reconstruction error {worst:.2e}")
 
 
 def test_criterion_8_rk4_fourth_order_convergence():
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
-    exact = np.array([math.cos(10.0), -math.sin(10.0)])
-    errors = []
-    for step in (1e-2, 5e-3, 2.5e-3):
-        traj = rk4_integrate(vf, (1.0, 0.0), np.array([10.0]), step)
-        errors.append(float(np.abs(traj.states[:, 0] - exact).max()))
-    ratios = (errors[0] / errors[1], errors[1] / errors[2])
+    ratios = invariants.rk4_halving_ratios()
     assert ratios[0] >= 12.0
     assert ratios[1] >= 12.0
     print(f"PASS criterion 8: halving ratios {ratios[0]:.1f}, {ratios[1]:.1f}")

@@ -21,23 +21,8 @@ from legkoop.basis import (
     multivariate_basis,
     normalize_legendre,
 )
+from legkoop.invariants import GOLDEN_MLP, orthonormality_error
 from legkoop.polyalg import box_inner_product, canonicalize, evaluate, partial_derivative
-
-# 0-based rows of the order-3, two-variable expansion matrix, rounded to
-# three decimals (nonzero entries only, keyed by column).
-GOLDEN_MLP_C3_M2 = {
-    0: {0: 0.5},
-    1: {1: 0.866},
-    2: {2: 0.866},
-    3: {0: -0.559, 3: 1.677},
-    4: {4: 1.5},
-    5: {0: -0.559, 5: 1.677},
-    6: {1: -1.984, 6: 3.307},
-    7: {2: -0.968, 7: 2.905},
-    8: {1: -0.968, 8: 2.905},
-    9: {2: -1.984, 9: 3.307},
-}
-
 
 # ---------------------------------------------------------------------------
 # multi-index enumeration
@@ -146,11 +131,7 @@ def test_derivative_table_shift_law():
 
 def test_mlp_matches_golden_three_decimal_matrix():
     basis = build_basis(3, 2)
-    expected = np.zeros((10, 10))
-    for i, cols in GOLDEN_MLP_C3_M2.items():
-        for j, value in cols.items():
-            expected[i, j] = value
-    assert np.abs(basis.MLP - expected).max() <= 5e-4
+    assert np.abs(basis.MLP - GOLDEN_MLP).max() <= 5e-4
 
 
 def test_mlp_corner_entries():
@@ -181,14 +162,7 @@ def test_mismatched_tables_and_indices():
 
 
 def test_gram_matrix_is_identity_through_order_eight():
-    for c in range(1, 9):
-        basis = build_basis(c, 2)
-        funcs = [basis_as_polynomial(basis, i) for i in range(basis.n)]
-        n = basis.n
-        gram = np.array(
-            [[box_inner_product(funcs[i], funcs[k]) for k in range(n)] for i in range(n)]
-        )
-        assert np.abs(gram - np.eye(n)).max() <= 1e-12
+    assert orthonormality_error() <= 1e-12
 
 
 def test_gram_matrix_three_variables():

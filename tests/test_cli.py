@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from legkoop import invariants
 from legkoop.cli import main
 
 DUFFING = {
@@ -250,6 +251,27 @@ def test_sweep_rejects_malformed_orders(tmp_path, capsys):
         main(["sweep", "--config", config, "--orders", "one..two"])
 
 
+@pytest.mark.parametrize("orders", ["-3..1", "-3", "1,-2"])
+def test_sweep_rejects_negative_orders(tmp_path, capsys, orders):
+    config = write_config(tmp_path, DUFFING)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", config, f"--orders={orders}"])
+    assert exc.value.code == 2
+    assert "orders must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf", "abc"])
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1"]])
+def test_rk_step_must_be_finite_and_positive(tmp_path, capsys, command, step):
+    config = write_config(tmp_path, DUFFING)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", config, f"--rk-step={step}",
+                        "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "expected a finite step > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -259,3 +281,13 @@ def test_validate_passes_and_prints_each_check(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_validate_fails_with_exit_5_naming_the_check(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "koopman_quadrature_error", lambda: 1e-3)
+    assert main(["validate"]) == 5
+    lines = [line for line in capsys.readouterr().out.splitlines() if line]
+    assert len(lines) == 6
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL - Koopman matrix vs quadrature (Duffing, c=3): max |K - quadrature| = 1.00e-03"
+    ]

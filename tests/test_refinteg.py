@@ -8,6 +8,7 @@ import pytest
 from legkoop.basis import basis_as_polynomial, build_basis
 from legkoop.dynamics import VectorField, duffing_vector_field
 from legkoop.errors import NonFiniteError
+from legkoop.invariants import rk4_halving_ratios
 from legkoop.polyalg import Polynomial, canonicalize, constant, variable
 from legkoop.refinteg import (
     gauss_legendre_inner_product,
@@ -64,8 +65,9 @@ def test_divergence_raises_non_finite():
 
 def test_rk4_argument_validation():
     vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        rk4_integrate(vf, (1.0, 0.0), np.array([1.0]), 0.0)
+    for step in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            rk4_integrate(vf, (1.0, 0.0), np.array([1.0]), step)
     with pytest.raises(ValueError):
         rk4_integrate(vf, (1.0, 0.0), np.array([1.0, 0.5]), 1e-2)
     with pytest.raises(ValueError):
@@ -74,15 +76,19 @@ def test_rk4_argument_validation():
         rk4_integrate(vf, (1.0, 0.0), np.array([]), 1e-2)
 
 
-def test_fourth_order_convergence_on_step_halving():
+def test_step_longer_than_segment_takes_one_step():
+    # A remainder is skipped only when negligible against the step taken.
     vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
-    exact = np.array([math.cos(10.0), -math.sin(10.0)])
-    errors = []
-    for step in (1e-2, 5e-3, 2.5e-3):
-        traj = rk4_integrate(vf, (1.0, 0.0), np.array([10.0]), step)
-        errors.append(float(np.abs(traj.states[:, 0] - exact).max()))
-    assert errors[0] / errors[1] >= 12.0
-    assert errors[1] / errors[2] >= 12.0
+    huge = rk4_integrate(vf, (1.0, 0.0), np.array([0.5]), 1e12)
+    one_step = rk4_integrate(vf, (1.0, 0.0), np.array([0.5]), 0.5)
+    assert (huge.states == one_step.states).all()
+    assert huge.states[0, 0] != 1.0
+
+
+def test_fourth_order_convergence_on_step_halving():
+    ratios = rk4_halving_ratios()
+    assert ratios[0] >= 12.0
+    assert ratios[1] >= 12.0
 
 
 # ---------------------------------------------------------------------------
