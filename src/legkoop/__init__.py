@@ -2,9 +2,10 @@
 
 The flow map is represented by a finite Koopman matrix: project the
 generator onto an orthonormal multivariate Legendre basis, diagonalize
-once, then evaluate observables at any time analytically from the
-eigenvalues.  See :mod:`legkoop.koopman` for the pipeline entry points
-and :mod:`legkoop.cli` for the command-line interface.
+it once per decoupled block, then evaluate observables at any time
+analytically from the eigenvalues.  See :mod:`legkoop.koopman` for the
+pipeline entry points and :mod:`legkoop.cli` for the command-line
+interface.
 """
 
 from .basis import (

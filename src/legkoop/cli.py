@@ -125,6 +125,7 @@ def _solve_spec(
             eigenresidual=eig.eigenresidual,
             eigencondition=eig.eigencondition,
             skewness=skewness_diagnostic(K),
+            n_blocks=eig.n_blocks,
         ),
         state_H=state_H,
     )
@@ -185,11 +186,13 @@ def _summary_json(result: SolveResult) -> dict:
         "m": model.basis.m,
         "c": model.basis.c,
         "n": model.basis.n,
+        "n_blocks": model.diagnostics.n_blocks,
         "eigenvalues": [[float(v.real), float(v.imag)] for v in model.eigenvalues],
         "eigenresidual": model.diagnostics.eigenresidual,
         "eigencondition": model.diagnostics.eigencondition,
         "skewness": model.diagnostics.skewness,
         "max_imag": result.trajectory.max_imag,
+        "n_modes_propagated": result.trajectory.n_modes_propagated,
         "observable_errors": result.observable_errors,
         "first_box_exit_time": result.first_box_exit,
         "timings": result.timings,
@@ -213,9 +216,9 @@ def _write_trajectory_csv(path: Path, result: SolveResult) -> None:
             np.abs(result.trajectory.values[i] - result.reference_values[i])
             for i in range(len(names))
         ]
-    lines = [",".join(header)]
-    for k in range(result.times.size):
-        lines.append(",".join(_format_value(col[k]) for col in columns))
+    # tolist() gives Python floats, whose repr is what _format_value writes.
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

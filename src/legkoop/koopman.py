@@ -12,7 +12,15 @@ analytically:
     g(t_k) = Re[ H V diag(exp(lambda t_k)) phi0 ],    phi0 = Vinv L(x0)
 
 No time stepping is involved; each output time costs one set of scalar
-exponentials.
+exponentials, one per mode the observables reach: a mode whose column of
+H V is all zeros adds exact zeros and is skipped.
+
+K often splits into blocks that do not couple at all (Duffing's odd
+symmetry gives an even and an odd block).  `eigendecompose` finds them as
+the connected components of the sparsity graph of K, with no tolerance,
+and runs one eigendecomposition per block; V and Vinv are block-diagonal
+up to a permutation, so an observable that lives on one block reaches only
+that block's modes.
 
 K and H are assembled in coefficient space, without expanding any basis
 function into monomials.  Per axis, multiplication by x is the tridiagonal
@@ -165,6 +173,47 @@ class EigenDiagnostics:
 
     eigenresidual: float  # max entry of |K V - V diag(lambda)|
     eigencondition: float  # 2-norm condition number of V
+    n_blocks: int  # connected components of the sparsity graph of K
+
+
+def _sparsity_components(K: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the sparsity graph of K.
+
+    i and k are adjacent when K[i, k] or K[k, i] is nonzero, so K restricted
+    to two different components is exactly zero in both directions.  Each
+    index set is ascending; the components are ordered by their first index.
+    """
+    adjacent = (K != 0) | (K.T != 0)
+    unvisited = np.ones(K.shape[0], dtype=bool)
+    components = []
+    while unvisited.any():
+        frontier = np.zeros_like(unvisited)
+        frontier[np.argmax(unvisited)] = True
+        members = frontier.copy()
+        while frontier.any():
+            frontier = adjacent[frontier].any(axis=0) & ~members
+            members |= frontier
+        unvisited &= ~members
+        components.append(np.flatnonzero(members))
+    return components
+
+
+def _normalized_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Eigenpairs of one block, each vector of unit norm and rotated so its
+    # first entry above 1e-12 in magnitude is positive real.
+    try:
+        eigenvalues, vectors = np.linalg.eig(block)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError(f"eigendecomposition failed: {exc}") from None
+    eigenvalues = eigenvalues.astype(complex)
+    vectors = vectors.astype(complex)
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all()):
+        raise NonFiniteError("eigendecomposition produced non-finite values")
+    vectors /= np.linalg.norm(vectors, axis=0)
+    columns = np.arange(vectors.shape[1])
+    pivots = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), columns]
+    vectors *= pivots.conjugate() / np.abs(pivots)
+    return eigenvalues, vectors
 
 
 def eigendecompose(
@@ -172,45 +221,69 @@ def eigendecompose(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, EigenDiagnostics]:
     """Eigenvalues and right eigenvectors of K, deterministically normalized.
 
+    K is split into the connected components of its sparsity graph (see
+    `_sparsity_components`), which is exact: no tolerance decides what
+    couples.  Each block is eigendecomposed on its own, and its eigenvectors
+    and their inverse are scattered into the n x n `V` and `Vinv`, which are
+    therefore block-diagonal up to a permutation, with exact zeros off the
+    blocks.  A K with one component is one block.
+
     Eigenvalues sort by descending real part, then descending imaginary
-    part.  Each eigenvector column is scaled to unit norm and rotated so its
-    first nonzero entry is positive real, which pins the output regardless
-    of eigensolver backend conventions.  K itself is handed to the solver
-    untouched -- no pre-scaling of columns.
+    part, over all blocks together.  Each eigenvector column is scaled to
+    unit norm and rotated so its first nonzero entry is positive real, which
+    pins the output regardless of eigensolver backend conventions.  K itself
+    is handed to the solver untouched -- no pre-scaling of columns.
+
+    `eigenresidual` is the largest residual over the blocks.  The singular
+    values of `V` are the union of the blocks' singular values, so
+    `eigencondition` (their largest over their smallest) is the 2-norm
+    condition number of `V`; above NEAR_DEFECTIVE_CONDITION the
+    decomposition is refused with NearDefectiveError.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
     if not np.isfinite(K).all():
         raise ValueError("K contains non-finite entries")
-    try:
-        eigenvalues, vectors = np.linalg.eig(K)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError(f"eigendecomposition failed: {exc}") from None
-    eigenvalues = eigenvalues.astype(complex)
-    vectors = vectors.astype(complex)
-    if not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all()):
-        raise NonFiniteError("eigendecomposition produced non-finite values")
+    n = K.shape[0]
+    eigenvalues = np.empty(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    blocks = []  # (rows of K, columns of V) per block
+    singular = []
+    residual = 0.0
+    start = 0
+    for rows in _sparsity_components(K):
+        columns = np.arange(start, start + rows.size)
+        start += rows.size
+        block = K[np.ix_(rows, rows)]
+        values, block_vectors = _normalized_eig(block)
+        residual = max(
+            residual, float(np.abs(block @ block_vectors - block_vectors * values).max())
+        )
+        singular.append(np.linalg.svd(block_vectors, compute_uv=False))
+        eigenvalues[columns] = values
+        vectors[np.ix_(rows, columns)] = block_vectors
+        blocks.append((rows, columns))
 
-    order = np.lexsort((-eigenvalues.imag, -eigenvalues.real))
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        column = vectors[:, j] / np.linalg.norm(vectors[:, j])
-        pivot = column[np.argmax(np.abs(column) > 1e-12)]
-        vectors[:, j] = column * (pivot.conjugate() / abs(pivot))
-
-    condition = float(np.linalg.cond(vectors))
+    singular = np.concatenate(singular)
+    with np.errstate(divide="ignore"):
+        condition = float(singular.max() / singular.min())
     if not math.isfinite(condition) or condition > NEAR_DEFECTIVE_CONDITION:
         raise NearDefectiveError(
             f"eigenvector condition {condition:.3e} exceeds "
             f"{NEAR_DEFECTIVE_CONDITION:.0e}; K is too close to defective"
         )
-    inverse = np.linalg.inv(vectors)
-    residual = float(np.abs(K @ vectors - vectors * eigenvalues[None, :]).max())
+    inverse = np.zeros((n, n), dtype=complex)
+    for rows, columns in blocks:
+        inverse[np.ix_(columns, rows)] = np.linalg.inv(vectors[np.ix_(rows, columns)])
+
+    order = np.lexsort((-eigenvalues.imag, -eigenvalues.real))
+    eigenvalues = eigenvalues[order]
+    vectors = vectors[:, order]
+    inverse = inverse[order]
     for arr in (eigenvalues, vectors, inverse):
         arr.flags.writeable = False
-    return eigenvalues, vectors, inverse, EigenDiagnostics(residual, condition)
+    return eigenvalues, vectors, inverse, EigenDiagnostics(residual, condition, len(blocks))
 
 
 def skewness_diagnostic(K: np.ndarray) -> float:
@@ -229,6 +302,7 @@ class ModelDiagnostics:
     eigenresidual: float
     eigencondition: float
     skewness: float
+    n_blocks: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +333,7 @@ def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) ->
         eigenresidual=eig.eigenresidual,
         eigencondition=eig.eigencondition,
         skewness=skewness_diagnostic(K),
+        n_blocks=eig.n_blocks,
     )
     return KoopmanModel(
         basis=basis,
@@ -287,13 +362,16 @@ class Trajectory:
 
     `max_imag` is the largest imaginary magnitude discarded when taking the
     real part of `values`; for a real initial state it should sit at
-    roundoff level.  `states` holds the unit-box state coordinates when the
-    model carries `state_H`, else None.
+    roundoff level.  `n_modes_propagated` counts the modes that were
+    exponentiated: those whose column of H V is not all zeros.  `states`
+    holds the unit-box state coordinates when the model carries `state_H`,
+    else None.
     """
 
     times: np.ndarray
     values: np.ndarray
     max_imag: float
+    n_modes_propagated: int
     states: Optional[np.ndarray] = None
 
 
@@ -305,12 +383,13 @@ def propagate(model: KoopmanModel, phi0: np.ndarray, times) -> Trajectory:
     """
     rows = model.H.shape[0]
     H = model.H if model.state_H is None else np.vstack((model.H, model.state_H))
-    times, full = _evaluate_rows(H, model.eigenvalues, model.V, phi0, times)
+    times, full, n_modes = _evaluate_rows(H, model.eigenvalues, model.V, phi0, times)
     states = None if model.state_H is None else _real_part(full[rows:])
     return Trajectory(
         times=times,
         values=_real_part(full[:rows]),
         max_imag=_max_imag(full[:rows]),
+        n_modes_propagated=n_modes,
         states=states,
     )
 
@@ -319,14 +398,20 @@ def propagate_observables(
     H: np.ndarray, eigenvalues: np.ndarray, V: np.ndarray, phi0: np.ndarray, times
 ) -> Trajectory:
     """values[:, k] = Re[H V diag(exp(lambda t_k)) phi0], per-mode exponentials."""
-    times, full = _evaluate_rows(H, eigenvalues, V, phi0, times)
-    return Trajectory(times=times, values=_real_part(full), max_imag=_max_imag(full))
+    times, full, n_modes = _evaluate_rows(H, eigenvalues, V, phi0, times)
+    return Trajectory(
+        times=times,
+        values=_real_part(full),
+        max_imag=_max_imag(full),
+        n_modes_propagated=n_modes,
+    )
 
 
 def _evaluate_rows(
     H: np.ndarray, eigenvalues: np.ndarray, V: np.ndarray, phi0: np.ndarray, times
-) -> tuple[np.ndarray, np.ndarray]:
-    # The validated, read-only time grid and H V diag(exp(lambda t_k)) phi0.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    # The validated, read-only time grid, H V diag(exp(lambda t_k)) phi0, and
+    # the number of modes exponentiated for it.
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
@@ -334,17 +419,25 @@ def _evaluate_rows(
         raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
+    eigenvalues = np.asarray(eigenvalues)
     phi0 = np.asarray(phi0)
 
-    growth = np.multiply.outer(np.asarray(eigenvalues).real, times)
-    if growth.max() > EXP_OVERFLOW_LIMIT:
+    # max over (i, k) of Re(lambda_i) t_k sits at a corner of the two
+    # ranges, and rounding is monotone, so this is the max of the full
+    # product table.  It covers every mode, reached by H or not.
+    real = eigenvalues.real
+    growth = max(a * b for a in (real.min(), real.max()) for b in (times[0], times[-1]))
+    if growth > EXP_OVERFLOW_LIMIT:
         raise OverflowError(
-            f"Re(lambda)*t reaches {growth.max():.1f} > {EXP_OVERFLOW_LIMIT}; "
+            f"Re(lambda)*t reaches {growth:.1f} > {EXP_OVERFLOW_LIMIT}; "
             "exp would overflow"
         )
-    modes = np.exp(np.multiply.outer(np.asarray(eigenvalues), times)) * phi0[:, None]
+    # A mode whose column of H V is all zeros adds exact zeros to every row.
+    HV = np.asarray(H) @ np.asarray(V)
+    reached = np.flatnonzero(HV.any(axis=0))
+    modes = np.exp(np.multiply.outer(eigenvalues[reached], times)) * phi0[reached, None]
     times.flags.writeable = False
-    return times, (np.asarray(H) @ np.asarray(V)) @ modes
+    return times, HV[:, reached] @ modes, int(reached.size)
 
 
 def _max_imag(full: np.ndarray) -> float:

@@ -1,12 +1,14 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from legkoop import invariants
-from legkoop.cli import main
+from legkoop.cli import _solve_spec, _write_trajectory_csv, main
+from legkoop.dynamics import parse_system_config
 
 DUFFING = {
     "name": "duffing",
@@ -92,6 +94,42 @@ def test_solve_repeated_runs_byte_identical(tmp_path):
     sum_b = json.loads((tmp_path / "b" / "duffing_summary.json").read_text())
     del sum_a["timings"], sum_b["timings"]
     assert sum_a == sum_b
+
+
+def test_trajectory_csv_is_the_repr_of_each_value(tmp_path):
+    result = _solve_spec(
+        parse_system_config(json.dumps(DUFFING)), rk_step=1e-3, with_reference=True
+    )
+    reference = result.reference_values.copy()
+    reference[1, 0] = -0.0
+    reference[0, 1] = 3.5e-7
+    result = replace(result, reference_values=reference)
+    path = tmp_path / "duffing_trajectory.csv"
+    _write_trajectory_csv(path, result)
+
+    values = result.trajectory.values
+    columns = [result.times, *values, *reference, *np.abs(values - reference)]
+    lines = ["t,q,p,q_ref,p_ref,q_err,p_err"]
+    lines += [",".join(repr(float(col[k])) for col in columns) for k in range(len(result.times))]
+    expected = "\n".join(lines) + "\n"
+    assert ",-0.0," in expected and "e-07," in expected
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("order, modes", [(3, 6), (8, 20)])
+def test_summary_reports_blocks_and_propagated_modes(tmp_path, order, modes):
+    config = write_config(tmp_path, {**DUFFING, "order": order})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "duffing_summary.json").read_text())
+    assert set(summary) == {
+        "system", "m", "c", "n", "n_blocks", "eigenvalues", "eigenresidual",
+        "eigencondition", "skewness", "max_imag", "n_modes_propagated",
+        "observable_errors", "first_box_exit_time", "timings",
+    }
+    assert summary["n_blocks"] == 2
+    assert summary["n_modes_propagated"] == modes
+    assert len(summary["eigenvalues"]) == summary["n"]
 
 
 def test_solve_missing_config_is_io_error(tmp_path, capsys):

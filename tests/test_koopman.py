@@ -238,6 +238,55 @@ def test_jordan_block_raises_near_defective():
         eigendecompose(K)
 
 
+def test_phase_matches_per_column_reference():
+    # The per-column normalization the vectorized one replaced, applied to
+    # the raw eigenvectors in sorted order.
+    rng = np.random.default_rng(31)
+    K = rng.normal(size=(8, 8))
+    K[0] = 0.0  # a column whose first entry is zero moves the pivot down
+    lam, V, _, _ = eigendecompose(K)
+    raw_lam, raw = np.linalg.eig(K)
+    raw = raw[:, np.lexsort((-raw_lam.imag, -raw_lam.real))].astype(complex)
+    for j in range(raw.shape[1]):
+        column = raw[:, j] / np.linalg.norm(raw[:, j])
+        pivot = column[np.argmax(np.abs(column) > 1e-12)]
+        raw[:, j] = column * (pivot.conjugate() / abs(pivot))
+    assert np.abs(V - raw).max() <= 1e-15
+
+
+def block_labels(V):
+    # The block of each column: the label of its largest entry's row.
+    return np.argmax(np.abs(V), axis=0)
+
+
+def test_permuted_block_diagonal_matrix_decomposes_per_block():
+    rng = np.random.default_rng(53)
+    sizes = (5, 1, 7, 3)
+    n = sum(sizes)
+    block = np.zeros((n, n))
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    for b in range(len(sizes)):
+        rows = np.flatnonzero(label == b)
+        block[np.ix_(rows, rows)] = rng.normal(size=(rows.size, rows.size))
+    perm = rng.permutation(n)
+    K = block[np.ix_(perm, perm)]
+    label = label[perm]
+    lam, V, Vinv, diag = eigendecompose(K)
+
+    assert diag.n_blocks == len(sizes)
+    remaining = list(np.linalg.eigvals(K))
+    for v in lam:
+        k = int(np.argmin(np.abs(np.array(remaining) - v)))
+        assert abs(remaining.pop(k) - v) <= 1e-12
+    column_block = label[block_labels(V)]
+    off_block = label[:, None] != column_block[None, :]
+    assert (V[off_block] == 0).all()
+    assert (Vinv.T[off_block] == 0).all()
+    assert diag.eigencondition == pytest.approx(np.linalg.cond(V), rel=1e-12)
+    assert np.abs(K @ V - V * lam[None, :]).max() <= diag.eigenresidual * (1 + 1e-12)
+    assert np.abs(V @ Vinv - np.eye(n)).max() <= 1e-12 * diag.eigencondition
+
+
 def test_eigendecompose_input_validation():
     with pytest.raises(ValueError):
         eigendecompose(np.ones((2, 3)))
@@ -367,6 +416,44 @@ def test_propagate_overflow_guard():
     assert np.isfinite(traj.values).all()
 
 
+def test_overflow_guard_with_negative_times():
+    lam = np.array([0.5 + 0.0j, -800.0 + 0.0j])
+    V = np.eye(2, dtype=complex)
+    phi0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
+    # Re(lambda) t = 800 at t = -1; the guard covers the mode H does not reach.
+    with pytest.raises(OverflowError):
+        propagate_observables(np.array([[1.0, 0.0]]), lam, V, phi0, np.array([-1.0, 0.0]))
+    traj = propagate_observables(
+        np.array([[1.0, 0.0]]), lam, V, phi0, np.array([-0.5, 0.5])
+    )
+    assert traj.n_modes_propagated == 1
+    assert traj.values[0] == pytest.approx(np.exp([-0.25, 0.25]), rel=1e-15)
+
+
+def test_propagation_matches_every_mode_explicitly():
+    # Duffing c=8: the identity observables reach 20 of the 45 modes.
+    basis = build_basis(8, 2)
+    model = build_model(basis, DUFFING, IDENTITY_QP)
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    times = np.linspace(0.0, 20.0, 200)
+    traj = propagate(model, phi0, times)
+    modes = np.exp(np.multiply.outer(model.eigenvalues, times)) * phi0[:, None]
+    explicit = model.H @ model.V @ modes
+    assert traj.n_modes_propagated == 20
+    assert np.abs(traj.values - explicit.real).max() <= 1e-13
+
+
+def test_unreached_rows_propagate_zeros():
+    basis = build_basis(4, 2)
+    model = build_model(basis, DUFFING, IDENTITY_QP)
+    silent = replace(model, H=np.zeros((2, basis.n)), state_H=np.zeros((2, basis.n)))
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    traj = propagate(silent, phi0, np.linspace(0.0, 5.0, 40))
+    assert traj.n_modes_propagated == 0
+    assert traj.max_imag == 0.0
+    assert (traj.values == 0).all() and (traj.states == 0).all()
+
+
 # ---------------------------------------------------------------------------
 # skewness diagnostic
 
@@ -439,6 +526,7 @@ def test_duffing_parity_blocks_are_exact_zeros():
         parity = basis.orders.sum(axis=1) % 2
         K = assemble_koopman(basis, DUFFING)
         assert (K[parity[:, None] != parity[None, :]] == 0.0).all()
+        assert build_model(basis, DUFFING, IDENTITY_QP).diagnostics.n_blocks == 2
 
 
 def test_field_of_max_degree_assembles():
