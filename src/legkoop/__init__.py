@@ -3,19 +3,22 @@
 The flow map is represented by a finite Koopman matrix: project the
 generator onto an orthonormal multivariate Legendre basis, diagonalize
 it once per decoupled block, then evaluate observables at any time
-analytically from the eigenvalues.  See :mod:`legkoop.koopman` for the
-pipeline entry points and :mod:`legkoop.cli` for the command-line
-interface.
+analytically from the eigenvalues.  The basis is its graded set of
+multi-indices; the Legendre three-term recurrence supplies the operators
+and point values, and the monomial expansion (`monomial_matrix`,
+`basis_as_polynomial`) serves only as the reference the tests check
+against.  See :mod:`legkoop.koopman` for the pipeline entry points and
+:mod:`legkoop.cli` for the command-line interface.
 """
 
 from .basis import (
     BasisSet,
-    MultiIndexSet,
-    UnivariateTables,
     basis_as_polynomial,
     build_basis,
-    enumerate_multi_indices,
     evaluate_basis,
+    legendre_coefficients,
+    monomial_matrix,
+    normalize_legendre,
 )
 from .dynamics import (
     ObservableSet,
@@ -76,13 +79,13 @@ __all__ = [
     "affine_substitute",
     "evaluate",
     # basis
-    "MultiIndexSet",
-    "UnivariateTables",
     "BasisSet",
-    "enumerate_multi_indices",
     "build_basis",
-    "basis_as_polynomial",
     "evaluate_basis",
+    "legendre_coefficients",
+    "normalize_legendre",
+    "monomial_matrix",
+    "basis_as_polynomial",
     # systems
     "VectorField",
     "ObservableSet",

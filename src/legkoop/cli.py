@@ -26,7 +26,6 @@ from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationE
 # by name on this module, so it stays importable.
 from .koopman import (  # noqa: F401
     KoopmanModel,
-    ModelDiagnostics,
     Trajectory,
     assemble_koopman,
     eigendecompose,
@@ -34,7 +33,6 @@ from .koopman import (  # noqa: F401
     observable_matrix,
     propagate,
     propagate_observables,
-    skewness_diagnostic,
 )
 from .polyalg import affine_substitute, evaluate
 from .refinteg import ReferenceTrajectory, rk4_integrate
@@ -111,7 +109,7 @@ def _solve_spec(
     timings["assemble"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
-    eigenvalues, V, Vinv, eig = eigendecompose(K)
+    eigenvalues, V, Vinv, diagnostics = eigendecompose(K)
     timings["eigen"] = time.perf_counter() - mark
     model = KoopmanModel(
         basis=basis,
@@ -121,12 +119,7 @@ def _solve_spec(
         eigenvalues=eigenvalues,
         V=V,
         Vinv=Vinv,
-        diagnostics=ModelDiagnostics(
-            eigenresidual=eig.eigenresidual,
-            eigencondition=eig.eigencondition,
-            skewness=skewness_diagnostic(K),
-            n_blocks=eig.n_blocks,
-        ),
+        diagnostics=diagnostics,
         state_H=state_H,
     )
 

@@ -168,7 +168,11 @@ class SystemSpec:
                     "observables: identity observables have degree 1 > order 0"
                 )
         else:
-            for name, poly in zip(self.observables.names, self.observables.polys):
+            names = self.observables.names
+            for name in names:
+                if names.count(name) > 1:
+                    raise ValidationError(f"observables: name {name!r} is used more than once")
+            for name, poly in zip(names, self.observables.polys):
                 if poly.m != m:
                     raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")
                 if poly.total_degree > self.order:

@@ -14,7 +14,14 @@ import math
 
 import numpy as np
 
-from .basis import BasisSet, basis_as_polynomial, build_basis, evaluate_basis
+from .basis import (
+    BasisSet,
+    basis_as_polynomial,
+    build_basis,
+    evaluate_basis,
+    legendre_coefficients,
+    monomial_matrix,
+)
 from .dynamics import ObservableSet, duffing_vector_field
 from .koopman import (
     assemble_koopman,
@@ -67,20 +74,21 @@ GOLDEN_BASIS_FUNCTION_8 = {(1, 0): -0.968, (1, 2): 2.905}
 def golden_deviation(basis: BasisSet) -> float:
     """Largest deviation of the c=3, m=2 basis from the three-decimal fixtures.
 
-    Covers the MLP matrix and the coefficients of basis function 8.  The
+    Covers the monomial matrix and the coefficients of basis function 8.  The
     exact parts of the fixtures have no rounding to absorb: if the
     multi-indices, the Legendre coefficient rows 2-3 (to 1e-12) or the
     monomials of basis function 8 differ, the deviation is inf.
     """
-    if basis.indices.rows != GOLDEN_INDICES or basis.n != 10:
+    if basis.rows != GOLDEN_INDICES or basis.n != 10:
         return math.inf
+    lpc = legendre_coefficients(basis.c)
     for row, expected in GOLDEN_LPC_ROWS.items():
-        if not np.allclose(basis.tables.LPC[row], expected, atol=1e-12):
+        if not np.allclose(lpc[row], expected, atol=1e-12):
             return math.inf
     coefs = {t.exp: t.coef for t in basis_as_polynomial(basis, 8).terms}
     if set(coefs) != set(GOLDEN_BASIS_FUNCTION_8):
         return math.inf
-    worst = float(np.abs(basis.MLP - GOLDEN_MLP).max())
+    worst = float(np.abs(monomial_matrix(basis) - GOLDEN_MLP).max())
     for exp, expected in GOLDEN_BASIS_FUNCTION_8.items():
         worst = max(worst, abs(coefs[exp] - expected))
     return worst
@@ -122,7 +130,7 @@ def above_degree_entry() -> float:
     """
     basis = build_basis(3, 2)
     K = assemble_koopman(basis, duffing_vector_field(1.0, 1.0, 1.0, 0.0))
-    degrees = [sum(row) for row in basis.indices.rows]
+    degrees = [sum(row) for row in basis.rows]
     worst = 0.0
     for i in range(basis.n):
         for k in range(basis.n):

@@ -62,7 +62,6 @@ from .polyalg import (  # noqa: F401
 __all__ = [
     "NEAR_DEFECTIVE_CONDITION",
     "EXP_OVERFLOW_LIMIT",
-    "EigenDiagnostics",
     "ModelDiagnostics",
     "KoopmanModel",
     "Trajectory",
@@ -168,11 +167,12 @@ def observable_matrix(basis: BasisSet, observables: ObservableSet) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class EigenDiagnostics:
-    """Quality measures of one eigendecomposition."""
+class ModelDiagnostics:
+    """Quality measures of K and of its eigendecomposition."""
 
     eigenresidual: float  # max entry of |K V - V diag(lambda)|
     eigencondition: float  # 2-norm condition number of V
+    skewness: float  # skewness_diagnostic(K)
     n_blocks: int  # connected components of the sparsity graph of K
 
 
@@ -218,7 +218,7 @@ def _normalized_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigendecompose(
     K: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, EigenDiagnostics]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ModelDiagnostics]:
     """Eigenvalues and right eigenvectors of K, deterministically normalized.
 
     K is split into the connected components of its sparsity graph (see
@@ -238,7 +238,8 @@ def eigendecompose(
     values of `V` are the union of the blocks' singular values, so
     `eigencondition` (their largest over their smallest) is the 2-norm
     condition number of `V`; above NEAR_DEFECTIVE_CONDITION the
-    decomposition is refused with NearDefectiveError.
+    decomposition is refused with NearDefectiveError.  `skewness` is
+    `skewness_diagnostic(K)`.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -283,7 +284,8 @@ def eigendecompose(
     inverse = inverse[order]
     for arr in (eigenvalues, vectors, inverse):
         arr.flags.writeable = False
-    return eigenvalues, vectors, inverse, EigenDiagnostics(residual, condition, len(blocks))
+    diagnostics = ModelDiagnostics(residual, condition, skewness_diagnostic(K), len(blocks))
+    return eigenvalues, vectors, inverse, diagnostics
 
 
 def skewness_diagnostic(K: np.ndarray) -> float:
@@ -295,14 +297,6 @@ def skewness_diagnostic(K: np.ndarray) -> float:
     """
     K = np.asarray(K, dtype=float)
     return float(np.linalg.norm(K + K.T) / max(1.0, np.linalg.norm(K)))
-
-
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    eigenresidual: float
-    eigencondition: float
-    skewness: float
-    n_blocks: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,13 +322,7 @@ def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) ->
     """Assemble K and H for `vf` on `basis` and eigendecompose."""
     K = assemble_koopman(basis, vf)
     H = observable_matrix(basis, observables)
-    eigenvalues, V, Vinv, eig = eigendecompose(K)
-    diagnostics = ModelDiagnostics(
-        eigenresidual=eig.eigenresidual,
-        eigencondition=eig.eigencondition,
-        skewness=skewness_diagnostic(K),
-        n_blocks=eig.n_blocks,
-    )
+    eigenvalues, V, Vinv, diagnostics = eigendecompose(K)
     return KoopmanModel(
         basis=basis,
         K=K,
@@ -419,7 +407,7 @@ def _evaluate_rows(
         raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    eigenvalues = np.asarray(eigenvalues)
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
     phi0 = np.asarray(phi0)
 
     # max over (i, k) of Re(lambda_i) t_k sits at a corner of the two
@@ -435,7 +423,11 @@ def _evaluate_rows(
     # A mode whose column of H V is all zeros adds exact zeros to every row.
     HV = np.asarray(H) @ np.asarray(V)
     reached = np.flatnonzero(HV.any(axis=0))
-    modes = np.exp(np.multiply.outer(eigenvalues[reached], times)) * phi0[reached, None]
+    # One reached-modes x nt array, exponentiated and scaled in place; it is
+    # complex (eigenvalues were cast above), so any phi0 multiplies into it.
+    modes = np.multiply.outer(eigenvalues[reached], times)
+    np.exp(modes, out=modes)
+    modes *= phi0[reached, None]
     times.flags.writeable = False
     return times, HV[:, reached] @ modes, int(reached.size)
 

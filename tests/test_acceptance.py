@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from legkoop import invariants
-from legkoop.basis import basis_as_polynomial, build_basis, evaluate_basis
+from legkoop.basis import basis_as_polynomial, build_basis, evaluate_basis, legendre_coefficients
 from legkoop.cli import main
 from legkoop.dynamics import ObservableSet, duffing_vector_field
 from legkoop.invariants import GOLDEN_INDICES
@@ -36,10 +36,10 @@ DESK_CONFIG = {
 def test_criterion_1_basis_fixtures_order_3():
     started = time.perf_counter()
     basis = build_basis(3, 2)
-    assert basis.indices.rows == GOLDEN_INDICES
+    assert basis.rows == GOLDEN_INDICES
     assert basis.n == 10
-    assert basis.tables.LPC[2].tolist() == pytest.approx([-0.5, 0.0, 1.5, 0.0])
-    assert basis.tables.LPC[3].tolist() == pytest.approx([0.0, -1.5, 0.0, 2.5])
+    assert legendre_coefficients(basis.c)[2].tolist() == pytest.approx([-0.5, 0.0, 1.5, 0.0])
+    assert legendre_coefficients(basis.c)[3].tolist() == pytest.approx([0.0, -1.5, 0.0, 2.5])
     mlp_dev = invariants.golden_deviation(basis)
     assert mlp_dev <= 5e-4
     L8 = {t.exp: t.coef for t in basis_as_polynomial(basis, 8).terms}

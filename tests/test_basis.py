@@ -1,6 +1,7 @@
 """Orthonormal multivariate Legendre basis construction."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,38 +12,37 @@ from legkoop.basis import (
     MAX_BASIS_SIZE,
     basis_as_polynomial,
     build_basis,
-    build_univariate_tables,
     derivative_matrix,
-    derivative_table,
-    enumerate_multi_indices,
     evaluate_basis,
     jacobi_matrix,
     legendre_coefficients,
-    multivariate_basis,
+    monomial_matrix,
     normalize_legendre,
 )
 from legkoop.invariants import GOLDEN_MLP, orthonormality_error
-from legkoop.polyalg import box_inner_product, canonicalize, evaluate, partial_derivative
+from legkoop.polyalg import box_inner_product, evaluate
 
 # ---------------------------------------------------------------------------
 # multi-index enumeration
 
 def test_order_zero_single_row():
-    assert enumerate_multi_indices(0, 2).rows == ((0, 0),)
+    assert build_basis(0, 2).rows == ((0, 0),)
 
 
 def test_order_three_index_table():
-    idx = enumerate_multi_indices(3, 2)
-    assert idx.rows == (
+    basis = build_basis(3, 2)
+    assert basis.rows == (
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
     )
-    assert len(idx) == 10
+    assert basis.n == 10
+    assert basis.orders.tolist() == [list(row) for row in basis.rows]
+    assert not basis.orders.flags.writeable
 
 
 def test_count_law_against_exhaustive_enumeration():
     for m in range(1, 5):
         for c in range(0, 11):
-            rows = enumerate_multi_indices(c, m).rows
+            rows = build_basis(c, m).rows
             brute = {
                 e for e in product(range(c + 1), repeat=m) if sum(e) <= c
             }
@@ -52,7 +52,7 @@ def test_count_law_against_exhaustive_enumeration():
 
 
 def test_ordering_graded_then_lex_descending():
-    rows = enumerate_multi_indices(2, 3).rows
+    rows = build_basis(2, 3).rows
     assert rows[0] == (0, 0, 0)
     degrees = [sum(r) for r in rows]
     assert degrees == sorted(degrees)
@@ -63,15 +63,27 @@ def test_ordering_graded_then_lex_descending():
 
 def test_enumeration_range_validation():
     with pytest.raises(ValueError):
-        enumerate_multi_indices(-1, 2)
+        build_basis(-1, 2)
     with pytest.raises(ValueError):
-        enumerate_multi_indices(13, 2)
+        build_basis(13, 2)
     with pytest.raises(ValueError):
-        enumerate_multi_indices(3, 0)
+        build_basis(3, 0)
     with pytest.raises(ValueError):
-        enumerate_multi_indices(3, 7)
+        build_basis(3, 7)
     # The largest legal basis (c=12, m=6) stays under the size cap.
     assert math.comb(12 + 6, 6) < MAX_BASIS_SIZE
+
+
+def test_build_basis_allocates_no_n_by_n_array():
+    # n = 1820: an n x n float array would take 26 MB.
+    tracemalloc.start()
+    try:
+        basis = build_basis(12, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.n == 1820
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -110,55 +122,33 @@ def test_normalization_factors():
     assert nlpc[1, 1] * nlpc[0, 0] == pytest.approx(0.866, abs=5e-4)
 
 
-def test_derivative_table_values():
-    tables = build_univariate_tables(2)
-    assert not tables.DLPC[0].any()
-    assert tables.DLPC[1, 0] == pytest.approx(math.sqrt(1.5))
-    assert tables.DLPC[2, 1] == pytest.approx(3.0 * math.sqrt(2.5))
-
-
-def test_derivative_table_shift_law():
-    tables = build_univariate_tables(6)
-    c = 6
-    for i in range(c + 1):
-        for j in range(c + 1):
-            expected = (j + 1) * tables.NLPC[i, j + 1] if j + 1 <= c else 0.0
-            assert tables.DLPC[i, j] == pytest.approx(expected, abs=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # multivariate basis
 
 def test_mlp_matches_golden_three_decimal_matrix():
     basis = build_basis(3, 2)
-    assert np.abs(basis.MLP - GOLDEN_MLP).max() <= 5e-4
+    assert np.abs(monomial_matrix(basis) - GOLDEN_MLP).max() <= 5e-4
 
 
 def test_mlp_corner_entries():
-    basis = build_basis(3, 2)
-    assert basis.MLP[0, 0] == pytest.approx(0.5)
-    assert basis.MLP[3, 0] == pytest.approx(-0.559, abs=5e-4)
-    assert basis.MLP[3, 3] == pytest.approx(1.677, abs=5e-4)
-    assert basis.MLP[8, 1] == pytest.approx(-0.968, abs=5e-4)
-    assert basis.MLP[8, 8] == pytest.approx(2.905, abs=5e-4)
+    mlp = monomial_matrix(build_basis(3, 2))
+    assert mlp[0, 0] == pytest.approx(0.5)
+    assert mlp[3, 0] == pytest.approx(-0.559, abs=5e-4)
+    assert mlp[3, 3] == pytest.approx(1.677, abs=5e-4)
+    assert mlp[8, 1] == pytest.approx(-0.968, abs=5e-4)
+    assert mlp[8, 8] == pytest.approx(2.905, abs=5e-4)
 
 
 def test_mlp_parity_sparsity():
     basis = build_basis(4, 2)
-    rows = basis.indices.rows
+    mlp = monomial_matrix(basis)
+    rows = basis.rows
     for i in range(basis.n):
         for j in range(basis.n):
             if any((rows[i][k] - rows[j][k]) % 2 == 1 for k in range(2)):
-                assert basis.MLP[i, j] == 0.0
+                assert mlp[i, j] == 0.0
             if any(rows[j][k] > rows[i][k] for k in range(2)):
-                assert basis.MLP[i, j] == 0.0
-
-
-def test_mismatched_tables_and_indices():
-    tables = build_univariate_tables(2)
-    indices = enumerate_multi_indices(3, 2)
-    with pytest.raises(ValueError):
-        multivariate_basis(tables, indices)
+                assert mlp[i, j] == 0.0
 
 
 def test_gram_matrix_is_identity_through_order_eight():
@@ -203,16 +193,6 @@ def test_basis_as_polynomial_index_range():
         basis_as_polynomial(basis, 10)
     with pytest.raises(IndexError):
         basis_as_polynomial(basis, -1)
-
-
-def test_derivative_table_consistent_with_polynomial_derivative():
-    tables = build_univariate_tables(6)
-    for i in range(7):
-        as_poly = canonicalize(
-            [(tables.NLPC[i, j], (j,)) for j in range(7)], 1
-        )
-        direct = canonicalize([(tables.DLPC[i, j], (j,)) for j in range(7)], 1)
-        assert partial_derivative(as_poly, 0) == direct
 
 
 def test_evaluate_basis_at_origin():
@@ -273,7 +253,7 @@ def test_evaluate_basis_matches_legval(c, m):
 
 def test_jacobi_matrix_multiplies_by_x():
     size = 8
-    nlpc = build_univariate_tables(size).NLPC  # N_0..N_8 by ascending power
+    nlpc = normalize_legendre(legendre_coefficients(size))  # N_0..N_8 by ascending power
     J = jacobi_matrix(size)  # acts on N_0..N_7
     x_times = np.zeros_like(nlpc)
     x_times[:, 1:] = nlpc[:, :-1]
@@ -283,7 +263,11 @@ def test_jacobi_matrix_multiplies_by_x():
 
 
 def test_derivative_matrix_matches_derivative_table():
-    tables = build_univariate_tables(10)
+    # Differentiate the coefficient rows by the shift law: the coefficient
+    # of x^j in N_p' is (j+1) times that of x^(j+1) in N_p.
+    nlpc = normalize_legendre(legendre_coefficients(10))
+    dlpc = np.zeros_like(nlpc)
+    dlpc[:, :-1] = nlpc[:, 1:] * np.arange(1, 11)
     D = derivative_matrix(11)
-    assert np.abs(D @ tables.NLPC - tables.DLPC).max() <= 1e-11 * np.abs(tables.DLPC).max()
+    assert np.abs(D @ nlpc - dlpc).max() <= 1e-11 * np.abs(dlpc).max()
     assert (np.triu(D) == 0.0).all()

@@ -149,6 +149,20 @@ def test_solve_order_zero_identity_rejected(tmp_path, capsys):
     assert "order 0" in capsys.readouterr().err
 
 
+DUPLICATE_OBSERVABLES = {**DUFFING, "observables": [
+    {"name": "a", "terms": [{"coef": 1.0, "exp": [1, 0]}]},
+    {"name": "a", "terms": [{"coef": 1.0, "exp": [0, 1]}]},
+]}
+
+
+def test_solve_rejects_duplicate_observable_names(tmp_path, capsys):
+    config = write_config(tmp_path, DUPLICATE_OBSERVABLES)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+    assert "'a' is used more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_near_defective_exit_code(tmp_path, capsys):
     drift = {
         "name": "drift",
@@ -281,6 +295,14 @@ def test_sweep_records_failed_orders_and_continues(tmp_path):
     assert by_order["2"][2].startswith("failed")
     assert by_order["3"][2] == "ok"
     assert by_order["4"][2] == "ok"
+
+
+def test_sweep_rejects_duplicate_observable_names(tmp_path, capsys):
+    config = write_config(tmp_path, DUPLICATE_OBSERVABLES)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--orders", "1..2", "--out-dir", str(out)]) == 2
+    assert "'a' is used more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_malformed_orders(tmp_path, capsys):

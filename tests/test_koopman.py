@@ -88,7 +88,7 @@ def test_harmonic_degree_one_block_is_rotation():
 def test_degree_triangularity_for_linear_fields():
     rng = np.random.default_rng(13)
     basis = build_basis(3, 2)
-    degrees = [sum(r) for r in basis.indices.rows]
+    degrees = [sum(r) for r in basis.rows]
     for _ in range(5):
         A = rng.normal(size=(2, 2))
         vf = VectorField(
@@ -471,6 +471,8 @@ def test_duffing_skewness_is_finite_nonzero():
     s = skewness_diagnostic(K)
     assert math.isfinite(s)
     assert s > 0.0
+    # eigendecompose reports the same number in its diagnostics.
+    assert eigendecompose(K)[3].skewness == s
 
 
 # ---------------------------------------------------------------------------
