@@ -13,8 +13,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +36,11 @@ from .koopman import (  # noqa: F401
     propagate_observables,
 )
 from .polyalg import affine_substitute, evaluate
-from .refinteg import ReferenceTrajectory, rk4_integrate
+from .refinteg import rk4_integrate
 
 __all__ = [
     "DEFAULT_RK_STEP",
+    "MAX_RK4_STEPS",
     "run_solve",
     "run_sweep",
     "run_validate",
@@ -53,6 +55,11 @@ EXIT_NUMERIC = 4
 EXIT_CHECK_FAILED = 5
 
 DEFAULT_RK_STEP = 1e-4
+# Most RK4 steps (t_final / rk_step) a reference may take.  One step costs
+# about 0.6 us on Duffing (3 terms) and 1.6 us on a 4-D field with 8 terms
+# (2-vCPU VM, Python 3.11), so this caps the reference at about 6 s and
+# 16 s on those fields.
+MAX_RK4_STEPS = 10**7
 
 # Slack on the unit-box exit check: a boundary start reconstructs to
 # |y| = 1 +/- reconstruction error, which is not a departure.
@@ -74,13 +81,24 @@ class SolveResult:
     timings: dict
 
 
+def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np.ndarray:
+    """Each observable (rows) at each time (columns) along the RK4 reference."""
+    reference = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
+    polys = spec.observable_set().polys
+    values = np.empty((len(polys), times.size))
+    for i, g in enumerate(polys):
+        for k in range(times.size):
+            values[i, k] = evaluate(g, reference.states[:, k])
+    return values
+
+
 def _solve_spec(
     spec: SystemSpec,
     *,
-    rk_step: float = DEFAULT_RK_STEP,
-    with_reference: bool = False,
-    reference: Optional[ReferenceTrajectory] = None,
+    reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> SolveResult:
+    """Solve `spec`; `reference`, if given, maps the time grid to the
+    reference values of the observables, which the errors compare against."""
     timings: dict = {}
     started = time.perf_counter()
 
@@ -141,14 +159,9 @@ def _solve_spec(
 
     reference_values = None
     observable_errors = None
-    if with_reference:
+    if reference is not None:
         mark = time.perf_counter()
-        if reference is None:
-            reference = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
-        reference_values = np.empty_like(trajectory.values)
-        for i, g in enumerate(observables.polys):
-            for k in range(times.size):
-                reference_values[i, k] = evaluate(g, reference.states[:, k])
+        reference_values = reference(times)
         observable_errors = {}
         for i, name in enumerate(observables.names):
             diff = np.abs(trajectory.values[i] - reference_values[i])
@@ -229,6 +242,20 @@ def _load_spec(config_path) -> SystemSpec | int:
         return EXIT_CONFIG
 
 
+def _rk4_budget_exceeded(spec: SystemSpec, rk_step: float) -> bool:
+    """Whether the RK4 reference would take more than MAX_RK4_STEPS steps;
+    if so, says why on stderr."""
+    steps = spec.t_final / rk_step
+    if steps <= MAX_RK4_STEPS:
+        return False
+    print(
+        f"config error: t_final / --rk-step = {steps:.3g} RK4 steps exceeds the limit "
+        f"of {MAX_RK4_STEPS:.0e}; lower t_final or raise --rk-step",
+        file=sys.stderr,
+    )
+    return True
+
+
 def run_solve(
     config_path,
     *,
@@ -240,8 +267,11 @@ def run_solve(
     spec = _load_spec(config_path)
     if isinstance(spec, int):
         return spec
+    if reference and _rk4_budget_exceeded(spec, rk_step):
+        return EXIT_CONFIG
     try:
-        result = _solve_spec(spec, rk_step=rk_step, with_reference=reference)
+        rk4_reference = partial(_reference_values, spec, rk_step=rk_step) if reference else None
+        result = _solve_spec(spec, reference=rk4_reference)
     except NearDefectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_DEFECTIVE
@@ -299,10 +329,13 @@ def run_sweep(
     spec = _load_spec(config_path)
     if isinstance(spec, int):
         return spec
+    if _rk4_budget_exceeded(spec, rk_step):
+        return EXIT_CONFIG
 
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     try:
-        reference = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
+        # Every order shares the grid, so it shares these values too.
+        reference_values = _reference_values(spec, times, rk_step)
     except NonFiniteError as exc:
         print(f"numeric failure in RK4 reference: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -313,9 +346,7 @@ def run_sweep(
         started = time.perf_counter()
         try:
             order_spec = replace(spec, order=order)
-            result = _solve_spec(
-                order_spec, rk_step=rk_step, with_reference=True, reference=reference
-            )
+            result = _solve_spec(order_spec, reference=lambda _times: reference_values)
         except (ValidationError, NearDefectiveError, NonFiniteError, OverflowError) as exc:
             rows.append(
                 {

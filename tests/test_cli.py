@@ -2,12 +2,14 @@
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from legkoop import invariants
-from legkoop.cli import _solve_spec, _write_trajectory_csv, main
+import legkoop.cli as cli
+from legkoop.cli import _reference_values, _solve_spec, _write_trajectory_csv, main
 from legkoop.dynamics import parse_system_config
 
 DUFFING = {
@@ -97,9 +99,8 @@ def test_solve_repeated_runs_byte_identical(tmp_path):
 
 
 def test_trajectory_csv_is_the_repr_of_each_value(tmp_path):
-    result = _solve_spec(
-        parse_system_config(json.dumps(DUFFING)), rk_step=1e-3, with_reference=True
-    )
+    spec = parse_system_config(json.dumps(DUFFING))
+    result = _solve_spec(spec, reference=partial(_reference_values, spec, rk_step=1e-3))
     reference = result.reference_values.copy()
     reference[1, 0] = -0.0
     reference[0, 1] = 3.5e-7
@@ -330,6 +331,47 @@ def test_rk_step_must_be_finite_and_positive(tmp_path, capsys, command, step):
     assert exc.value.code == 2
     assert "expected a finite step > 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _refuse_rk4(*args, **kwargs):
+    raise AssertionError("RK4 work started for a refused reference")
+
+
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1..3"]])
+def test_rk4_work_beyond_the_step_budget_is_refused(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "rk4_integrate", _refuse_rk4)
+    config = write_config(tmp_path, {**DUFFING, "t_final": 1e5})
+    out = tmp_path / "out"
+    assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "t_final" in err and "--rk-step" in err
+    assert not out.exists()
+    # Just inside the limit the reference runs (and here meets the stub).
+    step = repr(1.01 * 1e5 / cli.MAX_RK4_STEPS)
+    with pytest.raises(AssertionError, match="RK4 work started"):
+        main(command + ["--config", config, "--rk-step", step, "--out-dir", str(out)])
+
+
+def test_solve_without_reference_ignores_the_step_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "rk4_integrate", _refuse_rk4)
+    config = write_config(tmp_path, {**DUFFING, "t_final": 1e5})
+    assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_sweep_evaluates_the_shared_reference_once(tmp_path, monkeypatch):
+    calls = []
+    evaluate = cli.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    config = write_config(tmp_path, DUFFING)
+    assert main(["sweep", "--config", config, "--orders", "1..4", "--rk-step", "1e-2",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    # Two observables at 100 times, not once more per order.
+    assert len(calls) == 2 * 100
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from legkoop.errors import NonFiniteError
 from legkoop.invariants import rk4_halving_ratios
 from legkoop.polyalg import Polynomial, canonicalize, constant, variable
 from legkoop.refinteg import (
+    DIVERGENCE_LIMIT,
     gauss_legendre_inner_product,
     gauss_legendre_nodes,
     rk4_integrate,
@@ -83,6 +84,133 @@ def test_step_longer_than_segment_takes_one_step():
     one_step = rk4_integrate(vf, (1.0, 0.0), np.array([0.5]), 0.5)
     assert (huge.states == one_step.states).all()
     assert huge.states[0, 0] != 1.0
+
+
+# The plain loop that the generated RK4 code must reproduce bit for bit:
+# term by term, summed from 0.0, with the same stage and update roundings.
+
+def _oracle_rhs(vf, x):
+    out = []
+    for comp in vf.components:
+        acc = 0.0
+        for term in comp.terms:
+            v = term.coef
+            for xk, e in zip(x, term.exp):
+                if e:
+                    v *= xk**e
+            acc += v
+        out.append(acc)
+    return out
+
+
+def _oracle_step(vf, x, h):
+    k1 = _oracle_rhs(vf, x)
+    k2 = _oracle_rhs(vf, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+    k3 = _oracle_rhs(vf, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+    k4 = _oracle_rhs(vf, [xi + h * ki for xi, ki in zip(x, k3)])
+    return [
+        xi + h / 6.0 * (a + 2.0 * (b + c) + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+
+
+def _oracle_states(vf, x0, times, step):
+    x = [float(v) for v in x0]
+    states = np.empty((vf.m, len(times)))
+    current = 0.0
+    for idx, target in enumerate(times):
+        span = float(target) - current
+        if span > 0.0:
+            full_steps = int(math.floor(span / step + 1e-9))
+            try:
+                for _ in range(full_steps):
+                    x = _oracle_step(vf, x, step)
+                remainder = span - full_steps * step
+                if remainder > 1e-12 * max(min(step, span), 1.0):
+                    x = _oracle_step(vf, x, remainder)
+            except OverflowError:
+                raise NonFiniteError(f"state diverged before t = {target}") from None
+            current = float(target)
+        if any(not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT for v in x):
+            raise NonFiniteError(f"state diverged at t = {target}")
+        states[:, idx] = x
+    return states
+
+
+def _outcome(integrate):
+    # The states' bytes, or the message of the divergence they ran into.
+    try:
+        return integrate().tobytes()
+    except NonFiniteError as exc:
+        return str(exc)
+
+
+def _assert_matches_oracle(vf, x0, times, step):
+    expected = _outcome(lambda: _oracle_states(vf, x0, times, step))
+    assert _outcome(lambda: rk4_integrate(vf, x0, times, step).states) == expected
+    return isinstance(expected, bytes)
+
+
+def test_rk4_bit_identical_to_plain_loop_on_duffing():
+    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.001)
+    assert _assert_matches_oracle(vf, (1.0, 0.0), np.linspace(0.0, 10.0, 100), 1e-3)
+
+
+def test_rk4_bit_identical_to_plain_loop_on_4d_quadratic():
+    vf = VectorField(4, (
+        canonicalize([(1.0, (0, 1, 0, 0))], 4),
+        canonicalize([(-1.0, (1, 0, 0, 0)), (-0.02, (0, 1, 0, 0)), (0.1, (1, 0, 1, 0))], 4),
+        canonicalize([(1.0, (0, 0, 0, 1))], 4),
+        canonicalize([(-2.0, (0, 0, 1, 0)), (-0.02, (0, 0, 0, 1)), (0.1, (2, 0, 0, 0))], 4),
+    ))
+    assert _assert_matches_oracle(vf, (0.3, -0.2, 0.1, 0.4), np.linspace(0.0, 5.0, 100), 1e-3)
+
+
+def test_rk4_keeps_the_plain_loops_signed_zero():
+    # The sums start from 0.0, so dx/dt = x at x = -0.0 gives +0.0, not -0.0.
+    vf = VectorField(1, (canonicalize([(1.0, (1,))], 1),))
+    assert _assert_matches_oracle(vf, (-0.0,), np.array([1.0]), 0.1)
+
+
+def _random_field(rng, m, empty_component):
+    components = []
+    for j in range(m):
+        n_terms = 0 if j == empty_component else int(rng.integers(1, 7))
+        terms = [
+            (float(rng.normal()), tuple(int(e) for e in rng.integers(0, 4, size=m)))
+            for _ in range(n_terms)
+        ]
+        components.append(canonicalize(terms, m))
+    return VectorField(m, tuple(components))
+
+
+def test_rk4_bit_identical_to_plain_loop_on_random_fields():
+    # m = 1..4; every fourth field has a component with no terms; the steps
+    # include ones longer than the segments, and a field may diverge.
+    finished = 0
+    fields = []
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        m = seed % 4 + 1
+        vf = _random_field(rng, m, empty_component=0 if seed % 4 == 3 else -1)
+        x0 = rng.uniform(-0.5, 0.5, size=m)
+        step = (1e-3, 7e-3, 0.3, 1.7)[seed % 5 % 4]
+        finished += _assert_matches_oracle(vf, x0, np.array([0.25, 0.5, 1.0]), step)
+        fields.append(vf)
+    assert finished >= 100
+    assert any(vf.m == 1 for vf in fields)
+    assert any(not comp.terms for vf in fields for comp in vf.components)
+    assert any(t.coef < 0 for vf in fields for comp in vf.components for t in comp.terms)
+
+
+def test_blow_up_raises_at_the_oracles_target_time():
+    vf = VectorField(1, (canonicalize([(1.0, (5,))], 1),))  # dx/dt = x^5
+    times = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(NonFiniteError) as expected:
+        _oracle_states(vf, (2.0,), times, 1e-3)
+    with pytest.raises(NonFiniteError) as actual:
+        rk4_integrate(vf, (2.0,), times, 1e-3)
+    assert str(actual.value) == str(expected.value)
 
 
 def test_fourth_order_convergence_on_step_halving():
