@@ -205,11 +205,6 @@ def _summary_json(result: SolveResult) -> dict:
     }
 
 
-def _format_value(x: float) -> str:
-    # repr of a Python float is the shortest decimal that round-trips.
-    return repr(float(x))
-
-
 def _write_trajectory_csv(path: Path, result: SolveResult) -> None:
     names = result.model.observable_names
     header = ["t"] + list(names)
@@ -222,7 +217,8 @@ def _write_trajectory_csv(path: Path, result: SolveResult) -> None:
             np.abs(result.trajectory.values[i] - result.reference_values[i])
             for i in range(len(names))
         ]
-    # tolist() gives Python floats, whose repr is what _format_value writes.
+    # tolist() gives Python floats, whose repr is the shortest decimal that
+    # round-trips.
     rows = np.column_stack(columns).tolist()
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -341,66 +337,35 @@ def run_sweep(
         return EXIT_NUMERIC
 
     names = spec.observable_set().names
-    rows = []
+    m = len(spec.states)
+    header = (
+        ["order", "n", "status"]
+        + [f"max_err_{name}" for name in names]
+        + ["eigenresidual", "wall_time_s"]
+    )
+    csv_lines = [",".join(header)]
+    table = [header]
     for order in orders:
         started = time.perf_counter()
         try:
             order_spec = replace(spec, order=order)
             result = _solve_spec(order_spec, reference=lambda _times: reference_values)
         except (ValidationError, NearDefectiveError, NonFiniteError, OverflowError) as exc:
-            rows.append(
-                {
-                    "order": order,
-                    "n": math.comb(order + len(spec.states), len(spec.states)),
-                    "status": f"failed: {exc}",
-                    "errors": None,
-                    "eigenresidual": None,
-                    "wall_time_s": time.perf_counter() - started,
-                }
-            )
-            continue
-        rows.append(
-            {
-                "order": order,
-                "n": result.model.basis.n,
-                "status": "ok",
-                "errors": {
-                    name: result.observable_errors[name]["max"] for name in names
-                },
-                "eigenresidual": result.model.diagnostics.eigenresidual,
-                "wall_time_s": time.perf_counter() - started,
-            }
-        )
-
-    err_headers = [f"max_err_{name}" for name in names]
-    header = ["order", "n", "status"] + err_headers + ["eigenresidual", "wall_time_s"]
-    csv_lines = [",".join(header)]
-    table = [header]
-    for row in rows:
-        errs = (
-            [_format_value(row["errors"][name]) for name in names]
-            if row["errors"] is not None
-            else [""] * len(names)
-        )
-        resid = _format_value(row["eigenresidual"]) if row["eigenresidual"] is not None else ""
+            n, status, errors, resid = math.comb(order + m, m), f"failed: {exc}", None, None
+        else:
+            n, status = result.model.basis.n, "ok"
+            errors = [result.observable_errors[name]["max"] for name in names]
+            resid = result.model.diagnostics.eigenresidual
+        wall = time.perf_counter() - started
+        if errors is None:
+            csv_cells, table_cells = [""] * (len(names) + 1), ["-"] * (len(names) + 1)
+        else:
+            csv_cells = [repr(x) for x in errors + [resid]]
+            table_cells = [f"{x:.3e}" for x in errors] + [f"{resid:.1e}"]
         csv_lines.append(
-            ",".join(
-                [str(row["order"]), str(row["n"]), row["status"].replace(",", ";")]
-                + errs
-                + [resid, _format_value(row["wall_time_s"])]
-            )
+            ",".join([str(order), str(n), status.replace(",", ";")] + csv_cells + [repr(wall)])
         )
-        display_errs = (
-            [f"{row['errors'][name]:.3e}" for name in names]
-            if row["errors"] is not None
-            else ["-"] * len(names)
-        )
-        display_resid = f"{row['eigenresidual']:.1e}" if row["eigenresidual"] is not None else "-"
-        table.append(
-            [str(row["order"]), str(row["n"]), row["status"]]
-            + display_errs
-            + [display_resid, f"{row['wall_time_s']:.2f}"]
-        )
+        table.append([str(order), str(n), status] + table_cells + [f"{wall:.2f}"])
 
     try:
         out = Path(out_dir)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .basis import MAX_DIMENSION, MAX_ORDER
+from .basis import MAX_BASIS_SIZE, MAX_DIMENSION, MAX_ORDER
 from .errors import SchemaError, ValidationError
 from .polyalg import (
     Polynomial,
@@ -147,6 +147,11 @@ class SystemSpec:
             raise ValidationError("domain.half_width: entries must be positive")
         if not 0 <= self.order <= MAX_ORDER:
             raise ValidationError(f"order: {self.order} outside 0..{MAX_ORDER}")
+        n = math.comb(self.order + m, m)
+        if n > MAX_BASIS_SIZE:
+            raise ValidationError(
+                f"order: {self.order} in {m} variables gives basis size {n} > {MAX_BASIS_SIZE}"
+            )
         if self.vf.max_degree > MAX_POLY_DEGREE:
             raise ValidationError(
                 f"dynamics: degree {self.vf.max_degree} exceeds {MAX_POLY_DEGREE}"

@@ -10,6 +10,9 @@ integrators (Experimental Mathematics 14, 2005).  It does the float
 operations of a plain loop over the terms in the same order, so its
 states are bit-identical to that loop's; the tests keep such a loop as
 the oracle.
+
+Quadrature nodes and weights come from `numpy.polynomial.legendre.leggauss`
+(Golub & Welsch, Math. Comp. 23, 1969), not from the solver's recurrence.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-_NEWTON_TOLERANCE = 1e-14
-_NEWTON_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,49 +150,14 @@ def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> R
     return ReferenceTrajectory(times=times, states=states, step=float(step))
 
 
-def _legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
-    # Three-term recurrence; stable for |x| <= 1 at any order, unlike
-    # evaluating the expanded coefficient table (which cancels
-    # catastrophically from n ~ 14 on).
-    p_prev, p = 1.0, x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    dp = n * (x * p - p_prev) / (x * x - 1.0) if n > 0 else 0.0
-    return p, dp
-
-
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1].
-
-    Roots of the order-n Legendre polynomial are found by Newton iteration
-    on its recurrence; only the positive half is iterated and then
-    mirrored, so the node set is exactly symmetric about 0.
-    """
+    """Nodes (ascending, exactly symmetric about 0) and weights of n-point
+    Gauss-Legendre quadrature on [-1, 1], from numpy's `leggauss`."""
     if n < 1:
         raise ValueError("need at least one node")
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(_NEWTON_MAX_ITERATIONS):
-            p, dp = _legendre_value_and_derivative(n, x)
-            delta = p / dp
-            x -= delta
-            if abs(delta) <= _NEWTON_TOLERANCE:
-                break
-        else:
-            raise RuntimeError(f"Newton iteration did not converge for node {i} of {n}")
-        _, dp = _legendre_value_and_derivative(n, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        nodes[n - 1 - i] = x
-        nodes[i] = -x
-        weights[n - 1 - i] = w
-        weights[i] = w
-    if n % 2:
-        _, dp = _legendre_value_and_derivative(n, 0.0)
-        nodes[n // 2] = 0.0
-        weights[n // 2] = 2.0 / (dp * dp)
-    return nodes, weights
+    # Deferred, so that `import legkoop.cli` does not load numpy.polynomial.
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(n)
 
 
 def gauss_legendre_inner_product(a: Polynomial, b: Polynomial, nodes_per_dim: int) -> float:

@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial.legendre import legval
 
 from legkoop.basis import (
-    MAX_BASIS_SIZE,
+    MAX_ORDER,
     basis_as_polynomial,
     build_basis,
     derivative_matrix,
@@ -70,8 +70,12 @@ def test_enumeration_range_validation():
         build_basis(3, 0)
     with pytest.raises(ValueError):
         build_basis(3, 7)
-    # The largest legal basis (c=12, m=6) stays under the size cap.
-    assert math.comb(12 + 6, 6) < MAX_BASIS_SIZE
+    # Orders and dimensions in range can still ask for a basis above the
+    # size cap: n = 18564 at c=12, m=6 and n = 2002 at c=9, m=5.
+    with pytest.raises(ValueError, match="basis size"):
+        build_basis(12, 6)
+    with pytest.raises(ValueError, match="basis size"):
+        build_basis(9, 5)
 
 
 def test_build_basis_allocates_no_n_by_n_array():
@@ -106,10 +110,13 @@ def test_legendre_p4_leading_coefficient():
     assert lpc[4, 4] == pytest.approx(35.0 / 8.0)
 
 
-def test_legendre_parity_zeros():
-    lpc = legendre_coefficients(8)
-    for i in range(9):
-        for j in range(9):
+@pytest.mark.parametrize("c", range(MAX_ORDER + 1))
+def test_legendre_parity_zeros(c):
+    # basis_as_polynomial keeps only the nonzero entries, so these zeros
+    # must be exact.
+    lpc = legendre_coefficients(c)
+    for i in range(c + 1):
+        for j in range(c + 1):
             if (i - j) % 2 == 1:
                 assert lpc[i, j] == 0.0
 

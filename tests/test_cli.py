@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import json
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -9,6 +10,7 @@ import pytest
 
 from legkoop import invariants
 import legkoop.cli as cli
+from legkoop.basis import MAX_BASIS_SIZE
 from legkoop.cli import _reference_values, _solve_spec, _write_trajectory_csv, main
 from legkoop.dynamics import parse_system_config
 
@@ -298,6 +300,38 @@ def test_sweep_records_failed_orders_and_continues(tmp_path):
     assert by_order["4"][2] == "ok"
 
 
+def test_sweep_failed_rows_have_empty_cells_and_ok_rows_keep_their_format(tmp_path, capsys):
+    doc = {**DUFFING, "observables": [
+        {"name": "q3", "terms": [{"coef": 1.0, "exp": [3, 0]}]}
+    ]}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--orders", "1..3", "--rk-step", "1e-2",
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "duffing_sweep.csv").read_text().splitlines()
+    assert lines[0] == "order,n,status,max_err_q3,eigenresidual,wall_time_s"
+    csv_rows = [line.split(",") for line in lines[1:]]
+    table_rows = [re.split(r"\s{2,}", line) for line in capsys.readouterr().out.splitlines()]
+    assert table_rows[0] == lines[0].split(",")
+    table_rows = table_rows[1:4]
+
+    for order, csv_row, table_row in zip((1, 2), csv_rows, table_rows):
+        status = f"failed: observables.q3: degree 3 exceeds order {order}"
+        n = str((order + 1) * (order + 2) // 2)
+        assert csv_row[:5] == [str(order), n, status, "", ""]
+        assert table_row[:5] == [str(order), n, status, "-", "-"]
+
+    spec = parse_system_config(json.dumps({**doc, "order": 3}))
+    result = _solve_spec(spec, reference=partial(_reference_values, spec, rk_step=1e-2))
+    err = result.observable_errors["q3"]["max"]
+    resid = result.model.diagnostics.eigenresidual
+    assert csv_rows[2][:5] == ["3", "10", "ok", repr(err), repr(resid)]
+    assert table_rows[2][:5] == ["3", "10", "ok", f"{err:.3e}", f"{resid:.1e}"]
+    for csv_row, table_row in zip(csv_rows, table_rows):
+        assert float(csv_row[5]) >= 0
+        assert re.fullmatch(r"\d+\.\d\d", table_row[5])
+
+
 def test_sweep_rejects_duplicate_observable_names(tmp_path, capsys):
     config = write_config(tmp_path, DUPLICATE_OBSERVABLES)
     out = tmp_path / "out"
@@ -372,6 +406,52 @@ def test_sweep_evaluates_the_shared_reference_once(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "out")]) == 0
     # Two observables at 100 times, not once more per order.
     assert len(calls) == 2 * 100
+
+
+def _linear_6d(order):
+    """dx_k/dt = x_{k+1} (cyclic) in six variables at the given order."""
+    states = [f"x{k}" for k in range(6)]
+    dynamics = [
+        {"terms": [{"coef": 1.0, "exp": [int(j == (k + 1) % 6) for j in range(6)]}]}
+        for k in range(6)
+    ]
+    return {"name": "linear6", "states": states, "dynamics": dynamics,
+            "initial_state": [0.1] * 6, "order": order, "t_final": 0.1, "num_steps": 2}
+
+
+def _refuse_oversize_assembly(monkeypatch):
+    assemble = cli.assemble_koopman
+
+    def guarded(basis, vf):
+        if basis.n > MAX_BASIS_SIZE:
+            raise AssertionError(f"assembly started for n = {basis.n}")
+        return assemble(basis, vf)
+
+    monkeypatch.setattr(cli, "assemble_koopman", guarded)
+
+
+@pytest.mark.parametrize("order", [12, 8])
+def test_solve_refuses_a_basis_above_the_size_cap(tmp_path, capsys, monkeypatch, order):
+    _refuse_oversize_assembly(monkeypatch)
+    config = write_config(tmp_path, _linear_6d(order))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "order" in err and f"> {MAX_BASIS_SIZE}" in err
+    assert not out.exists()
+
+
+def test_sweep_records_a_basis_above_the_size_cap_as_failed(tmp_path, monkeypatch):
+    _refuse_oversize_assembly(monkeypatch)
+    config = write_config(tmp_path, _linear_6d(1))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--orders", "8,1", "--rk-step", "1e-2",
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "linear6_sweep.csv").read_text().splitlines()[1:]
+    refused, solved = (line.split(",") for line in lines)
+    assert refused[:3] == ["8", "3003", f"failed: order: 8 in 6 variables gives basis "
+                                          f"size 3003 > {MAX_BASIS_SIZE}"]
+    assert solved[:3] == ["1", "7", "ok"]
 
 
 # ---------------------------------------------------------------------------
