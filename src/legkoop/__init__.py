@@ -27,7 +27,6 @@ from .dynamics import (
     duffing_vector_field,
     parse_system_config,
     rescale_to_unit_box,
-    serialize_system_config,
 )
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 from .koopman import (
@@ -93,7 +92,6 @@ __all__ = [
     "duffing_vector_field",
     "rescale_to_unit_box",
     "parse_system_config",
-    "serialize_system_config",
     # Koopman pipeline
     "KoopmanModel",
     "ModelDiagnostics",

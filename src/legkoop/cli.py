@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .basis import build_basis, evaluate_basis
-from .dynamics import ObservableSet, SystemSpec, parse_system_config, rescale_to_unit_box
+from .dynamics import ObservableSet, SystemSpec, parse_system_config
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 
 # propagate_observables is not called here; perfbench/tracing.py swaps it
@@ -35,7 +35,7 @@ from .koopman import (  # noqa: F401
     propagate,
     propagate_observables,
 )
-from .polyalg import affine_substitute, evaluate
+from .polyalg import evaluate
 from .refinteg import rk4_integrate
 
 __all__ = [
@@ -55,10 +55,12 @@ EXIT_NUMERIC = 4
 EXIT_CHECK_FAILED = 5
 
 DEFAULT_RK_STEP = 1e-4
-# Most RK4 steps (t_final / rk_step) a reference may take.  One step costs
-# about 0.6 us on Duffing (3 terms) and 1.6 us on a 4-D field with 8 terms
-# (2-vCPU VM, Python 3.11), so this caps the reference at about 6 s and
-# 16 s on those fields.
+# Most RK4 steps (t_final / rk_step) a reference on Duffing's 3-term field
+# may take; a field of N terms gets 3 * MAX_RK4_STEPS / N steps, because a
+# step's cost grows with the terms.  One step costs about 0.6 us on Duffing,
+# 1.6 us on a 4-D field with 8 terms and 30-65 us on 6-D fields with 120
+# terms (2-vCPU VM, Python 3.11), so this caps the reference at about 6 s on
+# the first two and 8-16 s on the last.
 MAX_RK4_STEPS = 10**7
 
 # Slack on the unit-box exit check: a boundary start reconstructs to
@@ -84,7 +86,7 @@ class SolveResult:
 def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np.ndarray:
     """Each observable (rows) at each time (columns) along the RK4 reference."""
     reference = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
-    polys = spec.observable_set().polys
+    polys = spec.observables.polys
     values = np.empty((len(polys), times.size))
     for i, g in enumerate(polys):
         for k in range(times.size):
@@ -106,17 +108,9 @@ def _solve_spec(
     basis = build_basis(spec.order, len(spec.states))
     timings["basis"] = time.perf_counter() - mark
 
-    center, half_width = spec.domain_center, spec.domain_half_width
-    unit_vf = rescale_to_unit_box(spec.vf, center, half_width)
-    observables = spec.observable_set()
-    unit_observables = ObservableSet(
-        observables.names,
-        tuple(affine_substitute(p, center, half_width) for p in observables.polys),
-    )
-
     mark = time.perf_counter()
-    K = assemble_koopman(basis, unit_vf)
-    H = observable_matrix(basis, unit_observables)
+    K = assemble_koopman(basis, spec.unit_vf)
+    H = observable_matrix(basis, spec.unit_observables)
     # Track the (rescaled) state itself to flag departure from the unit box,
     # where the Galerkin projection stops being optimal.  Its rows ride along
     # in the observables' propagation pass.
@@ -133,7 +127,7 @@ def _solve_spec(
         basis=basis,
         K=K,
         H=H,
-        observable_names=tuple(observables.names),
+        observable_names=tuple(spec.observables.names),
         eigenvalues=eigenvalues,
         V=V,
         Vinv=Vinv,
@@ -143,7 +137,8 @@ def _solve_spec(
 
     mark = time.perf_counter()
     y0 = tuple(
-        (x - c) / h for x, c, h in zip(spec.initial_state, center, half_width)
+        (x - c) / h
+        for x, c, h in zip(spec.initial_state, spec.domain_center, spec.domain_half_width)
     )
     h0 = evaluate_basis(basis, y0)
     phi0 = initial_eigenfunctions(Vinv, h0)
@@ -163,7 +158,7 @@ def _solve_spec(
         mark = time.perf_counter()
         reference_values = reference(times)
         observable_errors = {}
-        for i, name in enumerate(observables.names):
+        for i, name in enumerate(spec.observables.names):
             diff = np.abs(trajectory.values[i] - reference_values[i])
             observable_errors[name] = {
                 "max": float(diff.max()),
@@ -224,29 +219,47 @@ def _write_trajectory_csv(path: Path, result: SolveResult) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_spec(config_path) -> SystemSpec | int:
-    """The parsed config, or the exit code after reporting why there is none."""
+def _load_spec(config_path, orders: Sequence[int] = ()) -> SystemSpec | int:
+    """The parsed config, or the exit code after reporting why there is none.
+
+    Given `orders` (a sweep's), the config's own order is replaced by each
+    of them in turn until one validates; if none does, the first one's
+    error is reported.
+    """
     try:
         text = Path(config_path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        return parse_system_config(text)
-    except (SchemaError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    texts = [text]
+    if orders:
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError):
+            doc = None  # parse_system_config reports it
+        if isinstance(doc, dict):
+            texts = (json.dumps({**doc, "order": order}) for order in orders)
+    error = None
+    for candidate in texts:
+        try:
+            return parse_system_config(candidate)
+        except (SchemaError, ValidationError) as exc:
+            error = error or exc
+    print(f"config error: {error}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _rk4_budget_exceeded(spec: SystemSpec, rk_step: float) -> bool:
-    """Whether the RK4 reference would take more than MAX_RK4_STEPS steps;
-    if so, says why on stderr."""
+    """Whether the RK4 reference would do more work than MAX_RK4_STEPS steps
+    on a 3-term field; if so, says why on stderr."""
     steps = spec.t_final / rk_step
-    if steps <= MAX_RK4_STEPS:
+    terms = sum(len(comp.terms) for comp in spec.vf.components)
+    if steps * max(terms, 1) <= 3 * MAX_RK4_STEPS:
         return False
     print(
-        f"config error: t_final / --rk-step = {steps:.3g} RK4 steps exceeds the limit "
-        f"of {MAX_RK4_STEPS:.0e}; lower t_final or raise --rk-step",
+        f"config error: t_final / --rk-step = {steps:.3g} RK4 steps on a field of {terms} "
+        f"terms exceeds the limit of {3 * MAX_RK4_STEPS:.0e} step-terms; lower t_final "
+        "or raise --rk-step",
         file=sys.stderr,
     )
     return True
@@ -322,7 +335,7 @@ def run_sweep(
     if not orders:
         print("error: no orders requested", file=sys.stderr)
         return EXIT_CONFIG
-    spec = _load_spec(config_path)
+    spec = _load_spec(config_path, orders)
     if isinstance(spec, int):
         return spec
     if _rk4_budget_exceeded(spec, rk_step):
@@ -336,7 +349,7 @@ def run_sweep(
         print(f"numeric failure in RK4 reference: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    names = spec.observable_set().names
+    names = spec.observables.names
     m = len(spec.states)
     header = (
         ["order", "n", "status"]

@@ -3,16 +3,17 @@
 `parse_system_config` is strict: unknown top-level keys and ill-typed
 fields raise `SchemaError` with the path of the offending field, while
 semantic violations (initial state outside the domain, observable degree
-above the basis order, ...) raise `ValidationError`.  A parsed spec
-round-trips through `serialize_system_config` unchanged.
+above the basis order, ...) raise `ValidationError`.  Missing or
+`"identity"` observables resolve to the state coordinates when parsed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+import sys
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .basis import MAX_BASIS_SIZE, MAX_DIMENSION, MAX_ORDER
 from .errors import SchemaError, ValidationError
@@ -32,7 +33,6 @@ __all__ = [
     "duffing_vector_field",
     "rescale_to_unit_box",
     "parse_system_config",
-    "serialize_system_config",
 ]
 
 MAX_POLY_DEGREE = 64
@@ -119,7 +119,11 @@ def rescale_to_unit_box(
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A fully validated solver problem statement."""
+    """A fully validated solver problem statement.
+
+    `unit_vf` and `unit_observables` are derived: the field and the
+    observables rescaled to the unit box, where the solver works.
+    """
 
     name: str
     states: tuple[str, ...]
@@ -130,7 +134,9 @@ class SystemSpec:
     order: int
     t_final: float
     num_steps: int
-    observables: Union[ObservableSet, str] = "identity"
+    observables: ObservableSet
+    unit_vf: VectorField = field(init=False)
+    unit_observables: ObservableSet = field(init=False)
 
     def __post_init__(self):
         m = len(self.states)
@@ -165,43 +171,31 @@ class SystemSpec:
                 raise ValidationError(
                     f"initial_state: {tuple(self.initial_state)} outside the domain box"
                 )
-        if isinstance(self.observables, str):
-            if self.observables != "identity":
-                raise ValidationError(f"observables: unknown marker {self.observables!r}")
-            if self.order < 1:
+        names, polys = self.observables.names, self.observables.polys
+        for name in names:
+            if names.count(name) > 1:
+                raise ValidationError(f"observables: name {name!r} is used more than once")
+        for name, poly in zip(names, polys):
+            if poly.m != m:
+                raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")
+            if poly.total_degree > self.order:
                 raise ValidationError(
-                    "observables: identity observables have degree 1 > order 0"
+                    f"observables.{name}: degree {poly.total_degree} "
+                    f"exceeds order {self.order}"
                 )
-        else:
-            names = self.observables.names
-            for name in names:
-                if names.count(name) > 1:
-                    raise ValidationError(f"observables: name {name!r} is used more than once")
-            for name, poly in zip(names, self.observables.polys):
-                if poly.m != m:
-                    raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")
-                if poly.total_degree > self.order:
-                    raise ValidationError(
-                        f"observables.{name}: degree {poly.total_degree} "
-                        f"exceeds order {self.order}"
-                    )
-
-    def observable_set(self) -> ObservableSet:
-        """The observables to track, with "identity" resolved to coordinates."""
-        if isinstance(self.observables, ObservableSet):
-            return self.observables
-        return ObservableSet.identity(self.states)
+        center, half_width = self.domain_center, self.domain_half_width
+        try:
+            unit_vf = rescale_to_unit_box(self.vf, center, half_width)
+            unit_polys = tuple(affine_substitute(p, center, half_width) for p in polys)
+        except (ValueError, OverflowError) as exc:  # a coefficient overflows there
+            raise ValidationError(f"domain: rescaling to the unit box fails: {exc}") from None
+        # Frozen: set the derived fields the way the dataclass __init__ does.
+        object.__setattr__(self, "unit_vf", unit_vf)
+        object.__setattr__(self, "unit_observables", ObservableSet(names, unit_polys))
 
 
 _TOP_LEVEL_KEYS = {
-    "name",
-    "states",
-    "dynamics",
-    "domain",
-    "initial_state",
-    "order",
-    "t_final",
-    "num_steps",
+    "name", "states", "dynamics", "domain", "initial_state", "order", "t_final", "num_steps",
     "observables",
 }
 
@@ -228,9 +222,18 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an integer beyond floats
         raise SchemaError(path, "must be finite")
     return float(value)
+
+
+def _as_object(value, path: str, keys: set) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected object, got {type(value).__name__}")
+    unknown = set(value) - keys
+    if unknown:
+        raise SchemaError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+    return value
 
 
 def _as_list(value, path: str) -> list:
@@ -243,21 +246,11 @@ def _number_vector(value, path: str) -> tuple[float, ...]:
     return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
 
 
-def _parse_polynomial(obj, path: str, m: int) -> Polynomial:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected object, got {type(obj).__name__}")
-    unknown = set(obj) - {"terms"}
-    if unknown:
-        raise SchemaError(f"{path}.{sorted(unknown)[0]}", "unknown key")
-    raw_terms, terms_path = _require(obj, "terms", path)
+def _parse_terms(raw_terms, terms_path: str, m: int) -> Polynomial:
     pairs = []
     for t, term in enumerate(_as_list(raw_terms, terms_path)):
         term_path = f"{terms_path}[{t}]"
-        if not isinstance(term, dict):
-            raise SchemaError(term_path, f"expected object, got {type(term).__name__}")
-        unknown = set(term) - {"coef", "exp"}
-        if unknown:
-            raise SchemaError(f"{term_path}.{sorted(unknown)[0]}", "unknown key")
+        term = _as_object(term, term_path, {"coef", "exp"})
         raw_coef, coef_path = _require(term, "coef", term_path)
         coef = _as_number(raw_coef, coef_path)
         raw_exp, exp_path = _require(term, "exp", term_path)
@@ -271,14 +264,17 @@ def _parse_polynomial(obj, path: str, m: int) -> Polynomial:
                 raise SchemaError(f"{exp_path}[{k}]", "exponents must be >= 0")
             exps.append(e)
         pairs.append((coef, tuple(exps)))
-    return canonicalize(pairs, m)
+    try:
+        return canonicalize(pairs, m)
+    except ValueError as exc:  # like terms summed past the float range
+        raise ValidationError(f"{terms_path}: {exc}") from None
 
 
 def parse_system_config(text: str) -> SystemSpec:
     """Parse and validate a JSON system description."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise SchemaError("$", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
@@ -287,72 +283,51 @@ def parse_system_config(text: str) -> SystemSpec:
         raise SchemaError(sorted(unknown)[0], "unknown key")
 
     name = _as_str(*_require(doc, "name"))
-    raw_states, states_path = _require(doc, "states")
-    states = tuple(
-        _as_str(s, f"{states_path}[{i}]") for i, s in enumerate(_as_list(raw_states, states_path))
-    )
+    raw_states = _as_list(*_require(doc, "states"))
+    states = tuple(_as_str(s, f"states[{i}]") for i, s in enumerate(raw_states))
     if not states:
-        raise SchemaError(states_path, "need at least one state")
+        raise SchemaError("states", "need at least one state")
     m = len(states)
 
-    raw_dynamics, dyn_path = _require(doc, "dynamics")
-    raw_dynamics = _as_list(raw_dynamics, dyn_path)
+    raw_dynamics = _as_list(*_require(doc, "dynamics"))
     if len(raw_dynamics) != m:
-        raise SchemaError(dyn_path, f"expected {m} components, got {len(raw_dynamics)}")
-    components = tuple(
-        _parse_polynomial(comp, f"{dyn_path}[{j}]", m) for j, comp in enumerate(raw_dynamics)
-    )
+        raise SchemaError("dynamics", f"expected {m} components, got {len(raw_dynamics)}")
+    components = []
+    for j, comp in enumerate(raw_dynamics):
+        comp_path = f"dynamics[{j}]"
+        comp = _as_object(comp, comp_path, {"terms"})
+        components.append(_parse_terms(*_require(comp, "terms", comp_path), m))
 
-    center = (0.0,) * m
-    half_width = (1.0,) * m
-    if "domain" in doc:
-        domain = doc["domain"]
-        if not isinstance(domain, dict):
-            raise SchemaError("domain", f"expected object, got {type(domain).__name__}")
-        unknown = set(domain) - {"center", "half_width"}
-        if unknown:
-            raise SchemaError(f"domain.{sorted(unknown)[0]}", "unknown key")
-        if "center" in domain:
-            center = _number_vector(domain["center"], "domain.center")
-        if "half_width" in domain:
-            half_width = _number_vector(domain["half_width"], "domain.half_width")
+    domain = _as_object(doc.get("domain", {}), "domain", {"center", "half_width"})
+    center = _number_vector(domain.get("center", [0.0] * m), "domain.center")
+    half_width = _number_vector(domain.get("half_width", [1.0] * m), "domain.half_width")
 
     initial_state = _number_vector(*_require(doc, "initial_state"))
     order = _as_int(*_require(doc, "order"))
     t_final = _as_number(*_require(doc, "t_final"))
-    num_steps = _as_int(doc["num_steps"], "num_steps") if "num_steps" in doc else 100
+    num_steps = _as_int(doc.get("num_steps", 100), "num_steps")
 
-    observables: Union[ObservableSet, str] = "identity"
-    if "observables" in doc:
-        raw_obs = doc["observables"]
-        if isinstance(raw_obs, str):
-            if raw_obs != "identity":
-                raise SchemaError("observables", f"expected \"identity\" or array, got {raw_obs!r}")
-        else:
-            entries = _as_list(raw_obs, "observables")
-            if not entries:
-                raise SchemaError("observables", "need at least one observable")
-            names, polys = [], []
-            for i, entry in enumerate(entries):
-                entry_path = f"observables[{i}]"
-                if not isinstance(entry, dict):
-                    raise SchemaError(entry_path, f"expected object, got {type(entry).__name__}")
-                unknown = set(entry) - {"name", "terms"}
-                if unknown:
-                    raise SchemaError(f"{entry_path}.{sorted(unknown)[0]}", "unknown key")
-                names.append(_as_str(*_require(entry, "name", entry_path)))
-                raw_terms, _ = _require(entry, "terms", entry_path)
-                polys.append(_parse_polynomial({"terms": raw_terms}, entry_path, m))
-            observables = ObservableSet(tuple(names), tuple(polys))
+    raw_obs = doc.get("observables", "identity")
+    if raw_obs == "identity":
+        observables = ObservableSet.identity(states)
+    elif isinstance(raw_obs, str):
+        raise SchemaError("observables", f"expected \"identity\" or array, got {raw_obs!r}")
+    else:
+        entries = _as_list(raw_obs, "observables")
+        if not entries:
+            raise SchemaError("observables", "need at least one observable")
+        names, polys = [], []
+        for i, entry in enumerate(entries):
+            entry_path = f"observables[{i}]"
+            entry = _as_object(entry, entry_path, {"name", "terms"})
+            names.append(_as_str(*_require(entry, "name", entry_path)))
+            polys.append(_parse_terms(*_require(entry, "terms", entry_path), m))
+        observables = ObservableSet(tuple(names), tuple(polys))
 
-    try:
-        vf = VectorField(m, components)
-    except ValueError as exc:
-        raise ValidationError(f"dynamics: {exc}") from None
     return SystemSpec(
         name=name,
         states=states,
-        vf=vf,
+        vf=VectorField(m, tuple(components)),
         domain_center=center,
         domain_half_width=half_width,
         initial_state=initial_state,
@@ -362,32 +337,3 @@ def parse_system_config(text: str) -> SystemSpec:
         observables=observables,
     )
 
-
-def serialize_system_config(spec: SystemSpec) -> str:
-    """Canonical JSON rendering; `parse_system_config` round-trips it."""
-
-    def poly_terms(p: Polynomial) -> list:
-        return [{"coef": t.coef, "exp": list(t.exp)} for t in p.terms]
-
-    if isinstance(spec.observables, str):
-        observables = spec.observables
-    else:
-        observables = [
-            {"name": name, "terms": poly_terms(poly)}
-            for name, poly in zip(spec.observables.names, spec.observables.polys)
-        ]
-    doc = {
-        "name": spec.name,
-        "states": list(spec.states),
-        "dynamics": [{"terms": poly_terms(comp)} for comp in spec.vf.components],
-        "domain": {
-            "center": list(spec.domain_center),
-            "half_width": list(spec.domain_half_width),
-        },
-        "initial_state": list(spec.initial_state),
-        "order": spec.order,
-        "t_final": spec.t_final,
-        "num_steps": spec.num_steps,
-        "observables": observables,
-    }
-    return json.dumps(doc, indent=2) + "\n"

@@ -55,6 +55,7 @@ class Polynomial:
         """Largest total degree over all terms (0 for the zero polynomial)."""
         return max((sum(t.exp) for t in self.terms), default=0)
 
+    @property
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -80,7 +81,9 @@ TermLike = Union[Monomial, tuple]
 def canonicalize(terms: Iterable[TermLike], m: int) -> Polynomial:
     """Merge like terms, drop exact zeros, and sort into graded order.
 
-    Accepts ``Monomial`` instances or bare ``(coef, exp)`` pairs.
+    Accepts ``Monomial`` instances or bare ``(coef, exp)`` pairs.  A
+    non-finite coefficient, given or summed from finite like terms, raises
+    ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
@@ -99,6 +102,9 @@ def canonicalize(terms: Iterable[TermLike], m: int) -> Polynomial:
             raise ValueError(f"non-finite coefficient {coef!r}")
         acc[exp] = acc.get(exp, 0.0) + float(coef)
     kept = [(e, c) for e, c in acc.items() if c != 0.0]
+    for _, c in kept:
+        if not math.isfinite(c):
+            raise ValueError(f"like terms sum to non-finite coefficient {c!r}")
     kept.sort(key=lambda item: _grade_key(item[0]))
     return Polynomial(m, tuple(Monomial(c, e) for e, c in kept))
 

@@ -1,9 +1,14 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +140,14 @@ def test_summary_reports_blocks_and_propagated_modes(tmp_path, order, modes):
     assert len(summary["eigenvalues"]) == summary["n"]
 
 
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
+def test_json_nested_too_deep_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(command + ["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: $: not valid JSON")
+
+
 def test_solve_missing_config_is_io_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
@@ -219,6 +232,64 @@ def test_solve_inside_box_has_no_warning(tmp_path, capsys):
     config = write_config(tmp_path, DUFFING)
     assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
     assert "unit box" not in capsys.readouterr().err
+
+
+def test_solve_on_a_shifted_box_matches_rk4(tmp_path):
+    # q' = p + 0.3, p' = -q circles (0, -0.3); the box is neither centred
+    # there nor square, so both the field and the observables are rescaled.
+    shifted = {
+        "name": "shifted",
+        "states": ["q", "p"],
+        "dynamics": [
+            {"terms": [{"coef": 1.0, "exp": [0, 1]}, {"coef": 0.3, "exp": [0, 0]}]},
+            {"terms": [{"coef": -1.0, "exp": [1, 0]}]},
+        ],
+        "domain": {"center": [0.5, -0.2], "half_width": [2.0, 3.0]},
+        "initial_state": [1.0, 0.5],
+        "order": 2,
+        "t_final": 5.0,
+        "num_steps": 50,
+        "observables": [
+            {"name": "energy", "terms": [{"coef": 0.5, "exp": [2, 0]},
+                                         {"coef": 0.5, "exp": [0, 2]}]},
+            {"name": "q", "terms": [{"coef": 1.0, "exp": [1, 0]}]},
+        ],
+    }
+    config = write_config(tmp_path, shifted)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--reference", "--out-dir", str(out)]) == 0
+    errors = json.loads((out / "shifted_summary.json").read_text())["observable_errors"]
+    assert max(err["max"] for err in errors.values()) <= 1e-10
+
+
+def _x_field(terms, **config):
+    return {"name": "x", "states": ["x"], "dynamics": [{"terms": terms}],
+            "initial_state": [0.5], "order": 2, "t_final": 1.0, "num_steps": 5, **config}
+
+
+_OVERFLOWING_TERMS = [{"coef": 1e308, "exp": [1]}, {"coef": 1e308, "exp": [1]}]
+_OFF_CENTER = {"domain": {"center": [0.5], "half_width": [2.0]}}
+
+
+@pytest.mark.parametrize("doc", [
+    # like terms that sum to inf
+    _x_field(_OVERFLOWING_TERMS),
+    # x' = 1e308 x + 1e308, whose rescaled coefficient 2e308 overflows
+    _x_field([{"coef": 1e308, "exp": [1]}, {"coef": 1e308, "exp": [0]}], **_OFF_CENTER),
+    # the same two ways for an observable
+    _x_field([{"coef": 1.0, "exp": [1]}], observables=[{"name": "g", "terms": _OVERFLOWING_TERMS}]),
+    _x_field([{"coef": 1.0, "exp": [1]}], **_OFF_CENTER,
+             observables=[{"name": "g", "terms": [{"coef": 1e308, "exp": [1]}]}]),
+    # an integer beyond the float range
+    _x_field([{"coef": 10**400, "exp": [1]}]),
+])
+def test_coefficients_beyond_the_float_range_are_config_errors(tmp_path, capsys, doc):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--reference", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: ") and "\n" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +457,31 @@ def test_rk4_work_beyond_the_step_budget_is_refused(tmp_path, capsys, monkeypatc
         main(command + ["--config", config, "--rk-step", step, "--out-dir", str(out)])
 
 
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1"]])
+def test_rk4_budget_counts_the_terms_of_the_field(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "rk4_integrate", _refuse_rk4)
+    # 20 distinct terms of degree 1..4 per component: 120 terms, so the
+    # default step's 1e6 steps are 1.2e8 step-terms.
+    exps = [e for e in itertools.product(range(5), repeat=6) if 1 <= sum(e) <= 4]
+    doc = _linear_6d(1)
+    doc["t_final"] = 100.0
+    doc["dynamics"] = [
+        {"terms": [{"coef": 0.01, "exp": list(e)} for e in exps[20 * k:20 * (k + 1)]]}
+        for k in range(6)
+    ]
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "120 terms" in err
+    assert not out.exists()
+    # A field without terms still takes steps: it counts as one term.
+    doc["dynamics"] = [{"terms": []}] * 6
+    config = write_config(tmp_path, doc)
+    assert main(command + ["--config", config, "--rk-step", "1e-6", "--out-dir", str(out)]) == 2
+    assert "on a field of 0 terms" in capsys.readouterr().err
+
+
 def test_solve_without_reference_ignores_the_step_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "rk4_integrate", _refuse_rk4)
     config = write_config(tmp_path, {**DUFFING, "t_final": 1e5})
@@ -452,6 +548,29 @@ def test_sweep_records_a_basis_above_the_size_cap_as_failed(tmp_path, monkeypatc
     assert refused[:3] == ["8", "3003", f"failed: order: 8 in 6 variables gives basis "
                                           f"size 3003 > {MAX_BASIS_SIZE}"]
     assert solved[:3] == ["1", "7", "ok"]
+
+
+@pytest.mark.parametrize("order", [8, 13])
+def test_sweep_ignores_the_config_order(tmp_path, order):
+    # Order 8 in six variables is above the basis-size cap and 13 above
+    # MAX_ORDER; the sweep solves the orders it was asked for.
+    config = write_config(tmp_path, _linear_6d(order))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--orders", "1..2", "--rk-step", "1e-2",
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "linear6_sweep.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:3] for line in lines] == [["1", "7", "ok"], ["2", "28", "ok"]]
+
+
+def test_importing_the_cli_does_not_load_numpy_polynomial():
+    # The benchmark's setup_s times a fresh `import legkoop.cli`; loading
+    # numpy.polynomial would add 1.5-2 ms to it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, legkoop.cli; print(sorted(m for m in sys.modules if 'numpy.polynomial' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ def test_canonicalize_rejects_bad_terms():
         P([(math.nan, (1, 0))])
     with pytest.raises(ValueError):
         P([(math.inf, (0, 0))])
+    with pytest.raises(ValueError, match="like terms sum to non-finite"):
+        P([(1e308, (1, 0)), (1e308, (1, 0))])
 
 
 def test_canonicalize_idempotent_on_random_term_lists():
