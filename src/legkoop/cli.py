@@ -67,6 +67,9 @@ MAX_RK4_STEPS = 10**7
 # |y| = 1 +/- reconstruction error, which is not a departure.
 _BOX_EXIT_SLACK = 1e-9
 
+# Trajectory CSV rows formatted and written at a time.
+_CSV_BLOCK_ROWS = 4096
+
 
 # ---------------------------------------------------------------------------
 # solve pipeline
@@ -203,20 +206,22 @@ def _summary_json(result: SolveResult) -> dict:
 def _write_trajectory_csv(path: Path, result: SolveResult) -> None:
     names = result.model.observable_names
     header = ["t"] + list(names)
-    columns = [result.times] + [result.trajectory.values[i] for i in range(len(names))]
-    if result.reference_values is not None:
-        header += [f"{name}_ref" for name in names]
-        columns += [result.reference_values[i] for i in range(len(names))]
-        header += [f"{name}_err" for name in names]
-        columns += [
-            np.abs(result.trajectory.values[i] - result.reference_values[i])
-            for i in range(len(names))
-        ]
-    # tolist() gives Python floats, whose repr is the shortest decimal that
-    # round-trips.
-    rows = np.column_stack(columns).tolist()
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values, reference = result.trajectory.values, result.reference_values
+    if reference is not None:
+        header += [f"{name}_ref" for name in names] + [f"{name}_err" for name in names]
+    # tolist() gives Python floats, and %r formats each as its repr: the
+    # shortest decimal that round-trips.
+    line = ",".join(["%r"] * len(header)) + "\n"
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, result.times.size, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            columns = [result.times[block, None], values[:, block].T]
+            if reference is not None:
+                errors = np.abs(values[:, block] - reference[:, block])
+                columns += [reference[:, block].T, errors.T]
+            rows = np.hstack(columns)
+            out.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _load_spec(config_path, orders: Sequence[int] = ()) -> SystemSpec | int:

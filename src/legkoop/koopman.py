@@ -11,9 +11,13 @@ analytically:
 
     g(t_k) = Re[ H V diag(exp(lambda t_k)) phi0 ],    phi0 = Vinv L(x0)
 
-No time stepping is involved; each output time costs one set of scalar
-exponentials, one per mode the observables reach: a mode whose column of
-H V is all zeros adds exact zeros and is skipped.
+No time stepping is involved.  The time grid is walked in fixed blocks;
+in each block every mode the observables reach (a mode whose column of
+H V is all zeros adds exact zeros and is skipped) gets its exponentials,
+one per time, and is scaled by phi0 and multiplied into that block of the
+output.  A conjugate pair of eigenvalues shares one exponential: the lower
+one's row is the conjugate of the upper one's, which equals its own
+exponential exactly (see `_mode_exponentials`).
 
 K often splits into blocks that do not couple at all (Duffing's odd
 symmetry gives an even and an odd block).  `eigendecompose` finds them as
@@ -78,6 +82,10 @@ __all__ = [
 
 NEAR_DEFECTIVE_CONDITION = 1e12
 EXP_OVERFLOW_LIMIT = 700.0
+
+# Output times per propagation block: the exponentials of one block (reached
+# modes x block) stay a few MiB however many times are asked for.
+_TIME_BLOCK = 4096
 
 
 def total_derivative(basis: BasisSet, i: int, vf: VectorField) -> Polynomial:
@@ -350,8 +358,8 @@ class Trajectory:
 
     `max_imag` is the largest imaginary magnitude discarded when taking the
     real part of `values`; for a real initial state it should sit at
-    roundoff level.  `n_modes_propagated` counts the modes that were
-    exponentiated: those whose column of H V is not all zeros.  `states`
+    roundoff level.  `n_modes_propagated` counts the modes the observables
+    (and states) reach: those whose column of H V is not all zeros.  `states`
     holds the unit-box state coordinates when the model carries `state_H`,
     else None.
     """
@@ -399,7 +407,7 @@ def _evaluate_rows(
     H: np.ndarray, eigenvalues: np.ndarray, V: np.ndarray, phi0: np.ndarray, times
 ) -> tuple[np.ndarray, np.ndarray, int]:
     # The validated, read-only time grid, H V diag(exp(lambda t_k)) phi0, and
-    # the number of modes exponentiated for it.
+    # the number of modes H reaches.
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
@@ -423,13 +431,48 @@ def _evaluate_rows(
     # A mode whose column of H V is all zeros adds exact zeros to every row.
     HV = np.asarray(H) @ np.asarray(V)
     reached = np.flatnonzero(HV.any(axis=0))
-    # One reached-modes x nt array, exponentiated and scaled in place; it is
-    # complex (eigenvalues were cast above), so any phi0 multiplies into it.
-    modes = np.multiply.outer(eigenvalues[reached], times)
-    np.exp(modes, out=modes)
-    modes *= phi0[reached, None]
+    HV_reached = HV[:, reached]
+    scale = phi0[reached, None]
+    full = np.empty((HV.shape[0], times.size), dtype=complex)
+    for block, modes in _mode_exponentials(eigenvalues[reached], times):
+        # complex (eigenvalues were cast above), so any phi0 multiplies into it
+        modes *= scale
+        np.matmul(HV_reached, modes, out=full[:, block])
     times.flags.writeable = False
-    return times, HV[:, reached] @ modes, int(reached.size)
+    return times, full, int(reached.size)
+
+
+def _mode_exponentials(eigenvalues: np.ndarray, times: np.ndarray):
+    """Yield (slice, exp(outer(eigenvalues, times[slice]))) per block of times.
+
+    Each distinct value of complex(Re lambda, |Im lambda|) is exponentiated
+    once per block; the row of an eigenvalue below the real axis is the
+    conjugate of its partner's row.  exp(conj z) == conj(exp z) bit for bit,
+    and conj(lambda) * t differs from conj(lambda * t) at most in the sign
+    of a zero, so every row equals exp(lambda t); only a zero part (the
+    imaginary part at t = 0, say) may carry the other sign.
+    """
+    rows: dict[complex, int] = {}
+    index = [
+        rows.setdefault(complex(z.real, abs(z.imag)), len(rows))
+        for z in eigenvalues.tolist()
+    ]
+    distinct = np.array(list(rows), dtype=complex)
+    below = (eigenvalues.imag < 0)[:, None]
+    start = 0
+    while start < times.size:
+        stop = min(start + _TIME_BLOCK, times.size)
+        if stop == times.size - 1:
+            # A block of one time would be multiplied as a matrix-vector
+            # product, which rounds differently from a wider block.
+            stop = times.size
+        block = slice(start, stop)
+        exps = np.multiply.outer(distinct, times[block])
+        np.exp(exps, out=exps)
+        modes = exps[index]
+        np.conjugate(modes, out=modes, where=below)
+        yield block, modes
+        start = stop
 
 
 def _max_imag(full: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -17,7 +18,7 @@ from legkoop import invariants
 import legkoop.cli as cli
 from legkoop.basis import MAX_BASIS_SIZE
 from legkoop.cli import _reference_values, _solve_spec, _write_trajectory_csv, main
-from legkoop.dynamics import parse_system_config
+from legkoop.dynamics import MAX_NUM_STEPS, parse_system_config
 
 DUFFING = {
     "name": "duffing",
@@ -106,22 +107,47 @@ def test_solve_repeated_runs_byte_identical(tmp_path):
 
 
 def test_trajectory_csv_is_the_repr_of_each_value(tmp_path):
-    spec = parse_system_config(json.dumps(DUFFING))
-    result = _solve_spec(spec, reference=partial(_reference_values, spec, rk_step=1e-3))
-    reference = result.reference_values.copy()
-    reference[1, 0] = -0.0
-    reference[0, 1] = 3.5e-7
-    result = replace(result, reference_values=reference)
+    # More rows than one CSV block, ending in a partial block; with and
+    # without the reference columns.
+    doc = {**DUFFING, "num_steps": cli._CSV_BLOCK_ROWS + 3}
+    spec = parse_system_config(json.dumps(doc))
+    solved = _solve_spec(spec, reference=partial(_reference_values, spec, rk_step=1e-3))
+    values = solved.trajectory.values.copy()
+    values[1, 0] = -0.0
+    values[0, -1] = 3.5e-7
+    solved = replace(solved, trajectory=replace(solved.trajectory, values=values))
     path = tmp_path / "duffing_trajectory.csv"
-    _write_trajectory_csv(path, result)
+    for reference in (solved.reference_values, None):
+        result = replace(solved, reference_values=reference)
+        _write_trajectory_csv(path, result)
 
-    values = result.trajectory.values
-    columns = [result.times, *values, *reference, *np.abs(values - reference)]
-    lines = ["t,q,p,q_ref,p_ref,q_err,p_err"]
-    lines += [",".join(repr(float(col[k])) for col in columns) for k in range(len(result.times))]
-    expected = "\n".join(lines) + "\n"
-    assert ",-0.0," in expected and "e-07," in expected
-    assert path.read_bytes() == expected.encode("utf-8")
+        header = "t,q,p"
+        columns = [result.times, *values]
+        if reference is not None:
+            header += ",q_ref,p_ref,q_err,p_err"
+            columns += [*reference, *np.abs(values - reference)]
+        lines = [header]
+        lines += [
+            ",".join(repr(float(col[k])) for col in columns) for k in range(len(result.times))
+        ]
+        assert len(lines) == cli._CSV_BLOCK_ROWS + 4
+        assert lines[1].split(",")[2] == "-0.0" and lines[-1].split(",")[1] == "3.5e-07"
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_trajectory_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # 40 000 rows of seven columns: the CSV text is 5.7 MB, a list of its
+    # rows or lines some 30 MiB; one block of rows stays near 1 MiB.
+    doc = {**DUFFING, "order": 8, "t_final": 40.0, "num_steps": 40_000}
+    result = _solve_spec(parse_system_config(json.dumps(doc)))
+    result = replace(result, reference_values=result.trajectory.values + 1e-3)
+    tracemalloc.start()
+    try:
+        _write_trajectory_csv(tmp_path / "duffing_trajectory.csv", result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("order, modes", [(3, 6), (8, 20)])
@@ -534,6 +560,15 @@ def test_solve_refuses_a_basis_above_the_size_cap(tmp_path, capsys, monkeypatch,
     assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "order" in err and f"> {MAX_BASIS_SIZE}" in err
+    assert not out.exists()
+
+
+def test_solve_refuses_num_steps_above_the_cap(tmp_path, capsys):
+    config = write_config(tmp_path, {**DUFFING, "num_steps": MAX_NUM_STEPS + 1})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith("config error: num_steps:")
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from legkoop.dynamics import (
+    MAX_NUM_STEPS,
     ObservableSet,
     SystemSpec,
     VectorField,
@@ -258,6 +259,12 @@ def test_parse_validation_errors():
         parse_system_config(
             config(domain={"center": [0.0, 0.0], "half_width": [1.0, -1.0]})
         )
+
+
+def test_num_steps_is_capped():
+    assert parse_system_config(config(num_steps=MAX_NUM_STEPS)).num_steps == MAX_NUM_STEPS
+    with pytest.raises(ValidationError, match=r"^num_steps: .* limit of 1000000$"):
+        parse_system_config(config(num_steps=MAX_NUM_STEPS + 1))
 
 
 def test_spec_constructor_validates_directly():

@@ -1,6 +1,7 @@
 """Koopman matrix assembly, eigendecomposition, analytic propagation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,8 @@ from legkoop.dynamics import (
 )
 from legkoop.errors import NearDefectiveError, NonFiniteError, ValidationError
 from legkoop.koopman import (
+    _TIME_BLOCK,
+    _mode_exponentials,
     assemble_koopman,
     build_model,
     eigendecompose,
@@ -452,6 +455,100 @@ def test_unreached_rows_propagate_zeros():
     assert traj.n_modes_propagated == 0
     assert traj.max_imag == 0.0
     assert (traj.values == 0).all() and (traj.states == 0).all()
+
+
+def _check_against_one_shot(H, eigenvalues, V, phi0, times):
+    # The blocked, paired propagation against the formula evaluated in one
+    # piece: the same exponentials exactly, the same values to roundoff.
+    # Returns the number of times in each block.
+    HV = H @ V
+    r = np.flatnonzero(HV.any(axis=0))
+    exps = np.exp(np.multiply.outer(eigenvalues[r], times))
+    expected = HV[:, r] @ (exps * phi0[r, None])
+    blocks = list(_mode_exponentials(eigenvalues[r], times))
+    assert np.array_equal(np.hstack([modes for _, modes in blocks]), exps)
+    traj = propagate_observables(H, eigenvalues, V, phi0, times)
+    assert traj.n_modes_propagated == r.size
+    assert np.abs(traj.values - expected.real).max() <= 1e-15 * np.abs(expected).max()
+    assert traj.max_imag == np.abs(expected.imag).max()
+    return [block.stop - block.start for block, _ in blocks]
+
+
+def test_duffing_propagation_matches_the_one_shot_formula():
+    basis = build_basis(8, 2)
+    model = build_model(basis, DUFFING, IDENTITY_QP)
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    times = np.linspace(0.0, 40.0, 40_000)
+    sizes = _check_against_one_shot(model.H, model.eigenvalues, model.V, phi0, times)
+    assert sizes == [_TIME_BLOCK] * 9 + [40_000 - 9 * _TIME_BLOCK]
+
+
+# A last block of one time joins the block before it.
+@pytest.mark.parametrize(
+    "nt, sizes",
+    [
+        (_TIME_BLOCK - 1, [_TIME_BLOCK - 1]),
+        (_TIME_BLOCK, [_TIME_BLOCK]),
+        (_TIME_BLOCK + 1, [_TIME_BLOCK + 1]),
+        (2 * _TIME_BLOCK + 1, [_TIME_BLOCK, _TIME_BLOCK + 1]),
+    ],
+)
+def test_block_diagonal_propagation_matches_the_one_shot_formula(nt, sizes):
+    # Rotation-scaling 2 x 2 blocks (conjugate pairs), one of them twice
+    # (an exactly repeated pair), and a 1 x 1 block (a real eigenvalue).
+    rng = np.random.default_rng(nt)
+    blocks = []
+    for _ in range(3):
+        a, b = rng.uniform(-0.5, 0.1), rng.uniform(0.5, 3.0)
+        blocks.append(np.array([[a, b], [-b, a]]))
+    blocks += [blocks[0], np.array([[rng.uniform(-0.5, 0.1)]])]
+    n = sum(len(block) for block in blocks)
+    K = np.zeros((n, n))
+    start = 0
+    for block in blocks:
+        K[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+    eigenvalues, V, Vinv, _ = eigendecompose(K)
+    assert np.unique(eigenvalues).size < n and (eigenvalues.imag == 0).any()
+    phi0 = Vinv @ rng.standard_normal(n)
+    times = np.linspace(-2.0, 5.0, nt)
+    H = rng.standard_normal((3, n))
+    assert _check_against_one_shot(H, eigenvalues, V, phi0, times) == sizes
+
+
+@pytest.mark.parametrize(
+    "H, eigenvalues",
+    [
+        # -2i has no partner in the spectrum, and 0.4 is real.
+        (np.array([[1.0, 1.0, 1.0]]), np.array([1j, -2j, 0.4])),
+        # Only the lower half of the pair is reached.
+        (np.array([[0.0, 1.0, 1.0]]), np.array([1j, -1j, -0.4])),
+    ],
+)
+def test_unpaired_eigenvalues_match_the_one_shot_formula(H, eigenvalues):
+    phi0 = np.array([1.0 + 0.5j, 0.3 - 1.0j, -0.7 + 0.2j])
+    times = np.linspace(-3.0, 3.0, 301)
+    _check_against_one_shot(H, eigenvalues, np.eye(3, dtype=complex), phi0, times)
+
+
+def test_propagation_memory_does_not_grow_with_the_whole_grid():
+    # Duffing c=8 over 40 000 times with the state rows, as in a solve: the
+    # result holds 1.5 MiB and one complex array of all rows at every time
+    # 2.4 MiB; a reached-modes x times array would add 12 MiB.
+    basis = build_basis(8, 2)
+    model = replace(
+        build_model(basis, DUFFING, IDENTITY_QP),
+        state_H=observable_matrix(basis, IDENTITY_QP),
+    )
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    times = np.linspace(0.0, 40.0, 40_000)
+    tracemalloc.start()
+    try:
+        propagate(model, phi0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
