@@ -57,10 +57,10 @@ EXIT_CHECK_FAILED = 5
 DEFAULT_RK_STEP = 1e-4
 # Most RK4 steps (t_final / rk_step) a reference on Duffing's 3-term field
 # may take; a field of N terms gets 3 * MAX_RK4_STEPS / N steps, because a
-# step's cost grows with the terms.  One step costs about 0.6 us on Duffing,
-# 1.6 us on a 4-D field with 8 terms and 30-65 us on 6-D fields with 120
-# terms (2-vCPU VM, Python 3.11), so this caps the reference at about 6 s on
-# the first two and 8-16 s on the last.
+# step's cost grows with the terms.  One step costs about 0.4 us on Duffing,
+# 0.8 us on a 4-D field with 8 terms and 12-22 us on 6-D fields with 120
+# terms of degree <= 3 (2-vCPU VM, Python 3.11), so this caps the reference
+# at about 4 s on Duffing, 3 s on the 4-D field and 3-6 s on the 6-D ones.
 MAX_RK4_STEPS = 10**7
 
 # Slack on the unit-box exit check: a boundary start reconstructs to

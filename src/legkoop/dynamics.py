@@ -28,6 +28,7 @@ from .polyalg import (
 __all__ = [
     "MAX_POLY_DEGREE",
     "MAX_NUM_STEPS",
+    "MAX_OUTPUT_VALUES",
     "VectorField",
     "ObservableSet",
     "SystemSpec",
@@ -38,11 +39,18 @@ __all__ = [
 
 MAX_POLY_DEGREE = 64
 # Most output times a solve may ask for.  At this cap the desk Duffing system
-# at order 3 solves in about 1.0 s with 157 MiB peak RSS and writes a 58 MB
+# at order 3 solves in about 1.0 s with 102 MiB peak RSS and writes a 58 MB
 # trajectory CSV.  On the largest basis (n = 1820, 1807 modes reached)
-# propagation takes about 1.9 s per 1e5 times, so about 20 s at the cap by
-# extrapolation (2-vCPU VM, Python 3.11, numpy 2.4).
+# propagation takes about 1.9 s per 1e5 times, so about 10 s at the 5e5
+# times MAX_OUTPUT_VALUES allows its four states, by extrapolation (2-vCPU
+# VM, Python 3.11, numpy 2.4).
 MAX_NUM_STEPS = 10**6
+# Most values a solve may propagate: num_steps times one row per observable
+# plus one per state (the box-exit check).  Identity observables on a 2-D
+# system fit at MAX_NUM_STEPS.  Desk Duffing at order 8 with 45 observables
+# took 177 MiB at 1e5 times, so about 1.5 GiB at MAX_NUM_STEPS by
+# extrapolation; the budget refuses it above 85 106 times.
+MAX_OUTPUT_VALUES = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -176,6 +184,13 @@ class SystemSpec:
         if self.num_steps > MAX_NUM_STEPS:
             raise ValidationError(
                 f"num_steps: {self.num_steps} output times exceed the limit of {MAX_NUM_STEPS}"
+            )
+        rows = len(self.observables) + m
+        if self.num_steps * rows > MAX_OUTPUT_VALUES:
+            raise ValidationError(
+                f"num_steps: {self.num_steps} output times x {rows} rows "
+                f"({len(self.observables)} observables + {m} states) exceed the limit "
+                f"of {MAX_OUTPUT_VALUES} values; lower num_steps or drop observables"
             )
         for x, c, h in zip(self.initial_state, self.domain_center, self.domain_half_width):
             if abs(x - c) > h:

@@ -9,7 +9,11 @@ vector field's polynomial terms, in the manner of Jorba & Zou's Taylor
 integrators (Experimental Mathematics 14, 2005).  It does the float
 operations of a plain loop over the terms in the same order, so its
 states are bit-identical to that loop's; the tests keep such a loop as
-the oracle.
+the oracle.  A factor with exponent 1 is written as the bare variable
+rather than a float power: `x ** 1 == x` bit for bit (CPython returns
++-0, +-inf and nan itself and computes `pow(|x|, 1.0)` otherwise, which
+glibc's pow returns exactly; the tests check every binade), and the bare
+name skips a libm call per factor.
 
 Quadrature nodes and weights come from `numpy.polynomial.legendre.leggauss`
 (Golub & Welsch, Math. Comp. 23, 1969), not from the solver's recurrence.
@@ -57,10 +61,12 @@ def _rk4_runner(vf: VectorField):
     its nonzero exponents, each component summed from 0.0 left to right,
     the stages `x + 0.5*h*k` and `x + h*k`, and the update
     `x + h/6 * (k1 + 2*(k2 + k3) + k4)`.  So the states are bit-identical
-    to that loop.  `**` stays a float power, which raises OverflowError
-    where repeated multiplication would overflow to inf silently.  The
-    source holds only generated names and integer exponents; the
-    coefficients are bound as names in its namespace.
+    to that loop.  A factor with exponent 1 is the bare name `xk`, which
+    equals `xk ** 1` bit for bit (see the module docstring).  Exponents of
+    2 and more stay float powers, which raise OverflowError where repeated
+    multiplication would overflow to inf silently.  The source holds only
+    generated names and integer exponents; the coefficients are bound as
+    names in its namespace.
     """
     m = vf.m
     namespace: dict = {
@@ -75,7 +81,11 @@ def _rk4_runner(vf: VectorField):
         for j, comp in enumerate(vf.components):
             terms = ["0.0"]
             for t, term in enumerate(comp.terms):
-                powers = [f"{args}{i} ** {e}" for i, e in enumerate(term.exp) if e]
+                powers = [
+                    f"{args}{i}" if e == 1 else f"{args}{i} ** {e}"
+                    for i, e in enumerate(term.exp)
+                    if e
+                ]
                 terms.append(" * ".join([f"c{j}_{t}"] + powers))
             lines.append(f"k{stage}_{j} = " + " + ".join(terms))
         return lines

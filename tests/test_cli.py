@@ -18,7 +18,7 @@ from legkoop import invariants
 import legkoop.cli as cli
 from legkoop.basis import MAX_BASIS_SIZE
 from legkoop.cli import _reference_values, _solve_spec, _write_trajectory_csv, main
-from legkoop.dynamics import MAX_NUM_STEPS, parse_system_config
+from legkoop.dynamics import MAX_NUM_STEPS, MAX_OUTPUT_VALUES, parse_system_config
 
 DUFFING = {
     "name": "duffing",
@@ -572,6 +572,25 @@ def test_solve_refuses_num_steps_above_the_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_refuses_output_above_the_budget(tmp_path, capsys):
+    # Every monomial of degree <= 3 as an observable: 10 rows plus 2 states.
+    observables = [
+        {"name": f"g{a}{d - a}", "terms": [{"coef": 1.0, "exp": [a, d - a]}]}
+        for d in range(4)
+        for a in range(d + 1)
+    ]
+    num_steps = MAX_OUTPUT_VALUES // 12 + 1
+    config = write_config(
+        tmp_path, {**DUFFING, "observables": observables, "num_steps": num_steps}
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith(f"config error: num_steps: {num_steps} ")
+    assert f"limit of {MAX_OUTPUT_VALUES} values" in err
+    assert not out.exists()
+
+
 def test_sweep_records_a_basis_above_the_size_cap_as_failed(tmp_path, monkeypatch):
     _refuse_oversize_assembly(monkeypatch)
     config = write_config(tmp_path, _linear_6d(1))
@@ -597,15 +616,28 @@ def test_sweep_ignores_the_config_order(tmp_path, order):
     assert [line.split(",")[:3] for line in lines] == [["1", "7", "ok"], ["2", "28", "ok"]]
 
 
-def test_importing_the_cli_does_not_load_numpy_polynomial():
-    # The benchmark's setup_s times a fresh `import legkoop.cli`; loading
-    # numpy.polynomial would add 1.5-2 ms to it.
+def _loaded_by_importing_the_cli(prefix):
+    # Modules whose names start with `prefix` after a fresh `import legkoop.cli`.
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, legkoop.cli; print(sorted(m for m in sys.modules if 'numpy.polynomial' in m))"
+    code = (
+        "import sys, legkoop.cli; "
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_does_not_load_numpy_polynomial():
+    # The benchmark's setup_s times a fresh `import legkoop.cli`; loading
+    # numpy.polynomial would add 1.5-2 ms to it.
+    assert _loaded_by_importing_the_cli("numpy.polynomial") == "[]"
+
+
+def test_importing_the_cli_does_not_load_the_invariant_suite():
+    # Only `validate` needs legkoop.invariants, which imports it when run.
+    assert _loaded_by_importing_the_cli("legkoop.invariants") == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from legkoop.dynamics import (
     MAX_NUM_STEPS,
+    MAX_OUTPUT_VALUES,
     ObservableSet,
     SystemSpec,
     VectorField,
@@ -265,6 +266,30 @@ def test_num_steps_is_capped():
     assert parse_system_config(config(num_steps=MAX_NUM_STEPS)).num_steps == MAX_NUM_STEPS
     with pytest.raises(ValidationError, match=r"^num_steps: .* limit of 1000000$"):
         parse_system_config(config(num_steps=MAX_NUM_STEPS + 1))
+
+
+def _observables(count):
+    # q^a p^b for the first `count` exponent pairs of degree <= 3.
+    pairs = [(a, d - a) for d in range(4) for a in range(d + 1)][:count]
+    return [
+        {"name": f"g{a}{b}", "terms": [{"coef": 1.0, "exp": [a, b]}]} for a, b in pairs
+    ]
+
+
+def test_output_values_are_budgeted():
+    # Three observables plus the two state rows: five values per time.
+    at_budget = MAX_OUTPUT_VALUES // 5
+    spec = parse_system_config(config(observables=_observables(3), num_steps=at_budget))
+    assert spec.num_steps * (len(spec.observables) + 2) == MAX_OUTPUT_VALUES
+    with pytest.raises(
+        ValidationError, match=r"^num_steps: 800001 output times x 5 rows .* limit of 4000000 "
+    ):
+        parse_system_config(config(observables=_observables(3), num_steps=at_budget + 1))
+
+
+def test_num_steps_cap_is_checked_before_the_output_budget():
+    with pytest.raises(ValidationError, match=r"^num_steps: .* limit of 1000000$"):
+        parse_system_config(config(observables=_observables(10), num_steps=MAX_NUM_STEPS + 1))
 
 
 def test_spec_constructor_validates_directly():

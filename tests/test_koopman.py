@@ -7,8 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from legkoop.basis import basis_as_polynomial, build_basis, evaluate_basis
+from legkoop.basis import (
+    basis_as_polynomial,
+    build_basis,
+    derivative_matrix,
+    evaluate_basis,
+    jacobi_matrix,
+)
 from legkoop.dynamics import (
+    MAX_NUM_STEPS,
     MAX_POLY_DEGREE,
     ObservableSet,
     VectorField,
@@ -533,8 +540,8 @@ def test_unpaired_eigenvalues_match_the_one_shot_formula(H, eigenvalues):
 
 def test_propagation_memory_does_not_grow_with_the_whole_grid():
     # Duffing c=8 over 40 000 times with the state rows, as in a solve: the
-    # result holds 1.5 MiB and one complex array of all rows at every time
-    # 2.4 MiB; a reached-modes x times array would add 12 MiB.
+    # result holds 1.5 MiB; a complex array of all rows at every time would
+    # add 2.4 MiB and a reached-modes x times array 12 MiB.
     basis = build_basis(8, 2)
     model = replace(
         build_model(basis, DUFFING, IDENTITY_QP),
@@ -549,6 +556,27 @@ def test_propagation_memory_does_not_grow_with_the_whole_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_propagation_at_the_num_steps_cap_holds_no_complex_output():
+    # The same solve at 10^6 times: the real result holds 31 MiB and the
+    # times 8 MiB; a complex array of all rows at every time would add 61 MiB.
+    basis = build_basis(8, 2)
+    model = replace(
+        build_model(basis, DUFFING, IDENTITY_QP),
+        state_H=observable_matrix(basis, IDENTITY_QP),
+    )
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    times = np.linspace(0.0, 1000.0, MAX_NUM_STEPS)
+    tracemalloc.start()
+    try:
+        trajectory = propagate(model, phi0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+    assert trajectory.values.shape == trajectory.states.shape == (2, MAX_NUM_STEPS)
+    assert 0.0 < trajectory.max_imag <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +625,31 @@ def test_operator_assembly_matches_monomial_reference(m, c):
     H = observable_matrix(basis, observables)
     H_ref = np.array([[box_inner_product(g, f) for f in funcs] for g in observables.polys])
     assert np.abs(H - H_ref).max() <= 1e-12
+
+
+def test_assembly_equals_the_two_dimensional_gather_bit_for_bit():
+    # The plain Galerkin sum, each factor taken with one np.ix_ gather and
+    # multiplied in axis order, term by term: K must match it exactly.
+    rng = np.random.default_rng(7)
+    m, c = 3, 4
+    basis = build_basis(c, m)
+    vf = VectorField(m, tuple(random_poly(rng, m, 3, 6) for _ in range(m)))
+    size = c + vf.max_degree + 1
+    J, D = jacobi_matrix(size), derivative_matrix(size)
+    powers = [np.eye(size)]
+    for _ in range(vf.max_degree):
+        powers.append(powers[-1] @ J)
+    orders = basis.orders
+    K = np.zeros((basis.n, basis.n))
+    for j, fj in enumerate(vf.components):
+        for term in fj.terms:
+            out = None
+            for a, e in enumerate(term.exp):
+                M = D @ powers[e] if a == j else powers[e]
+                factor = M[np.ix_(orders[:, a], orders[:, a])]
+                out = factor if out is None else out * factor
+            K += term.coef * out
+    assert assemble_koopman(basis, vf).tobytes() == K.tobytes()
 
 
 def test_linear_fields_are_exactly_degree_triangular():

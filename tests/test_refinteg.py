@@ -1,6 +1,7 @@
 """Reference RK4 integrator and Gauss-Legendre quadrature oracles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ def _assert_matches_oracle(vf, x0, times, step):
     expected = _outcome(lambda: _oracle_states(vf, x0, times, step))
     assert _outcome(lambda: rk4_integrate(vf, x0, times, step).states) == expected
     return isinstance(expected, bytes)
+
+
+def test_power_one_is_the_identity_bit_for_bit():
+    # The generated RK4 code writes a factor x ** 1 as x; the oracle keeps
+    # the power.  Both signs of 2^k and 1.5 * 2^k in every binade, the
+    # subnormals included, and the special values.
+    values = [0.0, math.inf, math.nan]
+    values += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values += [math.ldexp(1.5, k) for k in range(-1073, 1024)]
+    values += [math.nextafter(1.0, 2.0), math.nextafter(math.inf, 0.0)]
+    for x in values + [-x for x in values]:
+        assert struct.pack("<d", x**1) == struct.pack("<d", x), x
+        assert math.copysign(1.0, x**1) == math.copysign(1.0, x)
 
 
 def test_rk4_bit_identical_to_plain_loop_on_duffing():
