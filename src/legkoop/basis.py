@@ -48,9 +48,9 @@ __all__ = [
 
 MAX_DIMENSION = 6
 MAX_ORDER = 12
-# Largest basis a solve may use: n = 1820 (c=12, m=4) solved a coupled
-# quadratic field in 5.4 s with 419 MiB peak RSS (2-vCPU VM), and eig
-# grows like n**3.
+# Largest basis a solve may use: n = 1820 (c=12, m=4) peaks at 296 MiB RSS,
+# set by the eigendecomposition, at 100 and at 1e5 output times; a coupled
+# quadratic field solved in 1.4 s and 3.7 s (2-vCPU VM).  eig grows like n**3.
 MAX_BASIS_SIZE = 2000
 
 

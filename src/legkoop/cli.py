@@ -8,10 +8,12 @@ suite failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import time
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -23,11 +25,12 @@ from .basis import build_basis, evaluate_basis
 from .dynamics import ObservableSet, SystemSpec, parse_system_config
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 
-# propagate_observables is not called here; perfbench/tracing.py swaps it
-# by name on this module, so it stays importable.
+# propagate and propagate_observables are not called here (solve streams
+# the blocks of _evaluate_rows); perfbench/tracing.py swaps them by name on
+# this module, so they stay importable.
 from .koopman import (  # noqa: F401
     KoopmanModel,
-    Trajectory,
+    _evaluate_rows,
     assemble_koopman,
     eigendecompose,
     initial_eigenfunctions,
@@ -67,9 +70,6 @@ MAX_RK4_STEPS = 10**7
 # |y| = 1 +/- reconstruction error, which is not a departure.
 _BOX_EXIT_SLACK = 1e-9
 
-# Trajectory CSV rows formatted and written at a time.
-_CSV_BLOCK_ROWS = 4096
-
 
 # ---------------------------------------------------------------------------
 # solve pipeline
@@ -78,10 +78,9 @@ _CSV_BLOCK_ROWS = 4096
 class SolveResult:
     spec: SystemSpec
     model: KoopmanModel
-    times: np.ndarray
-    trajectory: Trajectory
+    max_imag: float
+    n_modes_propagated: int
     first_box_exit: Optional[float]
-    reference_values: Optional[np.ndarray]
     observable_errors: Optional[dict]
     timings: dict
 
@@ -97,13 +96,45 @@ def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np
     return values
 
 
+@contextmanager
+def _atomic_output(path: Path):
+    """Write `path` through a temporary file beside it, renamed to `path` when
+    the block exits cleanly; on failure that file and every directory made
+    for it are removed, so a failed run leaves nothing behind."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial_path = path.with_name(path.name + ".tmp")
+    try:
+        with partial_path.open("w", encoding="utf-8") as out:
+            yield out
+        partial_path.replace(path)
+    except BaseException:
+        partial_path.unlink(missing_ok=True)
+        with suppress(OSError):
+            for directory in made:
+                directory.rmdir()
+        raise
+
+
 def _solve_spec(
     spec: SystemSpec,
     *,
     reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    csv_path: Optional[Path] = None,
 ) -> SolveResult:
-    """Solve `spec`; `reference`, if given, maps the time grid to the
-    reference values of the observables, which the errors compare against."""
+    """Solve `spec`, one block of output times at a time.
+
+    `reference`, if given, maps the time grid to the reference values of the
+    observables, which the errors compare against.  Given `csv_path`, each
+    block's rows of the trajectory CSV are written there as soon as they are
+    computed (see `_atomic_output`).  No block is kept: the solve holds the
+    time grid, one block and, with a reference, the reference values and
+    their errors.
+
+    `timings["propagate"]` sums propagation and the box-exit check over the
+    blocks, `timings["reference"]` the reference and its errors, and
+    `timings["total"]` spans the whole solve, CSV writing included.
+    """
     timings: dict = {}
     started = time.perf_counter()
 
@@ -146,37 +177,69 @@ def _solve_spec(
     h0 = evaluate_basis(basis, y0)
     phi0 = initial_eigenfunctions(Vinv, h0)
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
-    trajectory = propagate(model, phi0, times)
-
-    first_exit: Optional[float] = None
-    if trajectory.states is not None:
-        outside = np.abs(trajectory.states).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
-        if outside.any():
-            first_exit = float(times[int(np.argmax(outside))])
+    n_obs = H.shape[0]
+    all_H = H if state_H is None else np.vstack((H, state_H))
+    blocks = _evaluate_rows(all_H, eigenvalues, V, phi0, times, imag_rows=n_obs)
+    # The first block validates the grid and guards exp against overflow
+    # before the reference runs or any output exists.
+    blocks = itertools.chain([next(blocks)], blocks)
     timings["propagate"] = time.perf_counter() - mark
 
-    reference_values = None
-    observable_errors = None
+    names = model.observable_names
+    header = ["t", *names]
+    reference_values = errors = None
     if reference is not None:
         mark = time.perf_counter()
         reference_values = reference(times)
-        observable_errors = {}
-        for i, name in enumerate(spec.observables.names):
-            diff = np.abs(trajectory.values[i] - reference_values[i])
-            observable_errors[name] = {
-                "max": float(diff.max()),
-                "rms": float(np.sqrt(np.mean(diff**2))),
-            }
+        errors = np.empty_like(reference_values)
         timings["reference"] = time.perf_counter() - mark
+        header += [f"{name}_ref" for name in names] + [f"{name}_err" for name in names]
+    # tolist() gives Python floats, and %r formats each as its repr: the
+    # shortest decimal that round-trips.
+    line = ",".join(["%r"] * len(header)) + "\n"
+
+    first_exit: Optional[float] = None
+    max_imag = 0.0
+    with _atomic_output(csv_path) if csv_path else nullcontext() as out:
+        if out:
+            out.write(",".join(header) + "\n")
+        # `mark` is reset after each block, so the next block's propagation,
+        # which runs as the loop asks for it, is counted too.
+        mark = time.perf_counter()
+        for block, values, block_imag, n_modes in blocks:
+            max_imag = max(max_imag, block_imag)
+            if first_exit is None and state_H is not None:
+                outside = np.abs(values[n_obs:]).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
+                if outside.any():
+                    first_exit = float(times[block][np.argmax(outside)])
+            timings["propagate"] += time.perf_counter() - mark
+            columns = [times[block, None], values[:n_obs].T]
+            if errors is not None:
+                mark = time.perf_counter()
+                np.abs(values[:n_obs] - reference_values[:, block], out=errors[:, block])
+                columns += [reference_values[:, block].T, errors[:, block].T]
+                timings["reference"] += time.perf_counter() - mark
+            if out:
+                table = np.hstack(columns)
+                out.write((line * len(table)) % tuple(table.ravel().tolist()))
+            mark = time.perf_counter()
+
+    observable_errors = None
+    if errors is not None:
+        mark = time.perf_counter()
+        observable_errors = {
+            name: {"max": float(diff.max()), "rms": float(np.sqrt(np.mean(diff**2)))}
+            for name, diff in zip(names, errors)
+        }
+        timings["reference"] += time.perf_counter() - mark
 
     timings["total"] = time.perf_counter() - started
     return SolveResult(
         spec=spec,
         model=model,
-        times=times,
-        trajectory=trajectory,
+        max_imag=max_imag,
+        n_modes_propagated=n_modes,
         first_box_exit=first_exit,
-        reference_values=reference_values,
         observable_errors=observable_errors,
         timings=timings,
     )
@@ -195,33 +258,12 @@ def _summary_json(result: SolveResult) -> dict:
         "eigenresidual": model.diagnostics.eigenresidual,
         "eigencondition": model.diagnostics.eigencondition,
         "skewness": model.diagnostics.skewness,
-        "max_imag": result.trajectory.max_imag,
-        "n_modes_propagated": result.trajectory.n_modes_propagated,
+        "max_imag": result.max_imag,
+        "n_modes_propagated": result.n_modes_propagated,
         "observable_errors": result.observable_errors,
         "first_box_exit_time": result.first_box_exit,
         "timings": result.timings,
     }
-
-
-def _write_trajectory_csv(path: Path, result: SolveResult) -> None:
-    names = result.model.observable_names
-    header = ["t"] + list(names)
-    values, reference = result.trajectory.values, result.reference_values
-    if reference is not None:
-        header += [f"{name}_ref" for name in names] + [f"{name}_err" for name in names]
-    # tolist() gives Python floats, and %r formats each as its repr: the
-    # shortest decimal that round-trips.
-    line = ",".join(["%r"] * len(header)) + "\n"
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        for start in range(0, result.times.size, _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            columns = [result.times[block, None], values[:, block].T]
-            if reference is not None:
-                errors = np.abs(values[:, block] - reference[:, block])
-                columns += [reference[:, block].T, errors.T]
-            rows = np.hstack(columns)
-            out.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _load_spec(config_path, orders: Sequence[int] = ()) -> SystemSpec | int:
@@ -283,25 +325,21 @@ def run_solve(
         return spec
     if reference and _rk4_budget_exceeded(spec, rk_step):
         return EXIT_CONFIG
+    out = Path(out_dir)
+    csv_path = out / f"{spec.name}_trajectory.csv"
+    json_path = out / f"{spec.name}_summary.json"
     try:
         rk4_reference = partial(_reference_values, spec, rk_step=rk_step) if reference else None
-        result = _solve_spec(spec, reference=rk4_reference)
+        result = _solve_spec(spec, reference=rk4_reference, csv_path=csv_path)
+        json_path.write_text(
+            json.dumps(_summary_json(result), indent=2) + "\n", encoding="utf-8"
+        )
     except NearDefectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_DEFECTIVE
     except (NonFiniteError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{spec.name}_trajectory.csv"
-        _write_trajectory_csv(csv_path, result)
-        json_path = out / f"{spec.name}_summary.json"
-        json_path.write_text(
-            json.dumps(_summary_json(result), indent=2) + "\n", encoding="utf-8"
-        )
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -316,7 +354,7 @@ def run_solve(
     print(
         f"{spec.name}: m={basis.m} c={basis.c} n={basis.n}  "
         f"skewness={diag.skewness:.3e}  eigencondition={diag.eigencondition:.3e}  "
-        f"max_imag={result.trajectory.max_imag:.3e}"
+        f"max_imag={result.max_imag:.3e}"
     )
     if result.observable_errors is not None:
         worst = max(err["max"] for err in result.observable_errors.values())

@@ -38,18 +38,18 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 64
-# Most output times a solve may ask for.  At this cap the desk Duffing system
-# at order 3 solves in about 1.0 s with 102 MiB peak RSS and writes a 58 MB
-# trajectory CSV.  On the largest basis (n = 1820, 1807 modes reached)
-# propagation takes about 1.9 s per 1e5 times, so about 10 s at the 5e5
-# times MAX_OUTPUT_VALUES allows its four states, by extrapolation (2-vCPU
-# VM, Python 3.11, numpy 2.4).
+# Most output times a solve may ask for.  Output streams in blocks, so this
+# bounds time and CSV bytes, not memory: at the cap desk Duffing at order 3
+# solves in 1.3 s with 42 MiB peak RSS and writes a 58 MB CSV.  On the
+# largest basis (n = 1820, 1807 modes reached) propagation takes about 1.9 s
+# per 1e5 times: 9.4 s, with 296 MiB peak RSS, at the 5e5 times
+# MAX_OUTPUT_VALUES allows its four states (2-vCPU VM, Python 3.11, numpy 2.4).
 MAX_NUM_STEPS = 10**6
 # Most values a solve may propagate: num_steps times one row per observable
-# plus one per state (the box-exit check).  Identity observables on a 2-D
-# system fit at MAX_NUM_STEPS.  Desk Duffing at order 8 with 45 observables
-# took 177 MiB at 1e5 times, so about 1.5 GiB at MAX_NUM_STEPS by
-# extrapolation; the budget refuses it above 85 106 times.
+# plus one per state (the box-exit check), so identity observables on a 2-D
+# system fit at MAX_NUM_STEPS.  It too bounds time and CSV bytes: desk Duffing
+# at order 8 with 45 observables took 1.6 s and 41 MiB and wrote an 81 MB CSV
+# at the 85 106 times it allows.
 MAX_OUTPUT_VALUES = 4 * 10**6
 
 

@@ -16,9 +16,17 @@ import pytest
 
 from legkoop import invariants
 import legkoop.cli as cli
-from legkoop.basis import MAX_BASIS_SIZE
-from legkoop.cli import _reference_values, _solve_spec, _write_trajectory_csv, main
-from legkoop.dynamics import MAX_NUM_STEPS, MAX_OUTPUT_VALUES, parse_system_config
+from legkoop.basis import MAX_BASIS_SIZE, build_basis, evaluate_basis
+from legkoop.cli import _reference_values, _solve_spec, main
+from legkoop.dynamics import MAX_NUM_STEPS, MAX_OUTPUT_VALUES, ObservableSet, parse_system_config
+from legkoop.errors import NonFiniteError
+from legkoop.koopman import (
+    _TIME_BLOCK,
+    build_model,
+    initial_eigenfunctions,
+    observable_matrix,
+    propagate,
+)
 
 DUFFING = {
     "name": "duffing",
@@ -106,48 +114,173 @@ def test_solve_repeated_runs_byte_identical(tmp_path):
     assert sum_a == sum_b
 
 
-def test_trajectory_csv_is_the_repr_of_each_value(tmp_path):
-    # More rows than one CSV block, ending in a partial block; with and
-    # without the reference columns.
-    doc = {**DUFFING, "num_steps": cli._CSV_BLOCK_ROWS + 3}
-    spec = parse_system_config(json.dumps(doc))
-    solved = _solve_spec(spec, reference=partial(_reference_values, spec, rk_step=1e-3))
-    values = solved.trajectory.values.copy()
-    values[1, 0] = -0.0
-    values[0, -1] = 3.5e-7
-    solved = replace(solved, trajectory=replace(solved.trajectory, values=values))
-    path = tmp_path / "duffing_trajectory.csv"
-    for reference in (solved.reference_values, None):
-        result = replace(solved, reference_values=reference)
-        _write_trajectory_csv(path, result)
+def eager_solve(spec, rk_step=None, edit=None):
+    """The trajectory CSV and the summary (without timings) of a solve, from
+    whole arrays: `propagate`'s trajectory, the box-exit check over every
+    state at once and the errors over every time at once.  `edit`, if
+    given, changes the observable values in place first."""
+    basis = build_basis(spec.order, len(spec.states))
+    model = replace(
+        build_model(basis, spec.unit_vf, spec.unit_observables),
+        state_H=observable_matrix(basis, ObservableSet.identity(spec.states)),
+    )
+    box = zip(spec.initial_state, spec.domain_center, spec.domain_half_width)
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, [(x - c) / h for x, c, h in box]))
+    times = np.linspace(0.0, spec.t_final, spec.num_steps)
+    trajectory = propagate(model, phi0, times)
+    values = trajectory.values.copy()
+    if edit is not None:
+        edit(values)
+    outside = np.abs(trajectory.states).max(axis=0) > 1.0 + 1e-9
+    first_exit = float(times[np.argmax(outside)]) if outside.any() else None
 
-        header = "t,q,p"
-        columns = [result.times, *values]
-        if reference is not None:
-            header += ",q_ref,p_ref,q_err,p_err"
-            columns += [*reference, *np.abs(values - reference)]
-        lines = [header]
-        lines += [
-            ",".join(repr(float(col[k])) for col in columns) for k in range(len(result.times))
-        ]
-        assert len(lines) == cli._CSV_BLOCK_ROWS + 4
+    names = spec.observables.names
+    header, columns, errors = ["t", *names], [times, *values], None
+    if rk_step is not None:
+        reference = _reference_values(spec, times, rk_step)
+        diff = np.abs(values - reference)
+        header += [f"{name}_ref" for name in names] + [f"{name}_err" for name in names]
+        columns += [*reference, *diff]
+        errors = {
+            name: {"max": float(d.max()), "rms": float(np.sqrt(np.mean(d**2)))}
+            for name, d in zip(names, diff)
+        }
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(col[k])) for col in columns) for k in range(times.size)]
+    result = cli.SolveResult(
+        spec, model, trajectory.max_imag, trajectory.n_modes_propagated, first_exit, errors, {}
+    )
+    summary = cli._summary_json(result)
+    del summary["timings"]
+    return ("\n".join(lines) + "\n").encode("utf-8"), json.loads(json.dumps(summary))
+
+
+def solve_outputs(tmp_path, doc, rk_step=None):
+    """Run `legkoop solve` on `doc`; its CSV bytes and summary without timings."""
+    out = tmp_path / "out"
+    args = ["solve", "--config", write_config(tmp_path, doc), "--out-dir", str(out)]
+    if rk_step is not None:
+        args += ["--reference", "--rk-step", repr(rk_step)]
+    assert main(args) == 0
+    summary = json.loads((out / f"{doc['name']}_summary.json").read_text())
+    assert set(summary.pop("timings")) >= {"basis", "assemble", "eigen", "propagate", "total"}
+    return (out / f"{doc['name']}_trajectory.csv").read_bytes(), summary
+
+
+@pytest.mark.parametrize("rk_step", [None, 1e-3])
+@pytest.mark.parametrize(
+    "nt",
+    [_TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1, 2 * _TIME_BLOCK + 1],
+    ids=["B-1", "B", "B+1", "2B+1"],  # B = _TIME_BLOCK
+)
+def test_streamed_solve_matches_the_eager_oracle(tmp_path, nt, rk_step):
+    doc = {**DUFFING, "num_steps": nt}
+    csv, summary = solve_outputs(tmp_path, doc, rk_step)
+    assert (csv, summary) == eager_solve(parse_system_config(json.dumps(doc)), rk_step)
+
+
+def test_box_exit_first_seen_in_the_second_block(tmp_path, capsys):
+    # From (0.99, 0.5) q crosses 1 near t = 0.022, which this grid puts in
+    # its second block of times.
+    doc = {
+        **DUFFING, "initial_state": [0.99, 0.5], "t_final": 0.03, "num_steps": 2 * _TIME_BLOCK + 1
+    }
+    spec = parse_system_config(json.dumps(doc))
+    _, expected = eager_solve(spec)
+    exit_time = expected["first_box_exit_time"]
+    times = np.linspace(0.0, spec.t_final, spec.num_steps)
+    assert _TIME_BLOCK <= np.searchsorted(times, exit_time) < 2 * _TIME_BLOCK
+    _, summary = solve_outputs(tmp_path, doc)
+    assert summary["first_box_exit_time"] == exit_time
+    assert f"leaves the unit box at t = {exit_time:g}" in capsys.readouterr().err
+
+
+def test_trajectory_csv_is_the_repr_of_each_value(tmp_path, monkeypatch):
+    # More rows than one block, ending in a partial block; with and without
+    # the reference columns.  A -0.0 put into the first block and a 3.5e-7
+    # put into the last one come out as such.
+    doc = {**DUFFING, "num_steps": _TIME_BLOCK + 3}
+    stream = cli._evaluate_rows
+
+    def edit(values, first=True, last=True):
+        if first:
+            values[1, 0] = -0.0
+        if last:
+            values[0, -1] = 3.5e-7
+
+    def injecting(*args, **kwargs):
+        for block, values, imag, n_modes in stream(*args, **kwargs):
+            edit(values, block.start == 0, block.stop == doc["num_steps"])
+            yield block, values, imag, n_modes
+
+    monkeypatch.setattr(cli, "_evaluate_rows", injecting)
+    spec = parse_system_config(json.dumps(doc))
+    for rk_step in (1e-3, None):
+        csv, _ = solve_outputs(tmp_path, doc, rk_step)
+        lines = csv.decode("utf-8").splitlines()
+        assert len(lines) == _TIME_BLOCK + 4
         assert lines[1].split(",")[2] == "-0.0" and lines[-1].split(",")[1] == "3.5e-07"
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert csv == eager_solve(spec, rk_step, edit)[0]
 
 
 def test_trajectory_csv_memory_does_not_grow_with_the_rows(tmp_path):
     # 40 000 rows of seven columns: the CSV text is 5.7 MB, a list of its
-    # rows or lines some 30 MiB; one block of rows stays near 1 MiB.
+    # rows or lines some 30 MiB.  The streamed solve holds one block of rows,
+    # besides the grid, the reference values and their errors (1.5 MiB).
     doc = {**DUFFING, "order": 8, "t_final": 40.0, "num_steps": 40_000}
-    result = _solve_spec(parse_system_config(json.dumps(doc)))
-    result = replace(result, reference_values=result.trajectory.values + 1e-3)
+    config = write_config(tmp_path, doc)
+    solve = partial(cli.run_solve, config, reference=True, rk_step=1e-3, out_dir=str(tmp_path))
+    assert solve() == 0  # first runs pay for lazy imports and caches
     tracemalloc.start()
     try:
-        _write_trajectory_csv(tmp_path / "duffing_trajectory.csv", result)
+        assert solve() == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_solve_memory_does_not_grow_with_the_output_times(tmp_path):
+    # Duffing c=8 at 10^4 and 2 * 10^5 times.  Besides the time grid itself
+    # (8 bytes per time, 1.45 MiB more) the peak grows by less than 1 MiB;
+    # whole arrays of the two observables and two states would add 5.8 MiB.
+    peaks = []
+    for nt in (10**4, 2 * 10**5):
+        doc = {**DUFFING, "order": 8, "t_final": nt / 1000, "num_steps": nt}
+        solve = partial(cli.run_solve, write_config(tmp_path, doc), out_dir=str(tmp_path))
+        assert solve() == 0
+        tracemalloc.start()
+        try:
+            assert solve() == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20 + 8 * (2 * 10**5 - 10**4)
+
+
+@pytest.mark.parametrize("out_dir_exists", [False, True])
+def test_numeric_failure_in_a_later_block_leaves_nothing_behind(
+    tmp_path, monkeypatch, capsys, out_dir_exists
+):
+    stream = cli._evaluate_rows
+
+    def failing(*args, **kwargs):
+        blocks = stream(*args, **kwargs)
+        yield next(blocks)
+        raise NonFiniteError("propagation produced non-finite values")
+
+    monkeypatch.setattr(cli, "_evaluate_rows", failing)
+    config = write_config(tmp_path, {**DUFFING, "num_steps": 2 * _TIME_BLOCK + 1})
+    out = tmp_path / "new" / "out"
+    if out_dir_exists:
+        out.mkdir(parents=True)
+        (out / "kept.txt").write_text("kept", encoding="utf-8")
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 4
+    assert "numeric failure: propagation produced non-finite values" in capsys.readouterr().err
+    if out_dir_exists:
+        assert [path.name for path in out.iterdir()] == ["kept.txt"]
+    else:
+        assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("order, modes", [(3, 6), (8, 20)])

@@ -487,7 +487,7 @@ def test_duffing_propagation_matches_the_one_shot_formula():
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 40.0, 40_000)
     sizes = _check_against_one_shot(model.H, model.eigenvalues, model.V, phi0, times)
-    assert sizes == [_TIME_BLOCK] * 9 + [40_000 - 9 * _TIME_BLOCK]
+    assert sizes == [_TIME_BLOCK] * (40_000 // _TIME_BLOCK) + [40_000 % _TIME_BLOCK]
 
 
 # A last block of one time joins the block before it.
@@ -499,6 +499,7 @@ def test_duffing_propagation_matches_the_one_shot_formula():
         (_TIME_BLOCK + 1, [_TIME_BLOCK + 1]),
         (2 * _TIME_BLOCK + 1, [_TIME_BLOCK, _TIME_BLOCK + 1]),
     ],
+    ids=["B-1", "B", "B+1", "2B+1"],  # B = _TIME_BLOCK
 )
 def test_block_diagonal_propagation_matches_the_one_shot_formula(nt, sizes):
     # Rotation-scaling 2 x 2 blocks (conjugate pairs), one of them twice
