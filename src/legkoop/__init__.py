@@ -5,21 +5,13 @@ generator onto an orthonormal multivariate Legendre basis, diagonalize
 it once per decoupled block, then evaluate observables at any time
 analytically from the eigenvalues.  The basis is its graded set of
 multi-indices; the Legendre three-term recurrence supplies the operators
-and point values, and the monomial expansion (`monomial_matrix`,
-`basis_as_polynomial`) serves only as the reference the tests check
-against.  See :mod:`legkoop.koopman` for the pipeline entry points and
-:mod:`legkoop.cli` for the command-line interface.
+and point values.  See :mod:`legkoop.koopman` for the pipeline entry
+points, :mod:`legkoop.cli` for the command-line interface, and
+:mod:`legkoop.invariants` for the monomial and quadrature references the
+tests and `legkoop validate` check the solver against.
 """
 
-from .basis import (
-    BasisSet,
-    basis_as_polynomial,
-    build_basis,
-    evaluate_basis,
-    legendre_coefficients,
-    monomial_matrix,
-    normalize_legendre,
-)
+from .basis import BasisSet, build_basis, evaluate_basis
 from .dynamics import (
     ObservableSet,
     SystemSpec,
@@ -41,7 +33,6 @@ from .koopman import (
     propagate,
     propagate_observables,
     skewness_diagnostic,
-    total_derivative,
 )
 from .polyalg import (
     Monomial,
@@ -55,12 +46,7 @@ from .polyalg import (
     poly_mul,
     poly_scale,
 )
-from .refinteg import (
-    ReferenceTrajectory,
-    gauss_legendre_inner_product,
-    gauss_legendre_nodes,
-    rk4_integrate,
-)
+from .refinteg import ReferenceTrajectory, rk4_integrate
 
 __version__ = "0.1.0"
 
@@ -81,10 +67,6 @@ __all__ = [
     "BasisSet",
     "build_basis",
     "evaluate_basis",
-    "legendre_coefficients",
-    "normalize_legendre",
-    "monomial_matrix",
-    "basis_as_polynomial",
     # systems
     "VectorField",
     "ObservableSet",
@@ -96,7 +78,6 @@ __all__ = [
     "KoopmanModel",
     "ModelDiagnostics",
     "Trajectory",
-    "total_derivative",
     "assemble_koopman",
     "observable_matrix",
     "eigendecompose",
@@ -108,8 +89,6 @@ __all__ = [
     # reference integration
     "ReferenceTrajectory",
     "rk4_integrate",
-    "gauss_legendre_nodes",
-    "gauss_legendre_inner_product",
     # errors
     "SchemaError",
     "ValidationError",

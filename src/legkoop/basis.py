@@ -11,12 +11,8 @@ the univariate operators in coefficient space, `jacobi_matrix`
 Koopman matrix is assembled, and `evaluate_basis`, which runs the
 recurrence at a point.
 
-The monomial expansion is kept only as the independent reference the
-tests and `legkoop validate` compare against: `legendre_coefficients`
-(from `numpy.polynomial.legendre.leg2poly`, not the solver's recurrence)
-and `normalize_legendre` give the univariate coefficient tables, and
-`monomial_matrix` and `basis_as_polynomial` expand basis functions into
-monomials on demand.
+The monomial expansion of the basis, the independent reference the tests
+and `legkoop validate` check the solver against, is in `legkoop.invariants`.
 
 Indexing is 0-based throughout.
 """
@@ -29,8 +25,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .polyalg import Monomial, Polynomial
-
 __all__ = [
     "MAX_DIMENSION",
     "MAX_ORDER",
@@ -40,10 +34,6 @@ __all__ = [
     "jacobi_matrix",
     "derivative_matrix",
     "evaluate_basis",
-    "legendre_coefficients",
-    "normalize_legendre",
-    "monomial_matrix",
-    "basis_as_polynomial",
 ]
 
 MAX_DIMENSION = 6
@@ -155,60 +145,3 @@ def evaluate_basis(basis: BasisSet, x: Sequence[float]) -> np.ndarray:
         raise ValueError(f"point has shape {xa.shape}, expected ({basis.m},)")
     values = _legendre_values(basis.c, xa)
     return np.prod(values[basis.orders, np.arange(basis.m)], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# monomial reference: not used by the solver
-
-def legendre_coefficients(c: int) -> np.ndarray:
-    """Raw Legendre coefficients by ascending power, one row per order.
-
-    Row i is P_i as numpy's `leg2poly` gives it, with exact structural
-    zeros at columns of opposite parity.
-    """
-    if c < 0:
-        raise ValueError(f"order must be >= 0, got {c}")
-    # Deferred, so that `import legkoop.cli` does not load numpy.polynomial.
-    from numpy.polynomial.legendre import leg2poly
-    lpc = np.zeros((c + 1, c + 1))
-    for i in range(c + 1):
-        lpc[i, : i + 1] = leg2poly([0.0] * i + [1.0])
-    return lpc
-
-
-def normalize_legendre(lpc: np.ndarray) -> np.ndarray:
-    """Scale row i by sqrt((2i+1)/2), making the rows orthonormal on [-1,1]."""
-    factors = np.sqrt((2.0 * np.arange(lpc.shape[0]) + 1.0) / 2.0)
-    return lpc * factors[:, None]
-
-
-def monomial_matrix(basis: BasisSet) -> np.ndarray:
-    """Basis functions expanded into monomials, one row per basis function.
-
-    Entry [i, j] is the coefficient of the monomial with exponents
-    ``basis.rows[j]`` in basis function i:
-    prod_a NLPC[orders[i, a], orders[j, a]], NLPC the normalized table.
-    """
-    nlpc = normalize_legendre(legendre_coefficients(basis.c))
-    ind = basis.orders
-    mlp = np.ones((basis.n, basis.n))
-    for k in range(basis.m):
-        mlp *= nlpc[np.ix_(ind[:, k], ind[:, k])]
-    return mlp
-
-
-def basis_as_polynomial(basis: BasisSet, i: int) -> Polynomial:
-    """Basis function i as a sparse polynomial.
-
-    The monomial columns are already in canonical graded order, so the
-    nonzero entries of row i are a valid canonical term list as-is.
-    """
-    if not 0 <= i < basis.n:
-        raise IndexError(f"basis index {i} out of range 0..{basis.n - 1}")
-    row = monomial_matrix(basis)[i]
-    terms = tuple(
-        Monomial(float(row[j]), basis.rows[j])
-        for j in range(basis.n)
-        if row[j] != 0.0
-    )
-    return Polynomial(basis.m, terms)

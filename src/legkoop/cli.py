@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import build_basis, evaluate_basis
+from .basis import MAX_ORDER, build_basis, evaluate_basis
 from .dynamics import ObservableSet, SystemSpec, parse_system_config
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 
@@ -479,20 +479,23 @@ def run_validate() -> int:
 def _orders_argument(text: str) -> list[int]:
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = (int(part) for part in text.split("..", 1))
             if hi < lo:
                 raise ValueError
-            orders = list(range(lo, hi + 1))
+            orders = range(lo, hi + 1)
         else:
             orders = [int(part) for part in text.split(",")]
+            lo, hi = min(orders), max(orders)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'A..B' or comma-separated integers, got {text!r}"
         ) from None
-    if min(orders) < 0:
+    if lo < 0:
         raise argparse.ArgumentTypeError(f"orders must be >= 0, got {text!r}")
-    return orders
+    # Checked before a range is listed: no order above MAX_ORDER can validate.
+    if hi > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"orders must be <= {MAX_ORDER}, got {text!r}")
+    return list(orders)
 
 
 def _step_argument(text: str) -> float:

@@ -132,6 +132,16 @@ def rescale_to_unit_box(
     return VectorField(vf.m, tuple(components))
 
 
+def _check_csv_names(path: str, names: Sequence[str]) -> None:
+    # Each name is written raw as one cell of a CSV header.
+    for name in names:
+        if not name or any(ch in name for ch in ',"\r\n'):
+            raise ValidationError(
+                f"{path}: name {name!r} must be nonempty and contain no comma, "
+                "double quote or line break"
+            )
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """A fully validated solver problem statement.
@@ -154,11 +164,18 @@ class SystemSpec:
     unit_observables: ObservableSet = field(init=False)
 
     def __post_init__(self):
+        # The name makes the output file names inside --out-dir.
+        if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:
+            raise ValidationError(
+                f"name: {self.name!r} is not a file name: it must not be empty, "
+                "'.' or '..', or contain '/' or NUL"
+            )
         m = len(self.states)
         if not 1 <= m <= MAX_DIMENSION:
             raise ValidationError(f"states: dimension {m} outside 1..{MAX_DIMENSION}")
         if len(set(self.states)) != m:
             raise ValidationError("states: names must be unique")
+        _check_csv_names("states", self.states)
         if self.vf.m != m:
             raise ValidationError(f"dynamics: dimension {self.vf.m}, expected {m}")
         for field in ("domain_center", "domain_half_width", "initial_state"):
@@ -201,6 +218,7 @@ class SystemSpec:
         for name in names:
             if names.count(name) > 1:
                 raise ValidationError(f"observables: name {name!r} is used more than once")
+        _check_csv_names("observables", names)
         for name, poly in zip(names, polys):
             if poly.m != m:
                 raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")

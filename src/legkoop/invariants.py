@@ -1,39 +1,52 @@
-"""Cross-module invariants, measured: one function per check.
+"""Cross-module invariants, measured, and the references they measure against.
 
-`legkoop validate` and the acceptance tests call the same functions.  Each
-returns the number its check bounds and leaves the bound to the caller, so
-a test keeps its own literal bound and changing one here cannot loosen it.
-The golden fixtures below are hand-checked values for order 3, two
+The solver works from the Legendre three-term recurrence alone.  The paper's
+monomial route is kept here as the independent reference the tests and
+`legkoop validate` check it against: the coefficient tables from numpy's
+`leg2poly` (`legendre_coefficients`, `normalize_legendre`), the basis
+expanded into monomials (`monomial_matrix`, `basis_as_polynomial`), dL_i/dt
+as a polynomial (`total_derivative`), and tensor-product Gauss-Legendre
+quadrature on numpy's `leggauss` nodes (Golub & Welsch, Math. Comp. 23,
+1969).  `import legkoop.cli` loads neither this module nor numpy.polynomial.
+
+Each check returns the number it bounds and leaves the bound to the caller,
+so a test keeps its own literal bound and changing one here cannot loosen
+it.  The golden fixtures are hand-checked values for order 3, two
 variables; the matrix entries are rounded to three decimals (the exact
 values are products of sqrt((2i+1)/2)-scaled Legendre coefficients).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leg2poly, leggauss
 
-from .basis import (
-    BasisSet,
-    basis_as_polynomial,
-    build_basis,
-    evaluate_basis,
-    legendre_coefficients,
-    monomial_matrix,
+from .basis import BasisSet, build_basis, evaluate_basis
+from .dynamics import ObservableSet, VectorField, duffing_vector_field
+from .koopman import assemble_koopman, build_model, initial_eigenfunctions, propagate
+from .polyalg import (
+    Monomial,
+    Polynomial,
+    box_inner_product,
+    canonicalize,
+    evaluate,
+    partial_derivative,
+    poly_add,
+    poly_mul,
 )
-from .dynamics import ObservableSet, duffing_vector_field
-from .koopman import (
-    assemble_koopman,
-    build_model,
-    initial_eigenfunctions,
-    propagate,
-    total_derivative,
-)
-from .polyalg import box_inner_product
-from .refinteg import gauss_legendre_inner_product, rk4_integrate
+from .refinteg import rk4_integrate
 
 __all__ = [
+    "legendre_coefficients",
+    "normalize_legendre",
+    "monomial_matrix",
+    "basis_as_polynomial",
+    "total_derivative",
+    "gauss_legendre_nodes",
+    "gauss_legendre_inner_product",
     "GOLDEN_INDICES",
     "GOLDEN_LPC_ROWS",
     "GOLDEN_MLP",
@@ -45,6 +58,113 @@ __all__ = [
     "reconstruction_error",
     "rk4_halving_ratios",
 ]
+
+
+# ---------------------------------------------------------------------------
+# monomial reference
+
+def legendre_coefficients(c: int) -> np.ndarray:
+    """Raw Legendre coefficients by ascending power, one row per order.
+
+    Row i is P_i as numpy's `leg2poly` gives it, with exact structural
+    zeros at columns of opposite parity.
+    """
+    if c < 0:
+        raise ValueError(f"order must be >= 0, got {c}")
+    lpc = np.zeros((c + 1, c + 1))
+    for i in range(c + 1):
+        lpc[i, : i + 1] = leg2poly([0.0] * i + [1.0])
+    return lpc
+
+
+def normalize_legendre(lpc: np.ndarray) -> np.ndarray:
+    """Scale row i by sqrt((2i+1)/2), making the rows orthonormal on [-1,1]."""
+    factors = np.sqrt((2.0 * np.arange(lpc.shape[0]) + 1.0) / 2.0)
+    return lpc * factors[:, None]
+
+
+def monomial_matrix(basis: BasisSet) -> np.ndarray:
+    """Basis functions expanded into monomials, one row per basis function.
+
+    Entry [i, j] is the coefficient of the monomial with exponents
+    ``basis.rows[j]`` in basis function i:
+    prod_a NLPC[orders[i, a], orders[j, a]], NLPC the normalized table.
+    """
+    nlpc = normalize_legendre(legendre_coefficients(basis.c))
+    ind = basis.orders
+    mlp = np.ones((basis.n, basis.n))
+    for k in range(basis.m):
+        mlp *= nlpc[np.ix_(ind[:, k], ind[:, k])]
+    return mlp
+
+
+def basis_as_polynomial(basis: BasisSet, i: int) -> Polynomial:
+    """Basis function i as a sparse polynomial.
+
+    The monomial columns are already in canonical graded order, so the
+    nonzero entries of row i are a valid canonical term list as-is.
+    """
+    if not 0 <= i < basis.n:
+        raise IndexError(f"basis index {i} out of range 0..{basis.n - 1}")
+    row = monomial_matrix(basis)[i]
+    terms = tuple(
+        Monomial(float(row[j]), basis.rows[j])
+        for j in range(basis.n)
+        if row[j] != 0.0
+    )
+    return Polynomial(basis.m, terms)
+
+
+def total_derivative(basis: BasisSet, i: int, vf: VectorField) -> Polynomial:
+    """d/dt of basis function i along the flow: sum_j dL_i/dx_j * f_j."""
+    if vf.m != basis.m:
+        raise ValueError(f"vector field dimension {vf.m} != basis dimension {basis.m}")
+    li = basis_as_polynomial(basis, i)
+    total = canonicalize([], basis.m)
+    for j, fj in enumerate(vf.components):
+        total = poly_add(total, poly_mul(partial_derivative(li, j), fj))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# quadrature reference
+
+def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending, exactly symmetric about 0) and weights of n-point
+    Gauss-Legendre quadrature on [-1, 1], from numpy's `leggauss`."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    return leggauss(n)
+
+
+def gauss_legendre_inner_product(a: Polynomial, b: Polynomial, nodes_per_dim: int) -> float:
+    """Tensor-product quadrature of the box inner product <a, b>.
+
+    Exact (to roundoff) when the node count covers the product degree; too
+    few nodes is an error rather than a silent approximation, since this
+    routine's whole purpose is to be trustworthy ground truth.
+    """
+    if a.m != b.m:
+        raise ValueError(f"dimension mismatch: {a.m} vs {b.m}")
+    required = (a.total_degree + b.total_degree) // 2 + 1
+    if nodes_per_dim < required:
+        raise ValueError(
+            f"{nodes_per_dim} nodes per dimension cannot integrate degree "
+            f"{a.total_degree + b.total_degree}; need >= {required}"
+        )
+    nodes, weights = gauss_legendre_nodes(nodes_per_dim)
+    contributions = []
+    for combo in itertools.product(range(nodes_per_dim), repeat=a.m):
+        point = [nodes[i] for i in combo]
+        w = 1.0
+        for i in combo:
+            w *= weights[i]
+        contributions.append(w * evaluate(a, point) * evaluate(b, point))
+    return math.fsum(contributions)
+
+
+# ---------------------------------------------------------------------------
+# invariants
 
 GOLDEN_INDICES = (
     (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),

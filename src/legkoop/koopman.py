@@ -38,8 +38,8 @@ Legendre recurrence (`legkoop.basis`), so for each term coef * x^e of f_j
 with i_a, k_a the per-axis orders of L_i and L_k.  Built at size
 c + deg f + 1 the operators truncate nothing, so the projection is exact
 and entries that vanish by structure (parity, degree) come out as exact
-zeros.  `total_derivative` with `box_inner_product` is the independent
-monomial reference the tests check this against.
+zeros.  `legkoop.invariants` holds the independent monomial reference the
+tests check this against.
 """
 
 from __future__ import annotations
@@ -50,20 +50,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSet, basis_as_polynomial, derivative_matrix, jacobi_matrix
+from .basis import BasisSet, derivative_matrix, jacobi_matrix
 from .dynamics import MAX_POLY_DEGREE, ObservableSet, VectorField
 from .errors import NearDefectiveError, NonFiniteError, ValidationError
 
-# box_inner_product is not called here; it stays importable beside
-# total_derivative, the other half of the monomial reference.
-from .polyalg import (  # noqa: F401
-    Polynomial,
-    box_inner_product,
-    canonicalize,
-    partial_derivative,
-    poly_add,
-    poly_mul,
-)
+# Not called here: perfbench/tracing.py swaps these names on this module to
+# count calls, and test_instrumentation_restores_library_names reads them.
+from .polyalg import box_inner_product, poly_mul  # noqa: F401
 
 __all__ = [
     "NEAR_DEFECTIVE_CONDITION",
@@ -71,7 +64,6 @@ __all__ = [
     "ModelDiagnostics",
     "KoopmanModel",
     "Trajectory",
-    "total_derivative",
     "assemble_koopman",
     "observable_matrix",
     "eigendecompose",
@@ -90,17 +82,6 @@ EXP_OVERFLOW_LIMIT = 700.0
 # with blocks of 512 / 1024 / 2048 / 4096 times, and propagation took
 # 8.5 / 8.3 / 9.1 ms at 512 / 1024 / 4096 but 11.4 ms at 128 (2-vCPU VM).
 _TIME_BLOCK = 1024
-
-
-def total_derivative(basis: BasisSet, i: int, vf: VectorField) -> Polynomial:
-    """d/dt of basis function i along the flow: sum_j dL_i/dx_j * f_j."""
-    if vf.m != basis.m:
-        raise ValueError(f"vector field dimension {vf.m} != basis dimension {basis.m}")
-    li = basis_as_polynomial(basis, i)
-    total = canonicalize([], basis.m)
-    for j, fj in enumerate(vf.components):
-        total = poly_add(total, poly_mul(partial_derivative(li, j), fj))
-    return total
 
 
 def _jacobi_powers(size: int, max_power: int) -> list[np.ndarray]:

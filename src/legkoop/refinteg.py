@@ -1,7 +1,7 @@
-"""Independent numeric references: fixed-step RK4 and Gauss-Legendre quadrature.
+"""Independent numeric reference: fixed-step RK4.
 
-Both deliberately avoid the closed-form integration and spectral
-propagation paths elsewhere in the package so they can serve as ground
+It deliberately avoids the closed-form integration and spectral
+propagation paths elsewhere in the package so it can serve as ground
 truth for them.
 
 RK4 runs as straight-line Python code generated once per call for the
@@ -15,13 +15,12 @@ rather than a float power: `x ** 1 == x` bit for bit (CPython returns
 glibc's pow returns exactly; the tests check every binade), and the bare
 name skips a libm call per factor.
 
-Quadrature nodes and weights come from `numpy.polynomial.legendre.leggauss`
-(Golub & Welsch, Math. Comp. 23, 1969), not from the solver's recurrence.
+The Gauss-Legendre quadrature the tests check `K` against is in
+`legkoop.invariants`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,14 +29,11 @@ import numpy as np
 
 from .dynamics import VectorField
 from .errors import NonFiniteError
-from .polyalg import Polynomial, evaluate
 
 __all__ = [
     "DIVERGENCE_LIMIT",
     "ReferenceTrajectory",
     "rk4_integrate",
-    "gauss_legendre_nodes",
-    "gauss_legendre_inner_product",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -158,39 +154,3 @@ def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> R
     states.flags.writeable = False
     times.flags.writeable = False
     return ReferenceTrajectory(times=times, states=states, step=float(step))
-
-
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending, exactly symmetric about 0) and weights of n-point
-    Gauss-Legendre quadrature on [-1, 1], from numpy's `leggauss`."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    # Deferred, so that `import legkoop.cli` does not load numpy.polynomial.
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(n)
-
-
-def gauss_legendre_inner_product(a: Polynomial, b: Polynomial, nodes_per_dim: int) -> float:
-    """Tensor-product quadrature of the box inner product <a, b>.
-
-    Exact (to roundoff) when the node count covers the product degree; too
-    few nodes is an error rather than a silent approximation, since this
-    routine's whole purpose is to be trustworthy ground truth.
-    """
-    if a.m != b.m:
-        raise ValueError(f"dimension mismatch: {a.m} vs {b.m}")
-    required = (a.total_degree + b.total_degree) // 2 + 1
-    if nodes_per_dim < required:
-        raise ValueError(
-            f"{nodes_per_dim} nodes per dimension cannot integrate degree "
-            f"{a.total_degree + b.total_degree}; need >= {required}"
-        )
-    nodes, weights = gauss_legendre_nodes(nodes_per_dim)
-    contributions = []
-    for combo in itertools.product(range(nodes_per_dim), repeat=a.m):
-        point = [nodes[i] for i in combo]
-        w = 1.0
-        for i in combo:
-            w *= weights[i]
-        contributions.append(w * evaluate(a, point) * evaluate(b, point))
-    return math.fsum(contributions)

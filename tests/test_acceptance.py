@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from legkoop import invariants
-from legkoop.basis import basis_as_polynomial, build_basis, evaluate_basis, legendre_coefficients
+from legkoop.basis import build_basis, evaluate_basis
 from legkoop.cli import main
 from legkoop.dynamics import ObservableSet, duffing_vector_field
-from legkoop.invariants import GOLDEN_INDICES
+from legkoop.invariants import GOLDEN_INDICES, basis_as_polynomial, legendre_coefficients
 from legkoop.koopman import build_model, initial_eigenfunctions, propagate
 from legkoop.refinteg import rk4_integrate
 

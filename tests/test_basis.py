@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 
-from legkoop.basis import (
-    MAX_ORDER,
+from legkoop.basis import MAX_ORDER, build_basis, derivative_matrix, evaluate_basis, jacobi_matrix
+from legkoop.invariants import (
+    GOLDEN_MLP,
     basis_as_polynomial,
-    build_basis,
-    derivative_matrix,
-    evaluate_basis,
-    jacobi_matrix,
     legendre_coefficients,
     monomial_matrix,
     normalize_legendre,
+    orthonormality_error,
 )
-from legkoop.invariants import GOLDEN_MLP, orthonormality_error
 from legkoop.polyalg import box_inner_product, evaluate
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from legkoop import invariants
 import legkoop.cli as cli
-from legkoop.basis import MAX_BASIS_SIZE, build_basis, evaluate_basis
+from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER, build_basis, evaluate_basis
 from legkoop.cli import _reference_values, _solve_spec, main
 from legkoop.dynamics import MAX_NUM_STEPS, MAX_OUTPUT_VALUES, ObservableSet, parse_system_config
 from legkoop.errors import NonFiniteError
@@ -338,6 +338,36 @@ def test_solve_rejects_duplicate_observable_names(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
+def test_a_name_outside_the_output_directory_is_refused(tmp_path, capsys, command):
+    names = ["", ".", "..", "../escaped", str(tmp_path / "absolute"), "sub/dir", "a\0b"]
+    for index, name in enumerate(names):
+        config = write_config(tmp_path, {**DUFFING, "name": name}, name=f"c{index}.json")
+        argv = command + ["--config", config, "--rk-step", "1e-2",
+                          "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2, name
+        assert capsys.readouterr().err.startswith("config error: name: ")
+    # Nothing was written: tmp_path holds only the configs.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"c{i}.json" for i in range(len(names))]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
+@pytest.mark.parametrize("name", ["x,y", 'x"', "line\nbreak", "cr\r", ""])
+def test_a_state_or_observable_name_that_breaks_the_csv_is_refused(
+    tmp_path, capsys, command, name
+):
+    observables = [{"name": "a", "terms": [{"coef": 1.0, "exp": [1, 0]}]},
+                   {"name": name, "terms": [{"coef": 1.0, "exp": [0, 1]}]}]
+    out = tmp_path / "out"
+    for doc, field in [({**DUFFING, "states": [name, "p"]}, "states"),
+                       ({**DUFFING, "observables": observables}, "observables")]:
+        config = write_config(tmp_path, doc)
+        argv = command + ["--config", config, "--rk-step", "1e-2", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: name {name!r} ")
+    assert not out.exists()
+
+
 def test_solve_near_defective_exit_code(tmp_path, capsys):
     drift = {
         "name": "drift",
@@ -585,6 +615,28 @@ def test_sweep_rejects_negative_orders(tmp_path, capsys, orders):
     assert "orders must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("orders", ["0..13", "13", "1,20"])
+def test_sweep_refuses_orders_above_the_maximum(tmp_path, capsys, orders):
+    config = write_config(tmp_path, DUFFING)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", config, f"--orders={orders}",
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"orders must be <= {MAX_ORDER}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_accepts_the_maximum_order(tmp_path):
+    config = write_config(tmp_path, {**DUFFING, "t_final": 0.1})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--orders", f"{MAX_ORDER - 1}..{MAX_ORDER}",
+                 "--rk-step", "1e-2", "--out-dir", str(out)]) == 0
+    lines = (out / "duffing_sweep.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:3] for line in lines] == [
+        [str(MAX_ORDER - 1), "78", "ok"], [str(MAX_ORDER), "91", "ok"]
+    ]
+
+
 @pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf", "abc"])
 @pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1"]])
 def test_rk_step_must_be_finite_and_positive(tmp_path, capsys, command, step):
@@ -749,17 +801,19 @@ def test_sweep_ignores_the_config_order(tmp_path, order):
     assert [line.split(",")[:3] for line in lines] == [["1", "7", "ok"], ["2", "28", "ok"]]
 
 
-def _loaded_by_importing_the_cli(prefix):
-    # Modules whose names start with `prefix` after a fresh `import legkoop.cli`.
+def _after_importing_the_cli(expression):
+    # The printed value of `expression` after a fresh `import sys, legkoop.cli`.
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        "import sys, legkoop.cli; "
-        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
-    )
+    code = f"import sys, legkoop.cli; print({expression})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def _loaded_by_importing_the_cli(prefix):
+    # Modules whose names start with `prefix` after a fresh `import legkoop.cli`.
+    return _after_importing_the_cli(f"sorted(m for m in sys.modules if m.startswith({prefix!r}))")
 
 
 def test_importing_the_cli_does_not_load_numpy_polynomial():
@@ -771,6 +825,21 @@ def test_importing_the_cli_does_not_load_numpy_polynomial():
 def test_importing_the_cli_does_not_load_the_invariant_suite():
     # Only `validate` needs legkoop.invariants, which imports it when run.
     assert _loaded_by_importing_the_cli("legkoop.invariants") == "[]"
+
+
+def test_importing_the_cli_loads_no_monomial_or_quadrature_reference():
+    # These are defined in legkoop.invariants alone, so no module that solve
+    # and sweep load holds them, under their own name or as an import.
+    names = (
+        "legendre_coefficients", "normalize_legendre", "monomial_matrix",
+        "basis_as_polynomial", "total_derivative", "gauss_legendre_nodes",
+        "gauss_legendre_inner_product",
+    )
+    found = _after_importing_the_cli(
+        f"[(m, n) for m in sorted(sys.modules) if m.partition('.')[0] == 'legkoop' "
+        f"for n in {names!r} if hasattr(sys.modules[m], n)]"
+    )
+    assert found == "[]"
 
 
 # ---------------------------------------------------------------------------

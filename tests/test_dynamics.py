@@ -292,6 +292,11 @@ def test_num_steps_cap_is_checked_before_the_output_budget():
         parse_system_config(config(observables=_observables(10), num_steps=MAX_NUM_STEPS + 1))
 
 
+@pytest.mark.parametrize("name", ["..a", "a.b", "dotted.name.", " spaced "])
+def test_parse_accepts_dots_and_spaces_in_the_name(name):
+    assert parse_system_config(config(name=name)).name == name
+
+
 def test_spec_constructor_validates_directly():
     vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValidationError):

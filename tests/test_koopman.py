@@ -7,13 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from legkoop.basis import (
-    basis_as_polynomial,
-    build_basis,
-    derivative_matrix,
-    evaluate_basis,
-    jacobi_matrix,
-)
+from legkoop.basis import build_basis, derivative_matrix, evaluate_basis, jacobi_matrix
 from legkoop.dynamics import (
     MAX_NUM_STEPS,
     MAX_POLY_DEGREE,
@@ -22,6 +16,7 @@ from legkoop.dynamics import (
     duffing_vector_field,
 )
 from legkoop.errors import NearDefectiveError, NonFiniteError, ValidationError
+from legkoop.invariants import basis_as_polynomial, gauss_legendre_inner_product, total_derivative
 from legkoop.koopman import (
     _TIME_BLOCK,
     _mode_exponentials,
@@ -33,10 +28,9 @@ from legkoop.koopman import (
     propagate,
     propagate_observables,
     skewness_diagnostic,
-    total_derivative,
 )
 from legkoop.polyalg import Polynomial, box_inner_product, canonicalize, evaluate, variable
-from legkoop.refinteg import gauss_legendre_inner_product, rk4_integrate
+from legkoop.refinteg import rk4_integrate
 
 HARMONIC = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
 DUFFING = duffing_vector_field(1.0, 1.0, 1.0, 0.001)

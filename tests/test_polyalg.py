@@ -19,8 +19,7 @@ from legkoop.polyalg import (
     poly_scale,
     variable,
 )
-from legkoop.basis import legendre_coefficients
-from legkoop.refinteg import gauss_legendre_inner_product
+from legkoop.invariants import gauss_legendre_inner_product, legendre_coefficients
 
 
 def P(terms, m=2):

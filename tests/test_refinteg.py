@@ -6,17 +6,17 @@ import struct
 import numpy as np
 import pytest
 
-from legkoop.basis import basis_as_polynomial, build_basis
+from legkoop.basis import build_basis
 from legkoop.dynamics import VectorField, duffing_vector_field
 from legkoop.errors import NonFiniteError
-from legkoop.invariants import rk4_halving_ratios
-from legkoop.polyalg import Polynomial, canonicalize, constant, variable
-from legkoop.refinteg import (
-    DIVERGENCE_LIMIT,
+from legkoop.invariants import (
+    basis_as_polynomial,
     gauss_legendre_inner_product,
     gauss_legendre_nodes,
-    rk4_integrate,
+    rk4_halving_ratios,
 )
+from legkoop.polyalg import Polynomial, canonicalize, constant, variable
+from legkoop.refinteg import DIVERGENCE_LIMIT, rk4_integrate
 
 
 # ---------------------------------------------------------------------------
