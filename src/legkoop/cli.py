@@ -38,8 +38,10 @@ from .koopman import (  # noqa: F401
     propagate,
     propagate_observables,
 )
-from .polyalg import evaluate
+# Not called here: perfbench/tracing.py counts calls to this name.
+from .polyalg import evaluate  # noqa: F401
 from .refinteg import rk4_integrate
+from .reprtext import repr_rows
 
 __all__ = [
     "DEFAULT_RK_STEP",
@@ -86,13 +88,30 @@ class SolveResult:
 
 
 def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np.ndarray:
-    """Each observable (rows) at each time (columns) along the RK4 reference."""
-    reference = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
-    polys = spec.observables.polys
-    values = np.empty((len(polys), times.size))
-    for i, g in enumerate(polys):
-        for k in range(times.size):
-            values[i, k] = evaluate(g, reference.states[:, k])
+    """Each observable (rows) at each time (columns) along the RK4 reference.
+
+    `polyalg.evaluate` at every time, bit for bit, a term at a time over all
+    times: the products and sums run in its order, and a factor with
+    exponent e >= 2 is the float `**` of each value, since numpy's array
+    powers round differently.  Exponent 1 is the value itself
+    (`x ** 1 == x`, see `legkoop.refinteg`).
+    """
+    states = rk4_integrate(spec.vf, spec.initial_state, times, rk_step).states
+    values = np.zeros((len(spec.observables), times.size))
+    # Like float arithmetic, overflow gives inf and inf - inf nan, silently.
+    with np.errstate(all="ignore"):
+        for total, g in zip(values, spec.observables.polys):
+            for term in g.terms:
+                product = np.full(times.size, term.coef)
+                for k, e in enumerate(term.exp):
+                    if e == 1:
+                        product *= states[k]
+                    elif e:
+                        # One power at a time: no list of nt floats.
+                        product *= np.fromiter(
+                            (x**e for x in memoryview(states[k])), np.float64, times.size
+                        )
+                total += product
     return values
 
 
@@ -194,9 +213,6 @@ def _solve_spec(
         errors = np.empty_like(reference_values)
         timings["reference"] = time.perf_counter() - mark
         header += [f"{name}_ref" for name in names] + [f"{name}_err" for name in names]
-    # tolist() gives Python floats, and %r formats each as its repr: the
-    # shortest decimal that round-trips.
-    line = ",".join(["%r"] * len(header)) + "\n"
 
     first_exit: Optional[float] = None
     max_imag = 0.0
@@ -220,8 +236,8 @@ def _solve_spec(
                 columns += [reference_values[:, block].T, errors[:, block].T]
                 timings["reference"] += time.perf_counter() - mark
             if out:
-                table = np.hstack(columns)
-                out.write((line * len(table)) % tuple(table.ravel().tolist()))
+                # Each value as its repr: the shortest decimal that round-trips.
+                out.write(repr_rows(np.hstack(columns)))
             mark = time.perf_counter()
 
     observable_errors = None

@@ -29,6 +29,7 @@ __all__ = [
     "MAX_POLY_DEGREE",
     "MAX_NUM_STEPS",
     "MAX_OUTPUT_VALUES",
+    "MAX_NAME_BYTES",
     "VectorField",
     "ObservableSet",
     "SystemSpec",
@@ -51,6 +52,9 @@ MAX_NUM_STEPS = 10**6
 # at order 8 with 45 observables took 1.6 s and 41 MiB and wrote an 81 MB CSV
 # at the 85 106 times it allows.
 MAX_OUTPUT_VALUES = 4 * 10**6
+# The longest file name a solve writes is "<name>_trajectory.csv.tmp", and
+# most file systems (ext4, XFS, btrfs, APFS) take at most 255 bytes in a name.
+MAX_NAME_BYTES = 255 - len("_trajectory.csv.tmp")
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,12 @@ class SystemSpec:
             raise ValidationError(
                 f"name: {self.name!r} is not a file name: it must not be empty, "
                 "'.' or '..', or contain '/' or NUL"
+            )
+        size = len(self.name.encode("utf-8", "surrogatepass"))
+        if size > MAX_NAME_BYTES:
+            raise ValidationError(
+                f"name: {size} bytes in UTF-8 exceed the limit of {MAX_NAME_BYTES}, so that "
+                "the output file name '<name>_trajectory.csv.tmp' fits in 255 bytes"
             )
         m = len(self.states)
         if not 1 <= m <= MAX_DIMENSION:

@@ -18,7 +18,13 @@ from legkoop import invariants
 import legkoop.cli as cli
 from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER, build_basis, evaluate_basis
 from legkoop.cli import _reference_values, _solve_spec, main
-from legkoop.dynamics import MAX_NUM_STEPS, MAX_OUTPUT_VALUES, ObservableSet, parse_system_config
+from legkoop.dynamics import (
+    MAX_NAME_BYTES,
+    MAX_NUM_STEPS,
+    MAX_OUTPUT_VALUES,
+    ObservableSet,
+    parse_system_config,
+)
 from legkoop.errors import NonFiniteError
 from legkoop.koopman import (
     _TIME_BLOCK,
@@ -27,6 +33,8 @@ from legkoop.koopman import (
     observable_matrix,
     propagate,
 )
+from legkoop.polyalg import evaluate
+from legkoop.refinteg import rk4_integrate
 
 DUFFING = {
     "name": "duffing",
@@ -349,6 +357,32 @@ def test_a_name_outside_the_output_directory_is_refused(tmp_path, capsys, comman
         assert capsys.readouterr().err.startswith("config error: name: ")
     # Nothing was written: tmp_path holds only the configs.
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"c{i}.json" for i in range(len(names))]
+
+
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1..2"]])
+def test_a_name_too_long_for_its_output_file_names_is_refused(tmp_path, capsys, command):
+    # "<name>_trajectory.csv.tmp" must fit in 255 bytes: 236 for the name,
+    # counted in UTF-8 ("é" takes two).
+    assert MAX_NAME_BYTES == 236
+    names = ["a" * 300, "a" * 237, "\u00e9" * 119]
+    for index, name in enumerate(names):
+        config = write_config(tmp_path, {**DUFFING, "name": name}, name=f"c{index}.json")
+        argv = command + ["--config", config, "--rk-step", "1e-2",
+                          "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2, len(name)
+        assert capsys.readouterr().err.startswith(
+            f"config error: name: {len(name.encode())} bytes in UTF-8 exceed the limit of 236"
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"c{i}.json" for i in range(len(names))]
+
+
+@pytest.mark.parametrize("name", ["a" * 236, "\u00e9" * 118])
+def test_a_name_at_the_byte_limit_is_written(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, {**DUFFING, "name": name}),
+                 "--out-dir", str(out)]) == 0
+    assert (out / f"{name}_trajectory.csv").exists()
+    assert len(f"{name}_trajectory.csv.tmp".encode()) == 255
 
 
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
@@ -701,18 +735,61 @@ def test_solve_without_reference_ignores_the_step_budget(tmp_path, monkeypatch):
 
 def test_sweep_evaluates_the_shared_reference_once(tmp_path, monkeypatch):
     calls = []
-    evaluate = cli.evaluate
 
-    def counted(*args):
-        calls.append(args)
-        return evaluate(*args)
+    def counting(name):
+        original = getattr(cli, name)
+        return lambda *args: calls.append(name) or original(*args)
 
-    monkeypatch.setattr(cli, "evaluate", counted)
+    for name in ("_reference_values", "rk4_integrate"):
+        monkeypatch.setattr(cli, name, counting(name))
     config = write_config(tmp_path, DUFFING)
     assert main(["sweep", "--config", config, "--orders", "1..4", "--rk-step", "1e-2",
                  "--out-dir", str(tmp_path / "out")]) == 0
-    # Two observables at 100 times, not once more per order.
-    assert len(calls) == 2 * 100
+    # One RK4 run and one evaluation of its observables, not one per order.
+    assert calls == ["_reference_values", "rk4_integrate"]
+
+
+def test_reference_values_are_evaluate_at_each_time_bit_for_bit():
+    # Powers 1..6, alone and in products, with several terms per observable:
+    # numpy's array powers round differently from float ** at e >= 2 (about
+    # 0.1% of values at e = 2, a few % at e >= 3), so a plain array version
+    # would not pass.
+    observables = [
+        {"name": f"e{e}", "terms": [{"coef": 0.7, "exp": [e, 0]},
+                                    {"coef": -1.3, "exp": [e - 1, 1]},
+                                    {"coef": 0.25, "exp": [0, e]}]}
+        for e in range(1, 7)
+    ] + [{"name": "mixed", "terms": [{"coef": 3.0, "exp": [2, 3]}, {"coef": -0.5, "exp": [0, 0]},
+                                     {"coef": 1e-3, "exp": [5, 1]}]}]
+    doc = {**DUFFING, "order": 6, "t_final": 20.0, "num_steps": 3000,
+           "observables": observables}
+    spec = parse_system_config(json.dumps(doc))
+    times = np.linspace(0.0, spec.t_final, spec.num_steps)
+    got = _reference_values(spec, times, 1e-2)
+    states = rk4_integrate(spec.vf, spec.initial_state, times, 1e-2).states
+    expected = np.array([[evaluate(g, states[:, k]) for k in range(times.size)]
+                         for g in spec.observables.polys])
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_reference_values_memory_does_not_grow_with_the_distinct_powers():
+    # q^2..q^12 and p^2..p^12 in one observable at 20 000 times: keeping each
+    # power's column would hold 22 * 160 kB = 3.4 MiB.  The reference states,
+    # the output row and one product and one power column take 0.8 MiB.
+    nt = 20_000
+    terms = [{"coef": 1e-3, "exp": [e, 0]} for e in range(2, 13)]
+    terms += [{"coef": 1e-3, "exp": [0, e]} for e in range(2, 13)]
+    doc = {**DUFFING, "order": 12, "t_final": 20.0, "num_steps": nt,
+           "observables": [{"name": "powers", "terms": terms}]}
+    spec = parse_system_config(json.dumps(doc))
+    times = np.linspace(0.0, spec.t_final, nt)
+    tracemalloc.start()
+    try:
+        _reference_values(spec, times, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * nt
 
 
 def _linear_6d(order):
