@@ -46,7 +46,7 @@ from .polyalg import (
     poly_mul,
     poly_scale,
 )
-from .refinteg import ReferenceTrajectory, rk4_integrate
+from .refinteg import rk4_integrate
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "propagate_observables",
     "skewness_diagnostic",
     # reference integration
-    "ReferenceTrajectory",
     "rk4_integrate",
     # errors
     "SchemaError",

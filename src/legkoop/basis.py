@@ -48,20 +48,19 @@ MAX_BASIS_SIZE = 2000
 class BasisSet:
     """Orthonormal multivariate Legendre basis of order c in m variables.
 
-    Row i of `rows` gives the univariate order of each factor in basis
-    function i.  Rows are sorted by total degree; within one degree they
-    run lexicographically descending, e.g. (2,0), (1,1), (0,2).  `orders`
-    is the same table as a read-only integer array of shape (n, m).
+    `orders` is a read-only integer array of shape (n, m): row i gives the
+    univariate order of each factor in basis function i.  Rows are sorted
+    by total degree; within one degree they run lexicographically
+    descending, e.g. (2,0), (1,1), (0,2).
     """
 
     c: int
     m: int
-    rows: tuple[tuple[int, ...], ...]
     orders: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.orders.shape[0]
 
 
 def _compositions(total: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -88,7 +87,7 @@ def build_basis(c: int, m: int) -> BasisSet:
         rows.extend(_compositions(degree, m))
     orders = np.array(rows, dtype=int).reshape(len(rows), m)
     orders.flags.writeable = False
-    return BasisSet(c=c, m=m, rows=tuple(rows), orders=orders)
+    return BasisSet(c=c, m=m, orders=orders)
 
 
 def _recurrence_coefficients(size: int) -> np.ndarray:

@@ -13,11 +13,11 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np
     powers round differently.  Exponent 1 is the value itself
     (`x ** 1 == x`, see `legkoop.refinteg`).
     """
-    states = rk4_integrate(spec.vf, spec.initial_state, times, rk_step).states
+    states = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
     values = np.zeros((len(spec.observables), times.size))
     # Like float arithmetic, overflow gives inf and inf - inf nan, silently.
     with np.errstate(all="ignore"):
@@ -119,7 +119,8 @@ def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np
 def _atomic_output(path: Path):
     """Write `path` through a temporary file beside it, renamed to `path` when
     the block exits cleanly; on failure that file and every directory made
-    for it are removed, so a failed run leaves nothing behind."""
+    for it are removed, so a failed run leaves nothing behind.  Every file
+    the CLI writes goes through here."""
     made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     partial_path = path.with_name(path.name + ".tmp")
@@ -139,16 +140,17 @@ def _solve_spec(
     spec: SystemSpec,
     *,
     reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    csv_path: Optional[Path] = None,
+    open_csv: Optional[Callable[[], TextIO]] = None,
 ) -> SolveResult:
     """Solve `spec`, one block of output times at a time.
 
     `reference`, if given, maps the time grid to the reference values of the
-    observables, which the errors compare against.  Given `csv_path`, each
-    block's rows of the trajectory CSV are written there as soon as they are
-    computed (see `_atomic_output`).  No block is kept: the solve holds the
-    time grid, one block and, with a reference, the reference values and
-    their errors.
+    observables, which the errors compare against.  `open_csv`, if given, is
+    called once the first block is computed and the reference has run, and
+    each block's rows of the trajectory CSV are written to the stream it
+    returns as soon as they are computed; the caller closes it.  No block is
+    kept: the solve holds the time grid, one block and, with a reference,
+    the reference values and their errors.
 
     `timings["propagate"]` sums propagation and the box-exit check over the
     blocks, `timings["reference"]` the reference and its errors, and
@@ -185,7 +187,6 @@ def _solve_spec(
         V=V,
         Vinv=Vinv,
         diagnostics=diagnostics,
-        state_H=state_H,
     )
 
     mark = time.perf_counter()
@@ -216,29 +217,29 @@ def _solve_spec(
 
     first_exit: Optional[float] = None
     max_imag = 0.0
-    with _atomic_output(csv_path) if csv_path else nullcontext() as out:
-        if out:
-            out.write(",".join(header) + "\n")
-        # `mark` is reset after each block, so the next block's propagation,
-        # which runs as the loop asks for it, is counted too.
-        mark = time.perf_counter()
-        for block, values, block_imag, n_modes in blocks:
-            max_imag = max(max_imag, block_imag)
-            if first_exit is None and state_H is not None:
-                outside = np.abs(values[n_obs:]).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
-                if outside.any():
-                    first_exit = float(times[block][np.argmax(outside)])
-            timings["propagate"] += time.perf_counter() - mark
-            columns = [times[block, None], values[:n_obs].T]
-            if errors is not None:
-                mark = time.perf_counter()
-                np.abs(values[:n_obs] - reference_values[:, block], out=errors[:, block])
-                columns += [reference_values[:, block].T, errors[:, block].T]
-                timings["reference"] += time.perf_counter() - mark
-            if out:
-                # Each value as its repr: the shortest decimal that round-trips.
-                out.write(repr_rows(np.hstack(columns)))
+    out = open_csv() if open_csv else None
+    if out:
+        out.write(",".join(header) + "\n")
+    # `mark` is reset after each block, so the next block's propagation,
+    # which runs as the loop asks for it, is counted too.
+    mark = time.perf_counter()
+    for block, values, block_imag, n_modes in blocks:
+        max_imag = max(max_imag, block_imag)
+        if first_exit is None and state_H is not None:
+            outside = np.abs(values[n_obs:]).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
+            if outside.any():
+                first_exit = float(times[block][np.argmax(outside)])
+        timings["propagate"] += time.perf_counter() - mark
+        columns = [times[block, None], values[:n_obs].T]
+        if errors is not None:
             mark = time.perf_counter()
+            np.abs(values[:n_obs] - reference_values[:, block], out=errors[:, block])
+            columns += [reference_values[:, block].T, errors[:, block].T]
+            timings["reference"] += time.perf_counter() - mark
+        if out:
+            # Each value as its repr: the shortest decimal that round-trips.
+            out.write(repr_rows(np.hstack(columns)))
+        mark = time.perf_counter()
 
     observable_errors = None
     if errors is not None:
@@ -294,6 +295,9 @@ def _load_spec(config_path, orders: Sequence[int] = ()) -> SystemSpec | int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"config error: $: not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     texts = [text]
     if orders:
         try:
@@ -346,10 +350,13 @@ def run_solve(
     json_path = out / f"{spec.name}_summary.json"
     try:
         rk4_reference = partial(_reference_values, spec, rk_step=rk_step) if reference else None
-        result = _solve_spec(spec, reference=rk4_reference, csv_path=csv_path)
-        json_path.write_text(
-            json.dumps(_summary_json(result), indent=2) + "\n", encoding="utf-8"
-        )
+        # Both files are committed together when the block exits: a failure
+        # in either leaves neither (see `_atomic_output`).
+        with ExitStack() as outputs:
+            open_csv = partial(outputs.enter_context, _atomic_output(csv_path))
+            result = _solve_spec(spec, reference=rk4_reference, open_csv=open_csv)
+            summary = outputs.enter_context(_atomic_output(json_path))
+            summary.write(json.dumps(_summary_json(result), indent=2) + "\n")
     except NearDefectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_DEFECTIVE
@@ -439,11 +446,10 @@ def run_sweep(
         )
         table.append([str(order), str(n), status] + table_cells + [f"{wall:.2f}"])
 
+    csv_path = Path(out_dir) / f"{spec.name}_sweep.csv"
     try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{spec.name}_sweep.csv"
-        csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        with _atomic_output(csv_path) as out:
+            out.write("\n".join(csv_lines) + "\n")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

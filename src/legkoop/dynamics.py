@@ -136,9 +136,21 @@ def rescale_to_unit_box(
     return VectorField(vf.m, tuple(components))
 
 
+def _utf8(path: str, name: str) -> bytes:
+    # Names are written as UTF-8, which has no form for a lone surrogate
+    # (JSON "\ud800"): refused here, before any work or output.
+    try:
+        return name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(
+            f"{path}: {name!r} is not valid UTF-8 text: it holds a lone surrogate"
+        ) from None
+
+
 def _check_csv_names(path: str, names: Sequence[str]) -> None:
     # Each name is written raw as one cell of a CSV header.
     for name in names:
+        _utf8(path, name)
         if not name or any(ch in name for ch in ',"\r\n'):
             raise ValidationError(
                 f"{path}: name {name!r} must be nonempty and contain no comma, "
@@ -174,7 +186,7 @@ class SystemSpec:
                 f"name: {self.name!r} is not a file name: it must not be empty, "
                 "'.' or '..', or contain '/' or NUL"
             )
-        size = len(self.name.encode("utf-8", "surrogatepass"))
+        size = len(_utf8("name", self.name))
         if size > MAX_NAME_BYTES:
             raise ValidationError(
                 f"name: {size} bytes in UTF-8 exceed the limit of {MAX_NAME_BYTES}, so that "

@@ -87,7 +87,7 @@ def monomial_matrix(basis: BasisSet) -> np.ndarray:
     """Basis functions expanded into monomials, one row per basis function.
 
     Entry [i, j] is the coefficient of the monomial with exponents
-    ``basis.rows[j]`` in basis function i:
+    ``basis.orders[j]`` in basis function i:
     prod_a NLPC[orders[i, a], orders[j, a]], NLPC the normalized table.
     """
     nlpc = normalize_legendre(legendre_coefficients(basis.c))
@@ -108,8 +108,8 @@ def basis_as_polynomial(basis: BasisSet, i: int) -> Polynomial:
         raise IndexError(f"basis index {i} out of range 0..{basis.n - 1}")
     row = monomial_matrix(basis)[i]
     terms = tuple(
-        Monomial(float(row[j]), basis.rows[j])
-        for j in range(basis.n)
+        Monomial(float(row[j]), tuple(exp))
+        for j, exp in enumerate(basis.orders.tolist())
         if row[j] != 0.0
     )
     return Polynomial(basis.m, terms)
@@ -199,7 +199,7 @@ def golden_deviation(basis: BasisSet) -> float:
     multi-indices, the Legendre coefficient rows 2-3 (to 1e-12) or the
     monomials of basis function 8 differ, the deviation is inf.
     """
-    if basis.rows != GOLDEN_INDICES or basis.n != 10:
+    if tuple(map(tuple, basis.orders.tolist())) != GOLDEN_INDICES:
         return math.inf
     lpc = legendre_coefficients(basis.c)
     for row, expected in GOLDEN_LPC_ROWS.items():
@@ -250,7 +250,7 @@ def above_degree_entry() -> float:
     """
     basis = build_basis(3, 2)
     K = assemble_koopman(basis, duffing_vector_field(1.0, 1.0, 1.0, 0.0))
-    degrees = [sum(row) for row in basis.rows]
+    degrees = basis.orders.sum(axis=1)
     worst = 0.0
     for i in range(basis.n):
         for k in range(basis.n):
@@ -286,6 +286,6 @@ def rk4_halving_ratios() -> tuple[float, float]:
     exact = np.array([math.cos(10.0), -math.sin(10.0)])
     errors = []
     for step in (1e-2, 5e-3, 2.5e-3):
-        traj = rk4_integrate(vf, (1.0, 0.0), np.array([10.0]), step)
-        errors.append(float(np.abs(traj.states[:, 0] - exact).max()))
+        states = rk4_integrate(vf, (1.0, 0.0), np.array([10.0]), step)
+        errors.append(float(np.abs(states[:, 0] - exact).max()))
     return errors[0] / errors[1], errors[1] / errors[2]

@@ -13,8 +13,10 @@ analytically:
 
 No time stepping is involved.  `_evaluate_rows` walks the time grid in
 blocks of `_TIME_BLOCK` times and yields each block's real part and its
-largest imaginary magnitude: `propagate` gathers the blocks, the CLI
-writes each one out and drops it.  In a block every mode the observables
+largest imaginary magnitude: `propagate` gathers the blocks into a
+`Trajectory` (the values, the largest imaginary part and the number of
+modes reached; the time grid stays the caller's), and the CLI writes each
+block out and drops it.  In a block every mode the observables
 reach (a mode whose column of H V is all zeros adds exact zeros and is
 skipped) gets one exponential per time, scaled by phi0 and multiplied into
 the block.  A conjugate pair of eigenvalues shares one exponential: the
@@ -45,7 +47,7 @@ tests check this against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -297,11 +299,7 @@ def skewness_diagnostic(K: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KoopmanModel:
-    """Assembled and eigendecomposed spectral model of one system.
-
-    `state_H`, when set, projects the unit-box state coordinates; `propagate`
-    then carries them along with the observables for the box-exit check.
-    """
+    """Assembled and eigendecomposed spectral model of one system."""
 
     basis: BasisSet
     K: np.ndarray
@@ -311,7 +309,6 @@ class KoopmanModel:
     V: np.ndarray
     Vinv: np.ndarray
     diagnostics: ModelDiagnostics
-    state_H: Optional[np.ndarray] = None
 
 
 def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) -> KoopmanModel:
@@ -342,36 +339,23 @@ def initial_eigenfunctions(Vinv: np.ndarray, h0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Observable values on a time grid, one row per observable.
+    """Observable values on the caller's time grid, one row per observable
+    (one column per time).
 
     `max_imag` is the largest imaginary magnitude discarded when taking the
     real part of `values`; for a real initial state it should sit at
-    roundoff level.  `n_modes_propagated` counts the modes the observables
-    (and states) reach: those whose column of H V is not all zeros.  `states`
-    holds the unit-box state coordinates when the model carries `state_H`,
-    else None.
+    roundoff level.  `n_modes_propagated` counts the modes the rows of H
+    reach: those whose column of H V is not all zeros.
     """
 
-    times: np.ndarray
     values: np.ndarray
     max_imag: float
     n_modes_propagated: int
-    states: Optional[np.ndarray] = None
 
 
 def propagate(model: KoopmanModel, phi0: np.ndarray, times) -> Trajectory:
-    """Evaluate the model's observables at each requested time.
-
-    The rows of `state_H`, if any, share the same exponentials: they are
-    stacked under H and evaluated in one pass.
-    """
-    rows = model.H.shape[0]
-    H = model.H if model.state_H is None else np.vstack((model.H, model.state_H))
-    trajectory = propagate_observables(H, model.eigenvalues, model.V, phi0, times, rows)
-    if model.state_H is None:
-        return trajectory
-    values = trajectory.values
-    return replace(trajectory, values=values[:rows], states=values[rows:])
+    """Evaluate the model's observables at each requested time."""
+    return propagate_observables(model.H, model.eigenvalues, model.V, phi0, times)
 
 
 def propagate_observables(
@@ -384,19 +368,18 @@ def propagate_observables(
 ) -> Trajectory:
     """values[:, k] = Re[H V diag(exp(lambda t_k)) phi0], per-mode exponentials.
 
-    The blocks of `_evaluate_rows`, gathered into read-only `times` and
-    `values`; `max_imag` is taken over the first `imag_rows` rows (all by
-    default).
+    The blocks of `_evaluate_rows`, gathered into read-only `values`;
+    `max_imag` is taken over the first `imag_rows` rows (all by default), so
+    rows stacked under the observables, such as the state coordinates of the
+    box-exit check, can share the exponentials without counting there.
     """
-    times = np.array(times, dtype=float)
-    values = np.empty((np.shape(H)[0], times.size))
+    values = np.empty((np.shape(H)[0], np.size(times)))
     max_imag = 0.0
     for block, real, imag, n_modes in _evaluate_rows(H, eigenvalues, V, phi0, times, imag_rows):
         values[:, block] = real
         max_imag = max(max_imag, imag)
-    times.flags.writeable = False
     values.flags.writeable = False
-    return Trajectory(times=times, values=values, max_imag=max_imag, n_modes_propagated=n_modes)
+    return Trajectory(values=values, max_imag=max_imag, n_modes_propagated=n_modes)
 
 
 def _evaluate_rows(

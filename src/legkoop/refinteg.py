@@ -2,7 +2,8 @@
 
 It deliberately avoids the closed-form integration and spectral
 propagation paths elsewhere in the package so it can serve as ground
-truth for them.
+truth for them.  `rk4_integrate` returns the states alone, an m x nt
+array with one column per requested time; the times are the caller's.
 
 RK4 runs as straight-line Python code generated once per call for the
 vector field's polynomial terms, in the manner of Jorba & Zou's Taylor
@@ -22,7 +23,6 @@ The Gauss-Legendre quadrature the tests check `K` against is in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,20 +32,10 @@ from .errors import NonFiniteError
 
 __all__ = [
     "DIVERGENCE_LIMIT",
-    "ReferenceTrajectory",
     "rk4_integrate",
 ]
 
 DIVERGENCE_LIMIT = 1e12
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceTrajectory:
-    """States integrated to each requested time with fixed-step RK4."""
-
-    times: np.ndarray
-    states: np.ndarray  # m x nt
-    step: float
 
 
 def _rk4_runner(vf: VectorField):
@@ -110,17 +100,18 @@ def _rk4_runner(vf: VectorField):
     return namespace["run"]
 
 
-def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> ReferenceTrajectory:
-    """Classical Runge-Kutta from x(0) = x0, landing exactly on each time.
+def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> np.ndarray:
+    """The states of classical Runge-Kutta from x(0) = x0 at each time.
 
-    Each segment between requested times is covered with the fixed internal
+    Returns a read-only m x nt array, column k the state at times[k].  Each
+    segment between requested times is covered with the fixed internal
     `step`; only the final sub-step of a segment is shortened, and a step
     longer than the segment covers it in one.  Global error is O(step**4).
     Divergence (any |x| > 1e12) raises NonFiniteError.
     """
     if not (step > 0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
-    times = np.array(times, dtype=float)
+    times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
     if not np.isfinite(times).all():
@@ -152,5 +143,4 @@ def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> R
             raise NonFiniteError(f"state diverged at t = {target}")
         states[:, idx] = x
     states.flags.writeable = False
-    times.flags.writeable = False
-    return ReferenceTrajectory(times=times, states=states, step=float(step))
+    return states

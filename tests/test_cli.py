@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import errno
 import itertools
 import json
 import os
@@ -7,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from legkoop.koopman import (
     build_model,
     initial_eigenfunctions,
     observable_matrix,
-    propagate,
+    propagate_observables,
 )
 from legkoop.polyalg import evaluate
 from legkoop.refinteg import rk4_integrate
@@ -124,22 +124,24 @@ def test_solve_repeated_runs_byte_identical(tmp_path):
 
 def eager_solve(spec, rk_step=None, edit=None):
     """The trajectory CSV and the summary (without timings) of a solve, from
-    whole arrays: `propagate`'s trajectory, the box-exit check over every
-    state at once and the errors over every time at once.  `edit`, if
-    given, changes the observable values in place first."""
+    whole arrays: the observables and the states propagated at every time
+    in one pass, the box-exit check over every state at once and the errors
+    over every time at once.  `edit`, if given, changes the observable
+    values in place first."""
     basis = build_basis(spec.order, len(spec.states))
-    model = replace(
-        build_model(basis, spec.unit_vf, spec.unit_observables),
-        state_H=observable_matrix(basis, ObservableSet.identity(spec.states)),
-    )
+    model = build_model(basis, spec.unit_vf, spec.unit_observables)
+    state_H = observable_matrix(basis, ObservableSet.identity(spec.states))
     box = zip(spec.initial_state, spec.domain_center, spec.domain_half_width)
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, [(x - c) / h for x, c, h in box]))
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
-    trajectory = propagate(model, phi0, times)
-    values = trajectory.values.copy()
+    n_obs = len(model.H)
+    trajectory = propagate_observables(
+        np.vstack((model.H, state_H)), model.eigenvalues, model.V, phi0, times, imag_rows=n_obs
+    )
+    values = trajectory.values[:n_obs].copy()
     if edit is not None:
         edit(values)
-    outside = np.abs(trajectory.states).max(axis=0) > 1.0 + 1e-9
+    outside = np.abs(trajectory.values[n_obs:]).max(axis=0) > 1.0 + 1e-9
     first_exit = float(times[np.argmax(outside)]) if outside.any() else None
 
     names = spec.observables.names
@@ -400,6 +402,85 @@ def test_a_state_or_observable_name_that_breaks_the_csv_is_refused(
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: name {name!r} ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1..2"]])
+@pytest.mark.parametrize("field", ["name", "states", "observables"])
+def test_a_name_that_is_not_utf8_text_is_refused(tmp_path, capsys, command, field):
+    # A lone surrogate ("\udc80" in the JSON) has no UTF-8 form, so no file
+    # name or CSV header cell can hold it.
+    name = "q\udc80"
+    observables = [{"name": name, "terms": [{"coef": 1.0, "exp": [1, 0]}]}]
+    doc = {
+        "name": {**DUFFING, "name": name},
+        "states": {**DUFFING, "states": [name, "p"]},
+        "observables": {**DUFFING, "observables": observables},
+    }[field]
+    out = tmp_path / "new" / "out"
+    argv = command + ["--config", write_config(tmp_path, doc), "--rk-step", "1e-2",
+                      "--out-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: {field}: 'q\\udc80' is not valid UTF-8 text: it holds a lone surrogate\n"
+    )
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "system.json"
+    path.write_bytes(json.dumps({**DUFFING, "name": "duff\xffing"}, ensure_ascii=False)
+                     .encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def fail_writes(monkeypatch, part):
+    """Make each write to a file opened for writing whose name contains
+    `part` fail as on a full disk."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        stream = real_open(self, mode, *args, **kwargs)
+        if "w" in mode and part in self.name:
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            stream.write = write
+        return stream
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+@pytest.mark.parametrize(
+    "command, part",
+    [
+        (["solve"], "_trajectory.csv"),
+        (["solve"], "_summary.json"),
+        (["solve", "--reference"], "_summary.json"),
+        (["sweep", "--orders", "1..2"], "_sweep.csv"),
+    ],
+)
+def test_a_failed_write_leaves_no_file_or_directory(tmp_path, monkeypatch, capsys, command, part):
+    # Under a new nested --out-dir: the run removes what it made, the
+    # directories included, whichever of its files could not be written.
+    config = write_config(tmp_path, DUFFING)
+    fail_writes(monkeypatch, part)
+    out = tmp_path / "new" / "out"
+    argv = command + ["--config", config, "--rk-step", "1e-2", "--out-dir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot write outputs: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
 
 
 def test_solve_near_defective_exit_code(tmp_path, capsys):
@@ -766,7 +847,7 @@ def test_reference_values_are_evaluate_at_each_time_bit_for_bit():
     spec = parse_system_config(json.dumps(doc))
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     got = _reference_values(spec, times, 1e-2)
-    states = rk4_integrate(spec.vf, spec.initial_state, times, 1e-2).states
+    states = rk4_integrate(spec.vf, spec.initial_state, times, 1e-2)
     expected = np.array([[evaluate(g, states[:, k]) for k in range(times.size)]
                          for g in spec.observables.polys])
     assert got.tobytes() == expected.tobytes()

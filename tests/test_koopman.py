@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,7 +91,7 @@ def test_harmonic_degree_one_block_is_rotation():
 def test_degree_triangularity_for_linear_fields():
     rng = np.random.default_rng(13)
     basis = build_basis(3, 2)
-    degrees = [sum(r) for r in basis.rows]
+    degrees = basis.orders.sum(axis=1)
     for _ in range(5):
         A = rng.normal(size=(2, 2))
         vf = VectorField(
@@ -381,7 +380,7 @@ def test_duffing_against_rk4():
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (1.0, 0.0)))
     traj = propagate(model, phi0, times)
     ref = rk4_integrate(DUFFING, (1.0, 0.0), times, 1e-4)
-    assert np.abs(traj.values[0] - ref.states[0]).max() <= 1e-2
+    assert np.abs(traj.values[0] - ref[0]).max() <= 1e-2
     assert traj.max_imag <= 1e-8
 
 
@@ -393,7 +392,7 @@ def test_short_time_oracle_agreement_small_epsilon():
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (1.0, 0.0)))
     traj = propagate(model, phi0, times)
     ref = rk4_integrate(vf, (1.0, 0.0), times, 1e-4)
-    assert np.abs(traj.values - ref.states).max() <= 1e-4
+    assert np.abs(traj.values - ref).max() <= 1e-4
 
 
 def test_propagate_times_validation():
@@ -450,12 +449,15 @@ def test_propagation_matches_every_mode_explicitly():
 def test_unreached_rows_propagate_zeros():
     basis = build_basis(4, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
-    silent = replace(model, H=np.zeros((2, basis.n)), state_H=np.zeros((2, basis.n)))
+    H = state_H = np.zeros((2, basis.n))
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
-    traj = propagate(silent, phi0, np.linspace(0.0, 5.0, 40))
+    traj = propagate_observables(
+        np.vstack((H, state_H)), model.eigenvalues, model.V, phi0, np.linspace(0.0, 5.0, 40),
+        imag_rows=len(H),
+    )
     assert traj.n_modes_propagated == 0
     assert traj.max_imag == 0.0
-    assert (traj.values == 0).all() and (traj.states == 0).all()
+    assert (traj.values == 0).all()
 
 
 def _check_against_one_shot(H, eigenvalues, V, phi0, times):
@@ -538,15 +540,15 @@ def test_propagation_memory_does_not_grow_with_the_whole_grid():
     # result holds 1.5 MiB; a complex array of all rows at every time would
     # add 2.4 MiB and a reached-modes x times array 12 MiB.
     basis = build_basis(8, 2)
-    model = replace(
-        build_model(basis, DUFFING, IDENTITY_QP),
-        state_H=observable_matrix(basis, IDENTITY_QP),
-    )
+    model = build_model(basis, DUFFING, IDENTITY_QP)
+    all_H = np.vstack((model.H, observable_matrix(basis, IDENTITY_QP)))
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 40.0, 40_000)
     tracemalloc.start()
     try:
-        propagate(model, phi0, times)
+        propagate_observables(
+            all_H, model.eigenvalues, model.V, phi0, times, imag_rows=len(model.H)
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -554,23 +556,23 @@ def test_propagation_memory_does_not_grow_with_the_whole_grid():
 
 
 def test_propagation_at_the_num_steps_cap_holds_no_complex_output():
-    # The same solve at 10^6 times: the real result holds 31 MiB and the
-    # times 8 MiB; a complex array of all rows at every time would add 61 MiB.
+    # The same solve at 10^6 times: the real result holds 31 MiB; a complex
+    # array of all rows at every time would add 61 MiB.
     basis = build_basis(8, 2)
-    model = replace(
-        build_model(basis, DUFFING, IDENTITY_QP),
-        state_H=observable_matrix(basis, IDENTITY_QP),
-    )
+    model = build_model(basis, DUFFING, IDENTITY_QP)
+    all_H = np.vstack((model.H, observable_matrix(basis, IDENTITY_QP)))
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 1000.0, MAX_NUM_STEPS)
     tracemalloc.start()
     try:
-        trajectory = propagate(model, phi0, times)
+        trajectory = propagate_observables(
+            all_H, model.eigenvalues, model.V, phi0, times, imag_rows=len(model.H)
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2**20
-    assert trajectory.values.shape == trajectory.states.shape == (2, MAX_NUM_STEPS)
+    assert trajectory.values.shape == (4, MAX_NUM_STEPS)
     assert 0.0 < trajectory.max_imag <= 1e-12
 
 
@@ -699,24 +701,22 @@ def test_state_rows_share_the_observable_pass():
     )
     model = build_model(basis, DUFFING, observables)
     state_H = observable_matrix(basis, IDENTITY_QP)
-    with_states = replace(model, state_H=state_H)
     phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 5.0, 40)
     plain = propagate(model, phi0, times)
-    both = propagate(with_states, phi0, times)
+    both = propagate_observables(
+        np.vstack((model.H, state_H)), model.eigenvalues, model.V, phi0, times,
+        imag_rows=len(model.H),
+    )
     states = propagate_observables(state_H, model.eigenvalues, model.V, phi0, times)
-    assert plain.states is None
-    assert np.abs(both.values - plain.values).max() <= 1e-15
-    assert np.abs(both.states - states.values).max() <= 1e-15
+    assert np.abs(both.values[:1] - plain.values).max() <= 1e-15
+    assert np.abs(both.values[1:] - states.values).max() <= 1e-15
     assert both.max_imag == pytest.approx(plain.max_imag, abs=1e-16)
     # max_imag covers the observable rows only: here the state row is e^{it}.
-    rotating = replace(
-        model,
-        H=np.zeros((1, 2)),
-        state_H=np.array([[1.0, 0.0]]),
-        eigenvalues=np.array([1j, -1j]),
-        V=np.eye(2, dtype=complex),
+    H, state_H = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+    traj = propagate_observables(
+        np.vstack((H, state_H)), np.array([1j, -1j]), np.eye(2, dtype=complex),
+        np.array([1.0 + 0j, 0j]), times, imag_rows=len(H),
     )
-    traj = propagate(rotating, np.array([1.0 + 0j, 0j]), times)
     assert traj.max_imag == 0.0
-    assert np.abs(traj.states[0] - np.cos(times)).max() <= 1e-15
+    assert np.abs(traj.values[1] - np.cos(times)).max() <= 1e-15
