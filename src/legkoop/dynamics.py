@@ -231,6 +231,12 @@ class SystemSpec:
                 f"({len(self.observables)} observables + {m} states) exceed the limit "
                 f"of {MAX_OUTPUT_VALUES} values; lower num_steps or drop observables"
             )
+        # A subnormal spacing leaves the grid uneven, or not increasing at all.
+        if self.t_final / (self.num_steps - 1) < sys.float_info.min:
+            raise ValidationError(
+                f"t_final: {self.t_final!r} over {self.num_steps - 1} intervals gives a "
+                f"time step below the smallest normal float {sys.float_info.min:.3e}"
+            )
         for x, c, h in zip(self.initial_state, self.domain_center, self.domain_half_width):
             if abs(x - c) > h:
                 raise ValidationError(

@@ -16,12 +16,15 @@ blocks of `_TIME_BLOCK` times and yields each block's real part and its
 largest imaginary magnitude: `propagate` gathers the blocks into a
 `Trajectory` (the values, the largest imaginary part and the number of
 modes reached; the time grid stays the caller's), and the CLI writes each
-block out and drops it.  In a block every mode the observables
-reach (a mode whose column of H V is all zeros adds exact zeros and is
-skipped) gets one exponential per time, scaled by phi0 and multiplied into
-the block.  A conjugate pair of eigenvalues shares one exponential: the
+block out and drops it.  Only the modes the observables reach are
+propagated (a mode whose column of H V is all zeros adds exact zeros and is
+skipped).  The first block takes one exponential per mode and time, scaled
+by phi0; a conjugate pair of eigenvalues shares one exponential, since the
 lower one's row is the conjugate of the upper one's, which equals its own
-exponential exactly (see `_mode_exponentials`).
+exponential exactly.  The grid must be evenly spaced: every later block is
+the first block times exp(lambda (t_s - t_0)) at its first time t_s, one
+exponential per pair per block, within a few eps (1 + |lambda| max|t|) of
+exp(lambda t) (see `_mode_exponentials`).
 
 K often splits into blocks that do not couple at all (Duffing's odd
 symmetry gives an even and an odd block).  `eigendecompose` finds them as
@@ -80,9 +83,11 @@ NEAR_DEFECTIVE_CONDITION = 1e12
 EXP_OVERFLOW_LIMIT = 700.0
 
 # Output times per block, of propagation and of the CLI's CSV rows.  On
-# Duffing c=8 at 40 000 times a solve peaked at 33.6 / 34.5 / 35.4 / 37.6 MiB
-# with blocks of 512 / 1024 / 2048 / 4096 times, and propagation took
-# 8.5 / 8.3 / 9.1 ms at 512 / 1024 / 4096 but 11.4 ms at 128 (2-vCPU VM).
+# Duffing c=8 at 40 000 times, with blocks of 512 / 1024 / 2048 times, a solve
+# peaked at 40.0 / 40.5 / 41.3 MiB, propagation took 10.5-13.0 / 8.2-9.7 /
+# 8.0-8.8 ms and the whole solve 59-66 / 47-53 / 43-46 ms (medians of 20
+# solves in each of 3 rounds, one process per round and size; 2-vCPU VM).
+# 2048 saves a few ms, all outside propagation, for 0.9 MiB more peak.
 _TIME_BLOCK = 1024
 
 
@@ -354,7 +359,8 @@ class Trajectory:
 
 
 def propagate(model: KoopmanModel, phi0: np.ndarray, times) -> Trajectory:
-    """Evaluate the model's observables at each requested time."""
+    """Evaluate the model's observables at each time of an evenly spaced grid
+    (see `propagate_observables`)."""
     return propagate_observables(model.H, model.eigenvalues, model.V, phi0, times)
 
 
@@ -368,7 +374,11 @@ def propagate_observables(
 ) -> Trajectory:
     """values[:, k] = Re[H V diag(exp(lambda t_k)) phi0], per-mode exponentials.
 
-    The blocks of `_evaluate_rows`, gathered into read-only `values`;
+    `times` must be strictly increasing and evenly spaced, as np.linspace
+    makes them: later blocks of times are propagated from the first block's
+    exponentials, and a grid whose spacing drifts by more than roundoff
+    raises ValueError (see `_mode_exponentials`).  The values are the blocks
+    of `_evaluate_rows`, gathered into read-only `values`;
     `max_imag` is taken over the first `imag_rows` rows (all by default), so
     rows stacked under the observables, such as the state coordinates of the
     box-exit check, can share the exponentials without counting there.
@@ -396,8 +406,9 @@ def _evaluate_rows(
     per row of H, in a buffer the next block overwrites; `max_imag` is the
     largest imaginary magnitude it dropped over its first `imag_rows` rows
     (all by default); `n_modes` is the number of modes H reaches.  The grid
-    is validated, and exp guarded against overflow, when the first block is
-    asked for.  Only one block of times is ever held as complex values.
+    is validated (it must be evenly spaced, see `_mode_exponentials`), and
+    exp guarded against overflow, when the first block is asked for.  A few
+    block-sized complex arrays are held, never one as long as the grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -411,24 +422,23 @@ def _evaluate_rows(
 
     # max over (i, k) of Re(lambda_i) t_k sits at a corner of the two
     # ranges, and rounding is monotone, so this is the max of the full
-    # product table.  It covers every mode, reached by H or not.
+    # product table.  It covers every mode, reached by H or not, and the
+    # offsets t_k - t_0 that later blocks are propagated by.
     real = eigenvalues.real
-    growth = max(a * b for a in (real.min(), real.max()) for b in (times[0], times[-1]))
+    corners = (times[0], times[-1], times[-1] - times[0])
+    growth = max(a * b for a in (real.min(), real.max()) for b in corners)
     if growth > EXP_OVERFLOW_LIMIT:
         raise OverflowError(
-            f"Re(lambda)*t reaches {growth:.1f} > {EXP_OVERFLOW_LIMIT}; "
+            f"Re(lambda)*t reaches {growth:.3e} > {EXP_OVERFLOW_LIMIT}; "
             "exp would overflow"
         )
     # A mode whose column of H V is all zeros adds exact zeros to every row.
     HV = np.asarray(H) @ np.asarray(V)
     reached = np.flatnonzero(HV.any(axis=0))
     HV_reached = HV[:, reached]
-    scale = phi0[reached, None]
     # A last block may take one time more than _TIME_BLOCK.
     buffer = np.empty((HV.shape[0], min(times.size, _TIME_BLOCK + 1)), dtype=complex)
-    for block, modes in _mode_exponentials(eigenvalues[reached], times):
-        # complex (eigenvalues were cast above), so any phi0 multiplies into it
-        modes *= scale
+    for block, modes in _mode_exponentials(eigenvalues[reached], phi0[reached], times):
         block_values = np.matmul(HV_reached, modes, out=buffer[:, : modes.shape[1]])
         if not np.isfinite(block_values.real).all():
             raise NonFiniteError("propagation produced non-finite values")
@@ -436,15 +446,41 @@ def _evaluate_rows(
         yield block, block_values.real, max_imag, int(reached.size)
 
 
-def _mode_exponentials(eigenvalues: np.ndarray, times: np.ndarray):
-    """Yield (slice, exp(outer(eigenvalues, times[slice]))) per block of times.
+def _time_blocks(size: int) -> list[slice]:
+    # Blocks of _TIME_BLOCK times.  A last block of one time joins the block
+    # before it: it would be multiplied as a matrix-vector product, which
+    # rounds differently from a wider block.
+    blocks = []
+    start = 0
+    while start < size:
+        stop = min(start + _TIME_BLOCK, size)
+        if stop == size - 1:
+            stop = size
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
 
-    Each distinct value of complex(Re lambda, |Im lambda|) is exponentiated
-    once per block; the row of an eigenvalue below the real axis is the
-    conjugate of its partner's row.  exp(conj z) == conj(exp z) bit for bit,
-    and conj(lambda) * t differs from conj(lambda * t) at most in the sign
-    of a zero, so every row equals exp(lambda t); only a zero part (the
-    imaginary part at t = 0, say) may carry the other sign.
+
+def _mode_exponentials(eigenvalues: np.ndarray, phi0: np.ndarray, times: np.ndarray):
+    """Yield (slice, phi0[:, None] * exp(outer(eigenvalues, times[slice])))
+    per block of an evenly spaced grid of times.
+
+    The first block is a table P: each distinct value of
+    complex(Re lambda, |Im lambda|) is exponentiated once per time, and the
+    row of an eigenvalue below the real axis is the conjugate of its
+    partner's row.  exp(conj z) == conj(exp z) bit for bit, and
+    conj(lambda) * t differs from conj(lambda * t) at most in the sign of a
+    zero, so every row of P equals exp(lambda t) phi0 as if computed alone.
+
+    A later block starting at t_s is P's first columns times one column
+    exp(lambda (t_s - t_0)), paired the same way: one exp per distinct value
+    per block.  That is exp(lambda t_k) only if t_k - t_s == t_j - t_0 for the
+    k-th time of the block and the j-th of P; a mismatch delta costs a
+    relative error of |lambda delta|.  So before the first block is yielded
+    every block's mismatch is measured, and a grid where
+    max|lambda| max|delta| exceeds 4 eps (1 + max|lambda| max|t|) is refused
+    with ValueError; np.linspace grids stay near 1.6 eps max|t|.  A later
+    block is written into one buffer that the next block overwrites.
     """
     rows: dict[complex, int] = {}
     index = [
@@ -453,17 +489,35 @@ def _mode_exponentials(eigenvalues: np.ndarray, times: np.ndarray):
     ]
     distinct = np.array(list(rows), dtype=complex)
     below = (eigenvalues.imag < 0)[:, None]
-    start = 0
-    while start < times.size:
-        stop = min(start + _TIME_BLOCK, times.size)
-        if stop == times.size - 1:
-            # A block of one time would be multiplied as a matrix-vector
-            # product, which rounds differently from a wider block.
-            stop = times.size
-        block = slice(start, stop)
-        exps = np.multiply.outer(distinct, times[block])
-        np.exp(exps, out=exps)
+    blocks = _time_blocks(times.size)
+    width = max(block.stop - block.start for block in blocks)
+
+    offsets = times[:width] - times[0]
+    mismatch = max(
+        (
+            np.abs(times[block] - times[block.start] - offsets[: block.stop - block.start]).max()
+            for block in blocks[1:]
+        ),
+        default=0.0,
+    )
+    largest = float(np.abs(distinct).max(initial=0.0))
+    t_max = max(abs(times[0]), abs(times[-1]))
+    if largest * mismatch > 4 * np.finfo(float).eps * (1 + largest * t_max):
+        raise ValueError("times must be evenly spaced")
+
+    def paired(exps):
         modes = exps[index]
         np.conjugate(modes, out=modes, where=below)
-        yield block, modes
-        start = stop
+        return modes
+
+    table = paired(np.exp(np.multiply.outer(distinct, times[:width])))
+    # complex (eigenvalues are), so any phi0 multiplies into it
+    table *= phi0[:, None]
+    yield blocks[0], table[:, : blocks[0].stop]
+    if len(blocks) == 1:
+        return
+    modes = np.empty_like(table)
+    for block in blocks[1:]:
+        step = paired(np.exp(distinct[:, None] * (times[block.start] - times[0])))
+        size = block.stop - block.start
+        yield block, np.multiply(table[:, :size], step, out=modes[:, :size])

@@ -507,9 +507,13 @@ def test_solve_overflow_exit_code(tmp_path, capsys):
         "t_final": 10.0,
         "num_steps": 100,
     }
-    config = write_config(tmp_path, fast_growth)
-    assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "out")]) == 4
-    assert "overflow" in capsys.readouterr().err
+    for t_final in (10.0, 1e300):
+        config = write_config(tmp_path, {**fast_growth, "t_final": t_final})
+        assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "> 700.0; exp would overflow" in err
+        # The growth is printed in scientific notation, never as 300 digits.
+        assert err.count("\n") == 1 and len(err) <= 100
 
 
 def test_solve_box_exit_warning(tmp_path, capsys):
@@ -762,6 +766,20 @@ def test_rk_step_must_be_finite_and_positive(tmp_path, capsys, command, step):
     assert exc.value.code == 2
     assert "expected a finite step > 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
+def test_a_subnormal_time_step_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    for t_final in (5e-324, sys.float_info.min * 98):
+        config = write_config(tmp_path, {**DUFFING, "t_final": t_final})
+        assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_final: ") and err.count("\n") == 1
+        assert not out.exists()
+    # At the smallest normal step the grid is evenly spaced and the run works.
+    doc = {**DUFFING, "t_final": sys.float_info.min * 99}
+    assert main(command + ["--config", write_config(tmp_path, doc), "--out-dir", str(out)]) == 0
 
 
 def _refuse_rk4(*args, **kwargs):

@@ -405,6 +405,14 @@ def test_propagate_times_validation():
         propagate(model, phi0, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         propagate(model, phi0, np.array([0.0, np.inf]))
+    # Later blocks are propagated from the first, so the grid must be even.
+    times = np.linspace(0.0, 10.0, 3 * _TIME_BLOCK)
+    propagate(model, phi0, times)
+    times[2 * _TIME_BLOCK + 5] += 1e-9
+    with pytest.raises(ValueError, match="evenly spaced"):
+        propagate(model, phi0, times)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        propagate(model, phi0, np.geomspace(1.0, 10.0, _TIME_BLOCK + 2))
 
 
 def test_propagate_overflow_guard():
@@ -431,6 +439,40 @@ def test_overflow_guard_with_negative_times():
     )
     assert traj.n_modes_propagated == 1
     assert traj.values[0] == pytest.approx(np.exp([-0.25, 0.25]), rel=1e-15)
+    # Re(lambda) t stays at 400 on both ends of this grid, but a later block
+    # is propagated by exp(lambda (t - t_0)), and 400 * 2 = 800.
+    lam, V, phi0 = np.array([400.0 + 0.0j]), np.eye(1, dtype=complex), np.ones(1)
+    times = np.linspace(-1.0, 1.0, 2 * _TIME_BLOCK)
+    with pytest.raises(OverflowError):
+        propagate_observables(np.ones((1, 1)), lam, V, phi0, times)
+    traj = propagate_observables(np.ones((1, 1)), lam / 2, V, phi0, times)
+    assert np.isfinite(traj.values).all()
+
+
+def test_the_num_steps_cap_grid_stays_within_the_bound():
+    # 10^6 times to t = 1000, block by block against np.exp: roundoff in the
+    # offsets grows with t, and the bound grows with |lambda| t alike.
+    basis = build_basis(8, 2)
+    model = build_model(basis, DUFFING, IDENTITY_QP)
+    HV = model.H @ model.V
+    r = np.flatnonzero(HV.any(axis=0))
+    eigenvalues = model.eigenvalues[r]
+    times = np.linspace(0.0, 1000.0, MAX_NUM_STEPS)
+    rel = _relative_bound(eigenvalues, times)
+    worst = 0.0
+    for block, modes in _mode_exponentials(eigenvalues, np.ones(r.size), times):
+        exps = np.exp(np.multiply.outer(eigenvalues, times[block]))
+        worst = max(worst, (np.abs(modes - exps) / (rel * np.abs(exps))).max())
+    assert worst <= 1.0
+    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    traj = propagate(model, phi0, times)
+    for start in range(0, MAX_NUM_STEPS, 50 * _TIME_BLOCK):
+        block = slice(start, start + _TIME_BLOCK)
+        terms = np.exp(np.multiply.outer(eigenvalues, times[block])) * phi0[r, None]
+        expected = HV[:, r] @ terms
+        slack = rel.max() * (np.abs(HV[:, r]) @ np.abs(terms))
+        error = np.abs(traj.values[:, block] - expected.real)
+        assert (error <= 1e-15 * np.abs(expected).max() + slack).all()
 
 
 def test_propagation_matches_every_mode_explicitly():
@@ -460,20 +502,45 @@ def test_unreached_rows_propagate_zeros():
     assert (traj.values == 0).all()
 
 
+def _relative_bound(eigenvalues, times):
+    # How far a later block's exponentials may move from np.exp, relative,
+    # per mode: the grid check admits a mismatch between a later block's
+    # offsets and the first block's that costs up to this much.
+    eps = np.finfo(float).eps
+    return 4 * eps * (1 + np.abs(eigenvalues)[:, None] * np.abs(times[[0, -1]]).max())
+
+
 def _check_against_one_shot(H, eigenvalues, V, phi0, times):
     # The blocked, paired propagation against the formula evaluated in one
-    # piece: the same exponentials exactly, the same values to roundoff.
+    # piece.  The first block holds the same exponentials exactly and the
+    # same values to matmul roundoff.  A later block is the first block times
+    # one exponential per mode, so its exponentials are within
+    # `_relative_bound` of the one-shot ones, and its values within that
+    # bound at the largest |lambda| times sum_i |HV_i exp_i phi0_i|.
     # Returns the number of times in each block.
     HV = H @ V
     r = np.flatnonzero(HV.any(axis=0))
     exps = np.exp(np.multiply.outer(eigenvalues[r], times))
-    expected = HV[:, r] @ (exps * phi0[r, None])
-    blocks = list(_mode_exponentials(eigenvalues[r], times))
-    assert np.array_equal(np.hstack([modes for _, modes in blocks]), exps)
+    terms = exps * phi0[r, None]
+    expected = HV[:, r] @ terms
+    # The buffer of a later block is reused, so each block is copied.
+    blocks = [
+        (block, modes.copy())
+        for block, modes in _mode_exponentials(eigenvalues[r], np.ones(r.size), times)
+    ]
+    modes = np.hstack([modes for _, modes in blocks])
+    first = blocks[0][0]
+    rel = _relative_bound(eigenvalues[r], times)
+    assert np.array_equal(modes[:, first], exps[:, first])
+    later = slice(first.stop, None)
+    assert (np.abs(modes - exps)[:, later] <= rel * np.abs(exps[:, later])).all()
     traj = propagate_observables(H, eigenvalues, V, phi0, times)
     assert traj.n_modes_propagated == r.size
-    assert np.abs(traj.values - expected.real).max() <= 1e-15 * np.abs(expected).max()
-    assert traj.max_imag == np.abs(expected.imag).max()
+    slack = rel.max() * (np.abs(HV[:, r]) @ np.abs(terms))
+    slack[:, first] = 0.0
+    error = np.abs(traj.values - expected.real)
+    assert (error <= 1e-15 * np.abs(expected).max() + slack).all()
+    assert abs(traj.max_imag - np.abs(expected.imag).max()) <= slack.max()
     return [block.stop - block.start for block, _ in blocks]
 
 
