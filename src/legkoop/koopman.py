@@ -84,10 +84,10 @@ EXP_OVERFLOW_LIMIT = 700.0
 
 # Output times per block, of propagation and of the CLI's CSV rows.  On
 # Duffing c=8 at 40 000 times, with blocks of 512 / 1024 / 2048 times, a solve
-# peaked at 40.0 / 40.5 / 41.3 MiB, propagation took 10.5-13.0 / 8.2-9.7 /
-# 8.0-8.8 ms and the whole solve 59-66 / 47-53 / 43-46 ms (medians of 20
-# solves in each of 3 rounds, one process per round and size; 2-vCPU VM).
-# 2048 saves a few ms, all outside propagation, for 0.9 MiB more peak.
+# peaked at 34.1-34.8 / 34.7-34.8 / 35.6-35.7 MiB, propagation took
+# 10.5-11.6 / 6.4-7.0 / 6.9-7.4 ms and the whole solve 43-47 / 26-28 /
+# 26-28 ms (medians of 20 solves in each of 3 rounds, one process per round
+# and size; 2-vCPU VM).  2048 saves no time, for 0.9 MiB more peak.
 _TIME_BLOCK = 1024
 
 

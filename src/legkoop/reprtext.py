@@ -3,8 +3,8 @@
 `repr(x)` of a float is the shortest decimal that reads back as x (of
 several that short, the closest), written positionally when its decimal
 exponent lies in -4..16 and in scientific notation otherwise.  CPython
-finds those digits one value at a time with David Gay's dtoa, at about
-0.8 us a value.  `repr_rows` finds the same digits for a whole block in
+finds those digits one value at a time with David Gay's dtoa, at 0.65 to
+1.15 us a value.  `repr_rows` finds the same digits for a whole block in
 numpy, by the method of Ryu (U. Adams, "Ryu: fast float-to-string
 conversion", PLDI 2018), and writes the same bytes.
 
@@ -25,14 +25,15 @@ is an integer) picks the closest, or the next one up where the closest
 is the lower bound.
 
 Each value's text is laid out right-aligned in a slot of 24 bytes, its
-separator last, with spaces in front; deleting the spaces leaves the rows.
-A value the method does not cover is written into its slot by the `%`
-line, as "%23r": zeros, subnormals, inf and nan; |x| < 1e-4, which `repr`
-writes in scientific notation, or |x| >= 2^51; powers of two, whose lower
-neighbour is nearer; values where x 10^k is an integer, where a tie or a
-bound could be the answer; and the few that would drop more than four
-digits.  Small blocks and blocks holding a repr too long for its slot go
-through the `%` line whole.
+separator last; the slots are copied into the output last to first, each
+where the text before it ends, and the texts before it overwrite what lies
+in front of it.  A value the method does not cover is written into its
+slot by the `%` line, right-aligned: zeros, subnormals, inf and nan; |x| <
+1e-4, which `repr` writes in scientific notation, or |x| >= 2^51; powers
+of two, whose lower neighbour is nearer; values where x 10^k is an
+integer, where a tie or a bound could be the answer; and the few that
+would drop more than four digits.  Small blocks and blocks holding a repr
+too long for its slot go through the `%` line whole.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ import numpy as np
 __all__ = ["repr_rows"]
 
 # Blocks of fewer values are written by the `%` line.  With the caches
-# cold, as between the blocks of a solve, the vectorized path costs about
-# 0.6 ms a block plus 0.1 us a value and the `%` line about 1 us a value:
-# they break even near 600 values (2-vCPU VM).
+# evicted, the vectorized path costs about 0.23 ms a block plus 0.12 us a
+# value and the `%` line 1.15 us a value: they break even near 220 values.
+# But the first vectorized block in a process builds the tables (0.7 ms),
+# which lifts solve-4d-quadratic's peak RSS (one block of 500) by 0.13 MiB.
 _MIN_VALUES = 700
-# Bytes per value: "-0.00012345678901234567" (the longest text the fast
-# path writes) and a separator.
+# Bytes per value: the longest fast text, "-0.00012345678901234567", and ",".
 _SLOT = 24
 # Most digits the fast path drops from floor(x 10^k).
 _MAX_DROPS = 4
@@ -71,19 +72,24 @@ def repr_rows(table: np.ndarray) -> str:
     if values.size < _MIN_VALUES or sys.byteorder != "little":
         return _percent_rows(values, rows, cols)
     ax = np.abs(values)
-    fast = (ax >= 1e-4) & (ax < 2.0**51)
-    slots, fallback = _fast_slots(values, ax, fast, cols)
+    (slots, length), fallback = _fast_slots(values, ax, (ax >= 1e-4) & (ax < 2.0**51), cols)
     if fallback.size:
-        # Each left-over value's repr, right-aligned in its slot.  Only a
-        # negative value with 17 digits and a 3-digit exponent takes 24
-        # characters, which do not fit.
-        text = ("%23r" * fallback.size) % tuple(values[fallback].tolist())
-        if len(text) != 23 * fallback.size:
+        # Each left-over value's repr, right-aligned in its slot; a negative
+        # one with 17 digits and a 3-digit exponent takes 24 bytes, too many.
+        text = ("%24r" * fallback.size) % tuple(values[fallback].tolist())
+        if text[::_SLOT].strip():
             return _percent_rows(values, rows, cols)
-        slots[fallback, :-1] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 23)
-    text = slots.tobytes()
-    del slots
-    return text.translate(None, b" ").decode("ascii")
+        length[fallback] = [len(r) + 1 for r in text.split()]
+        text = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
+        slots[fallback, :-1] = text[:, 1:]
+    # Slot i goes to bytes end[i] .. end[i] + 23 of `out`, its text right after
+    # that of slot i - 1, which is written later: numpy assigns in index order.
+    end = np.cumsum(length, out=length)
+    out = np.empty(end[-1] + _SLOT, np.uint8)
+    at = np.ndarray((end[-1] + 1,), f"V{_SLOT}", out, strides=(1,))
+    at[end[::-1]] = slots.view(f"V{_SLOT}").ravel()[::-1]
+    del slots, end, length, at
+    return str(out[_SLOT:], "ascii")
 
 
 def _percent_rows(values: np.ndarray, rows: int, cols: int) -> str:
@@ -108,155 +114,149 @@ def _tables() -> SimpleNamespace:
     tens = 10.0 ** np.arange(1, 17)
     int_digits = np.argmax(tens > lowest[:, None], axis=1)
     next_ten = tens.take(int_digits)
-    # To subtract from the six groups of a slot (digits of 10^22..10^0 and a
-    # '0' in the separator's byte): per (negative, first shown byte),
-    # '0' - ' ' before the first shown byte and '0' - '-' just before it
-    # for a negative value; per digits after the point, '0' - '.' at the
-    # point.  Built in uint8, with no arithmetic.
-    byte = np.arange(_SLOT)
-    first = byte[:, None]
-    zero, space = np.uint8(0), np.uint8(48 - ord(" "))
-    lead = np.empty((2, _SLOT, _SLOT), np.uint8)
-    lead[0] = np.where(byte < first, space, zero)
-    minus = np.where(byte == first - 1, np.uint8(48 - ord("-")), zero)
-    lead[1] = np.where(byte < first - 1, space, minus)
-    point = np.where(byte == 22 - np.arange(21)[:, None], np.uint8(48 - ord(".")), zero)
+    # Per row 4j + (digits dropped) - 1: f digits after the point.
+    f = k[:, None] - np.arange(1, _MAX_DROPS + 1)
+    # Per pattern row (h digits shown, f, negative), what to subtract from a
+    # slot's digits: '0' - '-' in front of a negative value's first digit,
+    # '0' - '.' at the point.  With its separator the text takes h + 2 bytes,
+    # one more with a sign.
+    pattern = np.zeros((22, 21, 2, _SLOT), np.uint8)
+    h, after = np.arange(22), np.arange(21)
+    pattern[h, :, 1, 21 - h] = ord("0") - ord("-")
+    pattern[:, after, :, 22 - after] = ord("0") - ord(".")
     # "0000".."9999", each as 4 bytes of ASCII.
     digit = np.arange(48, 58, dtype=np.uint8)
     groups = np.empty((10, 10, 10, 10, 4), np.uint8)
     for place in range(4):
         groups[..., place] = digit[(slice(None),) + (None,) * (3 - place)]
+    groups = groups.view(np.uint32).ravel()
+    # "000,".."999,", and "0000" with "0000".."0999" as one 8-byte word.
+    last = groups[::10].copy().view(np.uint8).reshape(-1, 4)
+    last[:, 3] = ord(",")
+    top = np.empty((1000, 2), np.uint32)
+    top[:, 0], top[:, 1] = groups[0], groups[:1000]
     return SimpleNamespace(
-        k=k,
         shift=shift,
         left=_U(64) - shift,
-        mask=(_U(1) << shift) - _U(1),
+        mask_pow5=(_U(1) << shift) - _U(1) + pow5,
         pow5=pow5,
         # x 5^k 2^(1-E-64): the high word of 2M 5^k, plus a fraction.
         high=pow5.astype(np.float64) * 2.0 ** (1 - E - 64),
-        int_digits=int_digits + 1,
         next_ten=np.where(next_ten < 2.0 * lowest, next_ten, np.inf),
-        # 10^f; a value with f > 18 digits after the point is below 1.
-        pow10=np.array([10**i for i in range(19)] + [0, 0], dtype=np.int64),
-        groups=groups.view(np.uint32).ravel(),
-        # One row per 8-byte word of the slot.
-        lead=lead.reshape(-1, _SLOT).view(_U).T.copy(),
-        point=point.view(_U).T.copy(),
+        unit=np.array([10**d for d in range(1, _MAX_DROPS + 1)] * E.size),
+        # 9 10^f; a value with f > 18 digits after the point is below 1.
+        nines=np.array([9 * 10**i if 0 <= i <= 18 else 0 for i in f.ravel().tolist()]),
+        # The pattern row of a positive value below the power of ten.
+        shown=(42 * (int_digits[:, None] + 1 + f) + 2 * f).ravel(),
+        groups=groups,
+        last=last.view(np.uint32).ravel(),
+        top=top.view(_U).ravel(),
+        pattern=pattern.reshape(-1, _SLOT).view(_U).copy(),
+        length=(h[:, None, None] + 0 * after[:, None] + np.arange(2, 4)).ravel(),
     )
 
 
 def _fast_slots(values: np.ndarray, ax: np.ndarray, fast: np.ndarray, cols: int):
-    """Each value's text in a 24-byte row, padded with spaces in front and
-    followed by its separator, and the indices of the rows left over.
+    """Each value's text right-aligned in a 24-byte row, its separator last,
+    with the length of both; and the rows left over, which hold anything.
+    `ax` is |values|, left as it is; `fast` marks 1e-4 <= |x| < 2^51 and is
+    cleared where the digits are not found.
 
-    `ax` is |values| and `fast` marks where 1e-4 <= |x| < 2^51; both are
-    overwritten.
-
-    The steps work in place where they can and drop what they no longer
-    need, so that no more than a few arrays of the block's size are alive
-    at once.  They keep to a few numpy loops (no unsigned division or
-    comparison, no bitwise and/or, no bool arithmetic, no integer casts):
-    each new one maps more of numpy's code into memory.
+    The steps work in place and drop what they no longer need, so that only
+    a few arrays of the block's size are alive at once.  They keep to a few
+    numpy loops, as each new one maps more of numpy's code into memory: no
+    unsigned division or comparison, no integer and/or, no bool arithmetic
+    (sign bits stand in), no masked ufuncs.
     """
     T = _tables()
-    np.copyto(ax, 1.0, where=~fast)  # keeps the others' arithmetic in range
-    j = ax.view(np.int64) >> 52  # the biased exponent: ax >= 0
-    j -= _LOWEST_EXPONENT
-    digits, after = _shortest_digits(ax, j, fast)
-
-    # digits / 10^after with a 0 put in for the point: the integer part
-    # times 10^(after+1) plus the fraction.
+    ax = np.fmin(ax, 2.0**51)  # keeps the others' arithmetic in range
+    j = (ax.view(np.int64) >> 52) - _LOWEST_EXPONENT  # the binade: ax >= 0
+    digits, row = _shortest_digits(ax, j, fast)
+    # digits / 10^f with a 0 put in for the point: the integer part times
+    # 10^(f+1) plus the fraction, below 10^18.
     pointed = ax.astype(np.int64)
-    pointed *= T.pow10.take(after, mode="clip")
-    pointed *= 9
+    pointed *= T.nines.take(row, mode="clip")
     pointed += digits
-    del digits
-    # The first byte shown is 22 - after - (digits before the point).
-    first = T.int_digits.take(j)
-    np.add(first, 1, out=first, where=ax >= T.next_ten.take(j))
-    del ax, j
-    np.subtract(22 - after, first, out=first)
-    np.add(first, _SLOT, out=first, where=np.signbit(values))
+    row = T.shown.take(row, mode="clip")
+    # Sign bits as 0 or -1: past the power of ten, and of a negative value.
+    row -= ((T.next_ten.take(j, mode="clip") - ax).view(np.int64) >> 63) * 42
+    row -= values.view(np.int64) >> 63
+    del ax, j, digits
 
-    # Six groups of four digits: 10^22..10^19 (always 0) down to 10^2..10^0
-    # and the separator's 0.
+    # Groups of four bytes: "0000", the digits of 10^18..10^15, of 10^14..10^3
+    # in three groups, then those of 10^2..10^0 and the separator.
     slots = np.empty((values.size, 6), np.uint32)
-    slots[:, 0] = T.groups[0]
+    words = slots.view(_U)
     rest = pointed // 1000
     pointed -= rest * 1000
-    pointed *= 10
-    T.groups.take(pointed, out=slots[:, 5], mode="clip")
-    for i in (4, 3, 2, 1):
+    slots[:, 5] = T.last.take(pointed, mode="clip")
+    for i in (4, 3, 2):
         group = rest
         rest = group // 10**4
         group -= rest * 10**4
-        T.groups.take(group, out=slots[:, i], mode="clip")
-    words = slots.view(_U)
-    for w in range(3):
-        words[:, w] -= T.lead[w].take(first, mode="clip")
-        words[:, w] -= T.point[w].take(after, mode="clip")
+        slots[:, i] = T.groups.take(group, mode="clip")
+    words[:, 0] = T.top.take(rest, mode="clip")
+    del pointed, group, rest
+    words -= T.pattern.take(row, axis=0, mode="clip")
     slots = slots.view(np.uint8)
-    separators = slots.reshape(-1, cols, _SLOT)[:, :, -1]
-    separators[...] = ord(",")
-    separators[:, -1] = ord("\n")
-    return slots, np.flatnonzero(~fast)
+    slots.reshape(-1, cols, _SLOT)[:, -1, -1] = ord("\n")
+    return (slots, T.length.take(row, mode="clip")), np.flatnonzero(~fast)
 
 
 def _shortest_digits(ax: np.ndarray, j: np.ndarray, fast: np.ndarray):
-    """The shortest digits of each |x| in `ax` (binade index `j`) and how
-    many of them follow the point; clears `fast` where they are not found.
-
-    The 128-bit product is taken in uint64; from floor(x 10^k) on, every
-    value is below 2^62 and the arithmetic is int64.
+    """The shortest digits of each |x| in `ax` (binade index `j`) and the
+    table row 4j + (digits dropped) - 1; clears `fast` where the digits are
+    not found.  The 128-bit product is taken in uint64; from floor(x 10^k)
+    on, every value is below 2^62 and the arithmetic is int64.
     """
     T = _tables()
     low = (ax.view(_U) << _U(12)) >> _U(11)  # 2M - 2^53
     fast &= low.view(np.int64) > 0  # M is not a power of two
     low += _U(1 << 53)
-    p = T.pow5.take(j)
+    p = T.pow5.take(j, mode="clip")
     low *= p  # wraps: the low word of 2M 5^k
-    high = ax * T.high.take(j)
-    high -= low.astype(np.float64) * 2.0**-64
-    high = np.rint(high, out=high).astype(_U)
-    shift = T.shift.take(j)
+    # The low word's share from its top 53 bits, in a signed conversion.
+    high = ax * T.high.take(j, mode="clip")
+    high -= (low >> _U(11)).view(np.int64).astype(np.float64) * 2.0**-53
+    high = np.rint(high, out=high).astype(np.int64).view(_U)
+    shift = T.shift.take(j, mode="clip")
     kept = low >> shift
     below = low
     below -= kept << shift  # the bits shifted out
-    del low
     fast &= below.view(np.int64) > 0  # x 10^k is not an integer
-    # floor(2M 5^k / 2^s) and the interval's bounds.
-    high <<= T.left.take(j)
+    # floor(2M 5^k / 2^s), the upper bound and how far below it the lower.
+    high <<= T.left.take(j, mode="clip")
     high += kept
-    del kept
     scaled = high.view(np.int64)
     upper = below + p
     upper >>= shift
-    lower = T.mask.take(j)
-    lower -= below
-    lower += p
-    lower >>= shift
-    del below, p, shift
+    gap = T.mask_pow5.take(j, mode="clip")
+    gap -= below
+    gap >>= shift
+    del low, below, p, shift, kept
     upper = upper.view(np.int64)
     upper += scaled
-    lower = lower.view(np.int64)
-    np.subtract(scaled, lower, out=lower)
+    gap = gap.view(np.int64)
+    lower = scaled - gap
 
     # Drop digits while the interval holds a multiple of the next power of
-    # ten, then round what was dropped to nearest; where that gives the
-    # lower bound, which does not read back as x, take the next one up.
-    drops = np.ones(ax.size, np.intp)
-    for d in range(2, _MAX_DROPS + 1):
-        np.add(drops, 1, out=drops, where=upper // T.pow10[d] > lower // T.pow10[d])
-    last = _MAX_DROPS + 1
-    fast &= upper // T.pow10[last] <= lower // T.pow10[last]
-    del upper
-    after = T.k.take(j)
-    after -= drops
-    unit = T.pow10.take(drops)
-    del drops
+    # ten: the largest one up to `upper` lies above `lower`.
+    row = j * _MAX_DROPS
+    for d in range(2, _MAX_DROPS + 2):
+        top = upper // 10**d
+        top *= 10**d
+        np.subtract(lower, top, out=top)  # negative where it lies above
+        if d <= _MAX_DROPS:
+            row -= np.right_shift(top, 63, out=top)
+    fast &= top >= 0
+    del upper, lower, top
+    # Round the dropped digits to nearest, or up where down would reach the
+    # lower bound (not read back as x): up where dropped >= min(gap, unit/2).
+    unit = T.unit.take(row, mode="clip")
     digits = scaled // unit
-    gap = np.subtract(scaled, lower, out=lower)
     dropped = scaled
     dropped -= digits * unit
-    np.add(digits, 1, out=digits, where=(2 * dropped >= unit) | (gap <= dropped))
-    return digits, after
+    unit >>= 1
+    np.minimum(gap, unit, out=gap)
+    digits -= (gap - dropped - 1) >> 63
+    return digits, row

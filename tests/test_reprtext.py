@@ -1,9 +1,15 @@
 """CSV rows of float64 values: `repr_rows` against the `%` line it stands for."""
 
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import legkoop.reprtext as reprtext
+from legkoop.cli import main
+from legkoop.koopman import _TIME_BLOCK
 from legkoop.reprtext import repr_rows
 
 MIN = reprtext._MIN_VALUES
@@ -121,3 +127,131 @@ def test_a_column_slice_and_a_float32_table_are_written_as_their_float64_values(
     table = np.random.default_rng(5).uniform(0.0, 3.0, (1024, 4))
     for view in (table[:, 1:3], table.astype(np.float32)):
         assert repr_rows(view) == percent_rows(np.asarray(view, dtype=np.float64))
+
+
+def left_over(values):
+    """Which values the vectorized path leaves to the `%` line."""
+    ax = np.abs(values)
+    _, fallback = reprtext._fast_slots(values, ax, (ax >= 1e-4) & (ax < 2.0**51), 1)
+    return np.isin(np.arange(values.size), fallback)
+
+
+def with_both_signs(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+def dropped_digits(x):
+    """How many digits of floor(|x| 10^k) repr(x) leaves out, worked out in
+    exact arithmetic; None where |x| 10^k is an integer or x a power of two."""
+    mantissa, exponent = math.frexp(abs(x))
+    significand, power = int(mantissa * 2**53), exponent - 53
+    k = 0
+    while Fraction(3, 4) * Fraction(2) ** power * 10**k < 10:
+        k += 1
+    scaled = Fraction(abs(x)) * 10**k
+    if significand == 2**52 or scaled.denominator == 1:
+        return None
+    shortest = repr(abs(x)).replace(".", "").lstrip("0")
+    return len(str(math.floor(scaled))) - len(shortest)
+
+
+def test_values_that_drop_one_to_four_digits_and_more():
+    # Decimals of 8 to 17 significant digits from 1e-4 to 1e15: floor(x 10^k)
+    # has 17 to 19 digits, so they drop from 1 to about 11.  Up to four the
+    # vectorized path writes them; more go to the `%` line.
+    rng = np.random.default_rng(29)
+    values = [
+        float("%.*e" % (digits - 1, v))
+        for digits in range(8, 18)
+        for e in range(-4, 15)
+        for v in 10.0**e * rng.uniform(1.0, 10.0, 12)
+    ]
+    drops = {x: dropped_digits(x) for x in values}
+    for count in (1, 2, 3, 4, 5):
+        chosen = [x for x in values if drops[x] is not None and min(drops[x], 5) == count]
+        assert len(chosen) >= 100
+        chosen = with_both_signs(chosen)
+        left = left_over(chosen)
+        assert left.all() if count == 5 else not left.any()
+        check_blocks(np.resize(chosen, (MIN // 3 + 1) * 3), 3)
+        check_blocks(chosen, 3, rows=MIN // 3 + 1)
+
+
+def test_both_ends_of_the_lowest_and_highest_binades():
+    # The fast range starts at 1e-4 inside the binade of 2^-14 and ends below
+    # 2^51, in the binade of 2^50, where every x 10^k is an integer.
+    rng = np.random.default_rng(31)
+    ends = []
+    for low, high in [(1e-4, 2.0**-13), (2.0**-14, 2.0**-13), (2.0**50, 2.0**51)]:
+        ends += [low, high, *rng.uniform(low, high, 40)]
+        for v in (low, high):
+            ends += [np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    ends = with_both_signs(ends)
+    lowest = (np.abs(ends) > 1e-4) & (np.abs(ends) < 2.0**-13)
+    assert not left_over(ends[lowest]).any()
+    assert left_over(ends[np.abs(ends) >= 2.0**50]).all()
+    block = np.random.default_rng(37).uniform(-2.0, 2.0, MIN + 2)
+    for start in range(0, ends.size, 64):
+        chunk = ends[start : start + 64]
+        block[: chunk.size] = chunk
+        for cols in (1, 3):
+            table = block[: block.size // cols * cols].reshape(-1, cols)
+            assert repr_rows(table) == percent_rows(table)
+
+
+def test_every_pattern_row_in_both_signs():
+    # Each (sign, digits before the point, digits after it) the vectorized
+    # path can meet: 15 to 17 significant digits in each decade from 1e-4 to
+    # 1e15, which puts the first digit at each byte from 1 to 7 of the slot.
+    rng = np.random.default_rng(17)
+    values = []
+    for e in range(-4, 15):
+        drawn = 10.0**e * rng.uniform(1.0, 10.0, 24)  # mostly 16 or 17 digits
+        values += [*drawn, *(float("%.14e" % v) for v in drawn)]
+    values = with_both_signs(values)
+
+    def shown(x):
+        before, after = repr(abs(x)).split(".")
+        return x < 0, len(before) + len(after), len(after)
+
+    expected = {
+        (negative, digits if e >= 0 else digits - e, digits - e - 1)
+        for negative in (False, True)
+        for e in range(-4, 15)
+        for digits in (15, 16, 17)
+        if digits - e - 1 >= 1
+    }
+    written = {shown(x) for x, left in zip(values.tolist(), left_over(values)) if not left}
+    assert expected <= written
+    for cols in (1, 3, 7):
+        check_blocks(values, cols, rows=MIN // cols + 1)
+
+
+def test_a_damped_solve_through_1e_4_writes_each_value_as_its_repr(tmp_path):
+    # q'' = -q - q' from (0.5, 0): both states fall below 1e-4 for good near
+    # t = 17, in the middle of the second block; the blocks after it are left
+    # to the `%` line value by value.
+    config = {
+        "name": "damped",
+        "states": ["q", "p"],
+        "dynamics": [
+            {"terms": [{"coef": 1.0, "exp": [0, 1]}]},
+            {"terms": [{"coef": -1.0, "exp": [1, 0]}, {"coef": -1.0, "exp": [0, 1]}]},
+        ],
+        "initial_state": [0.5, 0.0],
+        "order": 1,
+        "t_final": 40.0,
+        "num_steps": 4 * _TIME_BLOCK,
+    }
+    path = tmp_path / "damped.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "damped_trajectory.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "t,q,p"
+    cells = [line.split(",") for line in lines[1:]]
+    table = np.array(cells, dtype=np.float64)
+    last_large = np.flatnonzero(np.abs(table[:, 1:]).max(axis=1) >= 1e-4)[-1]
+    assert _TIME_BLOCK + 100 < last_large < 2 * _TIME_BLOCK - 100
+    assert [c for row in cells for c in row if repr(float(c)) != c] == []
+    assert "\n".join(lines[1:]) + "\n" == percent_rows(table)
