@@ -22,6 +22,7 @@ from .dynamics import (
 )
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 from .koopman import (
+    EigenBlock,
     KoopmanModel,
     ModelDiagnostics,
     Trajectory,
@@ -75,6 +76,7 @@ __all__ = [
     "rescale_to_unit_box",
     "parse_system_config",
     # Koopman pipeline
+    "EigenBlock",
     "KoopmanModel",
     "ModelDiagnostics",
     "Trajectory",

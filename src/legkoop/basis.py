@@ -38,9 +38,10 @@ __all__ = [
 
 MAX_DIMENSION = 6
 MAX_ORDER = 12
-# Largest basis a solve may use: n = 1820 (c=12, m=4) peaks at 296 MiB RSS,
-# set by the eigendecomposition, at 100 and at 1e5 output times; a coupled
-# quadratic field solved in 1.4 s and 3.7 s (2-vCPU VM).  eig grows like n**3.
+# Largest basis a solve may use: n = 1820 (c=12, m=4) peaks at 138 MiB RSS at
+# 100 output times, set by the eigen layer, and at 166 MiB at 1e5, set by
+# propagation's block tables; a coupled quadratic field solved in 2.5-3.1 s
+# and 3.1-4.5 s (2-vCPU VM, one BLAS thread).  eig grows like n**3.
 MAX_BASIS_SIZE = 2000
 
 

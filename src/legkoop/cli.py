@@ -176,7 +176,7 @@ def _solve_spec(
     timings["assemble"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
-    eigenvalues, V, Vinv, diagnostics = eigendecompose(K)
+    eigenvalues, eigenblocks, diagnostics = eigendecompose(K)
     timings["eigen"] = time.perf_counter() - mark
     model = KoopmanModel(
         basis=basis,
@@ -184,8 +184,7 @@ def _solve_spec(
         H=H,
         observable_names=tuple(spec.observables.names),
         eigenvalues=eigenvalues,
-        V=V,
-        Vinv=Vinv,
+        blocks=eigenblocks,
         diagnostics=diagnostics,
     )
 
@@ -195,11 +194,11 @@ def _solve_spec(
         for x, c, h in zip(spec.initial_state, spec.domain_center, spec.domain_half_width)
     )
     h0 = evaluate_basis(basis, y0)
-    phi0 = initial_eigenfunctions(Vinv, h0)
+    phi0 = initial_eigenfunctions(eigenblocks, h0)
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     n_obs = H.shape[0]
     all_H = H if state_H is None else np.vstack((H, state_H))
-    blocks = _evaluate_rows(all_H, eigenvalues, V, phi0, times, imag_rows=n_obs)
+    blocks = _evaluate_rows(all_H, eigenblocks, phi0, times, imag_rows=n_obs)
     # The first block validates the grid and guards exp against overflow
     # before the reference runs or any output exists.
     blocks = itertools.chain([next(blocks)], blocks)

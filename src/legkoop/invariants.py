@@ -271,7 +271,7 @@ def reconstruction_error() -> float:
     worst = 0.0
     for _ in range(100):
         x0 = rng.uniform(-1.0, 1.0, size=2)
-        phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, x0))
+        phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, x0))
         traj = propagate(model, phi0, np.array([0.0]))
         worst = max(worst, float(np.abs(traj.values[:, 0] - x0).max()))
     return worst

@@ -9,7 +9,7 @@ dL_i/dt = grad(L_i) . f, which projects back onto the basis:
 right eigenvectors K V = V diag(lambda), observables g = H L propagate
 analytically:
 
-    g(t_k) = Re[ H V diag(exp(lambda t_k)) phi0 ],    phi0 = Vinv L(x0)
+    g(t_k) = Re[ H V diag(exp(lambda t_k)) phi0 ],    phi0 = V^-1 L(x0)
 
 No time stepping is involved.  `_evaluate_rows` walks the time grid in
 blocks of `_TIME_BLOCK` times and yields each block's real part and its
@@ -27,11 +27,11 @@ exponential per pair per block, within a few eps (1 + |lambda| max|t|) of
 exp(lambda t) (see `_mode_exponentials`).
 
 K often splits into blocks that do not couple at all (Duffing's odd
-symmetry gives an even and an odd block).  `eigendecompose` finds them as
-the connected components of the sparsity graph of K, with no tolerance,
-and runs one eigendecomposition per block; V and Vinv are block-diagonal
-up to a permutation, so an observable that lives on one block reaches only
-that block's modes.
+symmetry gives an even and an odd block): the connected components of the
+sparsity graph of K, found with no tolerance.  Each keeps its eigenvalues
+and real eigenvectors X = V_b T, T unitary (`EigenBlock`); H V and phi0 are
+formed per block in real arithmetic, and an observable that lives on one
+block reaches only that block's modes.
 
 K and H are assembled in coefficient space, without expanding any basis
 function into monomials.  Per axis, multiplication by x is the tridiagonal
@@ -67,6 +67,7 @@ __all__ = [
     "NEAR_DEFECTIVE_CONDITION",
     "EXP_OVERFLOW_LIMIT",
     "ModelDiagnostics",
+    "EigenBlock",
     "KoopmanModel",
     "Trajectory",
     "assemble_koopman",
@@ -171,12 +172,28 @@ def observable_matrix(basis: BasisSet, observables: ObservableSet) -> np.ndarray
 
 @dataclass(frozen=True)
 class ModelDiagnostics:
-    """Quality measures of K and of its eigendecomposition."""
+    """Quality measures of K and of its eigendecomposition.  Where K has
+    repeated eigenvalues, `eigencondition`, which the NEAR_DEFECTIVE_CONDITION
+    gate reads, is not a property of K: LAPACK picks a basis inside each
+    degenerate eigenspace.  Duffing's K at c=8 has 10 pairs closer than 1e-8,
+    and two K within 2e-13 of each other read 131.6 and 232.2."""
 
-    eigenresidual: float  # max entry of |K V - V diag(lambda)|
-    eigencondition: float  # 2-norm condition number of V
+    eigenresidual: float  # max |K v - lambda v| over unit eigenvectors v
+    eigencondition: float  # 2-norm condition number of V, unit columns
     skewness: float  # skewness_diagnostic(K)
     n_blocks: int  # connected components of the sparsity graph of K
+
+
+@dataclass(frozen=True, eq=False)
+class EigenBlock:
+    """One sparsity block of K: its ascending `rows` in K, its `eigenvalues`
+    in LAPACK's order (a conjugate pair adjacent, upper one first) and real
+    `vectors` X: a real eigenvalue's unit eigenvector v, a pair's sqrt2 Re v
+    and sqrt2 Im v of its upper one's unit v.  So X = V T with T unitary."""
+
+    rows: np.ndarray
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
 
 
 def _sparsity_components(K: np.ndarray) -> list[np.ndarray]:
@@ -201,73 +218,56 @@ def _sparsity_components(K: np.ndarray) -> list[np.ndarray]:
     return components
 
 
-def _normalized_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Eigenpairs of one block, each vector of unit norm and rotated so its
-    # first entry above 1e-12 in magnitude is positive real.
-    try:
-        eigenvalues, vectors = np.linalg.eig(block)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError(f"eigendecomposition failed: {exc}") from None
-    eigenvalues = eigenvalues.astype(complex)
-    vectors = vectors.astype(complex)
-    if not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all()):
-        raise NonFiniteError("eigendecomposition produced non-finite values")
-    vectors /= np.linalg.norm(vectors, axis=0)
-    columns = np.arange(vectors.shape[1])
-    pivots = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), columns]
-    vectors *= pivots.conjugate() / np.abs(pivots)
-    return eigenvalues, vectors
-
-
-def eigendecompose(
-    K: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ModelDiagnostics]:
-    """Eigenvalues and right eigenvectors of K, deterministically normalized.
+def eigendecompose(K: np.ndarray) -> tuple[np.ndarray, tuple[EigenBlock, ...], ModelDiagnostics]:
+    """Sorted eigenvalues of K, and one `EigenBlock` per sparsity block.
 
     K is split into the connected components of its sparsity graph (see
     `_sparsity_components`), which is exact: no tolerance decides what
-    couples.  Each block is eigendecomposed on its own, and its eigenvectors
-    and their inverse are scattered into the n x n `V` and `Vinv`, which are
-    therefore block-diagonal up to a permutation, with exact zeros off the
-    blocks.  A K with one component is one block.
+    couples.  Each block gets one `np.linalg.eig` of K untouched (no
+    pre-scaling); all after it is real arithmetic on the block (Golub & Van
+    Loan, Matrix Computations, 4th ed., 7.4), and no n x n V is formed.
+    Eigenvalues sort by descending real, then imaginary part, over all blocks.
 
-    Eigenvalues sort by descending real part, then descending imaginary
-    part, over all blocks together.  Each eigenvector column is scaled to
-    unit norm and rotated so its first nonzero entry is positive real, which
-    pins the output regardless of eigensolver backend conventions.  K itself
-    is handed to the solver untouched -- no pre-scaling of columns.
-
-    `eigenresidual` is the largest residual over the blocks.  The singular
-    values of `V` are the union of the blocks' singular values, so
-    `eigencondition` (their largest over their smallest) is the 2-norm
-    condition number of `V`; above NEAR_DEFECTIVE_CONDITION the
-    decomposition is refused with NearDefectiveError.  `skewness` is
-    `skewness_diagnostic(K)`.
+    `eigenresidual` is max |K v - lambda v| over unit eigenvectors, from the
+    real K_b X - X Lambda_b with 2 x 2 rotation-scaling blocks in Lambda_b.
+    V's singular values are the union of the blocks' X's, so
+    `eigencondition`, their largest over their smallest, is V's condition
+    number; above NEAR_DEFECTIVE_CONDITION, NearDefectiveError is raised.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
     if not np.isfinite(K).all():
         raise ValueError("K contains non-finite entries")
-    n = K.shape[0]
-    eigenvalues = np.empty(n, dtype=complex)
-    vectors = np.zeros((n, n), dtype=complex)
-    blocks = []  # (rows of K, columns of V) per block
-    singular = []
-    residual = 0.0
-    start = 0
+    skewness = skewness_diagnostic(K)  # first: its n x n sum is the largest array here
+    blocks, singular, residual = [], [], 0.0
     for rows in _sparsity_components(K):
-        columns = np.arange(start, start + rows.size)
-        start += rows.size
         block = K[np.ix_(rows, rows)]
-        values, block_vectors = _normalized_eig(block)
-        residual = max(
-            residual, float(np.abs(block @ block_vectors - block_vectors * values).max())
-        )
-        singular.append(np.linalg.svd(block_vectors, compute_uv=False))
-        eigenvalues[columns] = values
-        vectors[np.ix_(rows, columns)] = block_vectors
-        blocks.append((rows, columns))
+        try:
+            values, vectors = np.linalg.eig(block)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteError(f"eigendecomposition failed: {exc}") from None
+        if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
+            raise NonFiniteError("eigendecomposition produced non-finite values")
+        values = values.astype(complex)
+        # LAPACK returns a pair as exact conjugates in adjacent columns, the
+        # upper one first; `partner` swaps them and fixes each real one.
+        partner = np.arange(values.size) + np.sign(values.imag).astype(int)
+        if not (np.take(values, partner, mode="clip") == values.conj()).all():
+            raise NonFiniteError("eigendecomposition returned unpaired complex eigenvalues")
+        # eig's columns have unit norm; a lower one's is the conjugate of its partner's.
+        X = np.where(values.imag < 0, -vectors.imag, vectors.real)
+        X *= np.where(values.imag == 0, 1.0, math.sqrt(2))
+        # K x = a x - b y and K y = b x + a y for a pair a +- ib, x + iy = sqrt2 v,
+        # so a pair's |K v - lambda v| is hypot(R_x, R_y) / sqrt2, a real one's |R|.
+        R = block @ X
+        R -= X * values.real
+        R += X[:, partner] * values.imag
+        residual = max(residual, float(np.hypot(R, R[:, partner], out=R).max()) * math.sqrt(0.5))
+        singular.append(np.linalg.svd(X, compute_uv=False))
+        for arr in (rows, values, X):
+            arr.flags.writeable = False
+        blocks.append(EigenBlock(rows, values, X))
 
     singular = np.concatenate(singular)
     with np.errstate(divide="ignore"):
@@ -277,18 +277,11 @@ def eigendecompose(
             f"eigenvector condition {condition:.3e} exceeds "
             f"{NEAR_DEFECTIVE_CONDITION:.0e}; K is too close to defective"
         )
-    inverse = np.zeros((n, n), dtype=complex)
-    for rows, columns in blocks:
-        inverse[np.ix_(columns, rows)] = np.linalg.inv(vectors[np.ix_(rows, columns)])
-
-    order = np.lexsort((-eigenvalues.imag, -eigenvalues.real))
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    inverse = inverse[order]
-    for arr in (eigenvalues, vectors, inverse):
-        arr.flags.writeable = False
-    diagnostics = ModelDiagnostics(residual, condition, skewness_diagnostic(K), len(blocks))
-    return eigenvalues, vectors, inverse, diagnostics
+    eigenvalues = np.concatenate([block.eigenvalues for block in blocks])
+    eigenvalues = eigenvalues[np.lexsort((-eigenvalues.imag, -eigenvalues.real))]
+    eigenvalues.flags.writeable = False
+    diagnostics = ModelDiagnostics(residual, condition, skewness, len(blocks))
+    return eigenvalues, tuple(blocks), diagnostics
 
 
 def skewness_diagnostic(K: np.ndarray) -> float:
@@ -304,15 +297,16 @@ def skewness_diagnostic(K: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KoopmanModel:
-    """Assembled and eigendecomposed spectral model of one system."""
+    """Assembled and eigendecomposed spectral model of one system.  Its
+    `eigenvalues` are sorted; phi0 and propagation take the modes in the
+    order of `blocks`: the eigenvalues of blocks[0], then of blocks[1], ..."""
 
     basis: BasisSet
     K: np.ndarray
     H: np.ndarray
     observable_names: tuple[str, ...]
     eigenvalues: np.ndarray
-    V: np.ndarray
-    Vinv: np.ndarray
+    blocks: tuple[EigenBlock, ...]
     diagnostics: ModelDiagnostics
 
 
@@ -320,26 +314,37 @@ def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) ->
     """Assemble K and H for `vf` on `basis` and eigendecompose."""
     K = assemble_koopman(basis, vf)
     H = observable_matrix(basis, observables)
-    eigenvalues, V, Vinv, diagnostics = eigendecompose(K)
+    eigenvalues, blocks, diagnostics = eigendecompose(K)
     return KoopmanModel(
         basis=basis,
         K=K,
         H=H,
         observable_names=tuple(observables.names),
         eigenvalues=eigenvalues,
-        V=V,
-        Vinv=Vinv,
+        blocks=blocks,
         diagnostics=diagnostics,
     )
 
 
-def initial_eigenfunctions(Vinv: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """Eigenfunction values at the initial state: phi0 = Vinv h0."""
-    Vinv = np.asarray(Vinv)
+def _complex_columns(X: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    # Real-form columns (last axis) made complex: a pair's x, y -> (x + iy)/sqrt2, conjugate.
+    upper = np.flatnonzero(eigenvalues.imag > 0)
+    Z = X.astype(complex)
+    Z[..., upper] = (X[..., upper] + 1j * X[..., upper + 1]) * math.sqrt(0.5)
+    Z[..., upper + 1] = Z[..., upper].conj()
+    return Z
+
+
+def initial_eigenfunctions(blocks: Sequence[EigenBlock], h0: np.ndarray) -> np.ndarray:
+    """Eigenfunction values at the initial state, phi0 = V^-1 h0, in the blocks'
+    order of modes: per block one real LU solve y = X^-1 h0[rows], since
+    V^-1 = T X^-1, and a pair's entries (y1 -+ i y2)/sqrt2."""
     h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (Vinv.shape[1],):
-        raise ValueError(f"h0 has shape {h0.shape}, expected ({Vinv.shape[1]},)")
-    return Vinv @ h0
+    n = sum(b.rows.size for b in blocks)
+    if h0.shape != (n,):
+        raise ValueError(f"h0 has shape {h0.shape}, expected ({n},)")
+    y = np.concatenate([np.linalg.solve(b.vectors, h0[b.rows]) for b in blocks])
+    return _complex_columns(y, np.concatenate([b.eigenvalues for b in blocks])).conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,18 +366,14 @@ class Trajectory:
 def propagate(model: KoopmanModel, phi0: np.ndarray, times) -> Trajectory:
     """Evaluate the model's observables at each time of an evenly spaced grid
     (see `propagate_observables`)."""
-    return propagate_observables(model.H, model.eigenvalues, model.V, phi0, times)
+    return propagate_observables(model.H, model.blocks, phi0, times)
 
 
 def propagate_observables(
-    H: np.ndarray,
-    eigenvalues: np.ndarray,
-    V: np.ndarray,
-    phi0: np.ndarray,
-    times,
+    H: np.ndarray, blocks: Sequence[EigenBlock], phi0: np.ndarray, times,
     imag_rows: Optional[int] = None,
 ) -> Trajectory:
-    """values[:, k] = Re[H V diag(exp(lambda t_k)) phi0], per-mode exponentials.
+    """values[:, k] = Re[H V diag(exp(lambda t_k)) phi0], V as `blocks` hold it.
 
     `times` must be strictly increasing and evenly spaced, as np.linspace
     makes them: later blocks of times are propagated from the first block's
@@ -385,7 +386,7 @@ def propagate_observables(
     """
     values = np.empty((np.shape(H)[0], np.size(times)))
     max_imag = 0.0
-    for block, real, imag, n_modes in _evaluate_rows(H, eigenvalues, V, phi0, times, imag_rows):
+    for block, real, imag, n_modes in _evaluate_rows(H, blocks, phi0, times, imag_rows):
         values[:, block] = real
         max_imag = max(max_imag, imag)
     values.flags.writeable = False
@@ -393,11 +394,7 @@ def propagate_observables(
 
 
 def _evaluate_rows(
-    H: np.ndarray,
-    eigenvalues: np.ndarray,
-    V: np.ndarray,
-    phi0: np.ndarray,
-    times,
+    H: np.ndarray, blocks: Sequence[EigenBlock], phi0: np.ndarray, times,
     imag_rows: Optional[int] = None,
 ) -> Iterator[tuple[slice, np.ndarray, float, int]]:
     """Yield (block, values, max_imag, n_modes) per block of the time grid.
@@ -417,7 +414,7 @@ def _evaluate_rows(
         raise ValueError("times must be finite")
     if not (times[1:] > times[:-1]).all():
         raise ValueError("times must be strictly increasing")
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    eigenvalues = np.concatenate([b.eigenvalues for b in blocks])
     phi0 = np.asarray(phi0)
 
     # max over (i, k) of Re(lambda_i) t_k sits at a corner of the two
@@ -432,8 +429,10 @@ def _evaluate_rows(
             f"Re(lambda)*t reaches {growth:.3e} > {EXP_OVERFLOW_LIMIT}; "
             "exp would overflow"
         )
-    # A mode whose column of H V is all zeros adds exact zeros to every row.
-    HV = np.asarray(H) @ np.asarray(V)
+    # H V per block in real arithmetic, then in complex form.  A mode whose
+    # column is all zeros adds exact zeros to every row.
+    H = np.asarray(H, dtype=float)
+    HV = _complex_columns(np.hstack([H[:, b.rows] @ b.vectors for b in blocks]), eigenvalues)
     reached = np.flatnonzero(HV.any(axis=0))
     HV_reached = HV[:, reached]
     # A last block may take one time more than _TIME_BLOCK.

@@ -76,7 +76,7 @@ def test_criterion_4_linear_exactness_harmonic_oscillator():
         basis = build_basis(c, 2)
         model = build_model(basis, vf, observables)
         worst_real = max(worst_real, float(np.abs(model.eigenvalues.real).max()))
-        phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (1.0, 0.0)))
+        phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (1.0, 0.0)))
         traj = propagate(model, phi0, times)
         worst_traj = max(worst_traj, float(np.abs(traj.values - exact).max()))
     assert worst_traj <= 1e-8
@@ -93,7 +93,7 @@ def test_criterion_5_duffing_desk_run():
     basis = build_basis(3, 2)
     model = build_model(basis, vf, ObservableSet.identity(("q", "p")))
     times = np.linspace(0.0, 10.0, 100)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (1.0, 0.0)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (1.0, 0.0)))
     traj = propagate(model, phi0, times)
     reference = rk4_integrate(vf, (1.0, 0.0), times, 1e-4)
     elapsed = time.perf_counter() - started

@@ -132,11 +132,11 @@ def eager_solve(spec, rk_step=None, edit=None):
     model = build_model(basis, spec.unit_vf, spec.unit_observables)
     state_H = observable_matrix(basis, ObservableSet.identity(spec.states))
     box = zip(spec.initial_state, spec.domain_center, spec.domain_half_width)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, [(x - c) / h for x, c, h in box]))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, [(x - c) / h for x, c, h in box]))
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     n_obs = len(model.H)
     trajectory = propagate_observables(
-        np.vstack((model.H, state_H)), model.eigenvalues, model.V, phi0, times, imag_rows=n_obs
+        np.vstack((model.H, state_H)), model.blocks, phi0, times, imag_rows=n_obs
     )
     values = trajectory.values[:n_obs].copy()
     if edit is not None:

@@ -18,6 +18,8 @@ from legkoop.errors import NearDefectiveError, NonFiniteError, ValidationError
 from legkoop.invariants import basis_as_polynomial, gauss_legendre_inner_product, total_derivative
 from legkoop.koopman import (
     _TIME_BLOCK,
+    EigenBlock,
+    _evaluate_rows,
     _mode_exponentials,
     assemble_koopman,
     build_model,
@@ -177,27 +179,77 @@ def test_observable_degree_above_order_rejected():
 # ---------------------------------------------------------------------------
 # eigendecomposition
 
+def mode_eigenvalues(blocks):
+    # The eigenvalues in the blocks' order of modes, which phi0 follows.
+    return np.concatenate([b.eigenvalues for b in blocks])
+
+
+def dense_V(blocks):
+    # The n x n complex V of unit eigenvectors, columns in the blocks' order
+    # of modes, rebuilt column by column from each block's real form.
+    n = sum(b.rows.size for b in blocks)
+    V = np.zeros((n, n), dtype=complex)
+    j = 0
+    for b in blocks:
+        for k, value in enumerate(b.eigenvalues):
+            if value.imag > 0:
+                V[b.rows, j] = (b.vectors[:, k] + 1j * b.vectors[:, k + 1]) / math.sqrt(2)
+            elif value.imag < 0:
+                V[b.rows, j] = V[b.rows, j - 1].conjugate()
+            else:
+                V[b.rows, j] = b.vectors[:, k]
+            j += 1
+    return V
+
+
+def blockwise_HV(H, blocks):
+    # H V as propagation forms it, bit for bit: H[:, rows] X per block in
+    # real arithmetic, then a pair's columns x, y as (x + iy)/sqrt2 and its
+    # conjugate.
+    columns = []
+    for b in blocks:
+        HX = H[:, b.rows] @ b.vectors
+        for k, value in enumerate(b.eigenvalues):
+            if value.imag > 0:
+                columns.append((HX[:, k] + 1j * HX[:, k + 1]) * math.sqrt(0.5))
+            elif value.imag < 0:
+                columns.append(columns[-1].conjugate())
+            else:
+                columns.append(HX[:, k].astype(complex))
+    HV = np.column_stack(columns)
+    assert np.abs(HV - H @ dense_V(blocks)).max() <= 1e-15 * np.abs(H).sum(axis=1).max()
+    return HV
+
+
+def dense_Vinv(blocks):
+    # V^-1 column by column: phi0 of each unit vector, one LU solve per block.
+    n = sum(b.rows.size for b in blocks)
+    return np.column_stack([initial_eigenfunctions(blocks, e) for e in np.eye(n)])
+
+
 def test_diagonal_matrix_decomposition():
     K = np.diag([1.0, 2.0, 3.0])
-    lam, V, Vinv, diag = eigendecompose(K)
+    lam, blocks, diag = eigendecompose(K)
     assert lam == pytest.approx([3.0, 2.0, 1.0])  # sorted by descending real part
-    # Columns are standard basis vectors, permuted to follow the sort.
-    assert np.abs(np.abs(V) - np.eye(3)[:, ::-1]).max() <= 1e-14
-    assert np.abs(K @ V - V * lam[None, :]).max() <= 1e-14
+    # Three 1 x 1 blocks in the order of K, each vector +-1.
+    assert [b.rows.tolist() for b in blocks] == [[0], [1], [2]]
+    V = dense_V(blocks)
+    assert np.abs(np.abs(V) - np.eye(3)).max() <= 1e-14
+    assert np.abs(K @ V - V * mode_eigenvalues(blocks)).max() <= 1e-14
     assert diag.eigenresidual <= 1e-8 * (1 + 3.0)
     assert diag.eigencondition == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotation_block_eigenvalues():
-    lam, V, Vinv, _ = eigendecompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    lam, blocks, _ = eigendecompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert lam == pytest.approx([1j, -1j], abs=1e-14)
-    assert np.abs(V @ Vinv - np.eye(2)).max() <= 1e-12
+    assert np.abs(dense_V(blocks) @ dense_Vinv(blocks) - np.eye(2)).max() <= 1e-12
 
 
 def test_harmonic_spectrum_is_integer_imaginary():
     basis = build_basis(3, 2)
     K = assemble_koopman(basis, HARMONIC)
-    lam, V, Vinv, diag = eigendecompose(K)
+    lam, _, diag = eigendecompose(K)
     assert np.abs(lam.real).max() <= 1e-8
     target = {0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0}
     for v in lam:
@@ -209,12 +261,13 @@ def test_eigenvalue_sort_and_conjugate_pairing():
     rng = np.random.default_rng(29)
     for _ in range(10):
         K = rng.normal(size=(6, 6))
-        lam, V, Vinv, diag = eigendecompose(K)
+        lam, blocks, diag = eigendecompose(K)
         keys = [(-v.real, -v.imag) for v in lam]
         assert keys == sorted(keys)
-        residual = np.abs(K @ V - V * lam[None, :]).max()
+        V = dense_V(blocks)
+        residual = np.abs(K @ V - V * mode_eigenvalues(blocks)).max()
         assert residual <= 1e-8 * (1 + np.abs(K).max())
-        assert np.abs(V @ Vinv - np.eye(6)).max() <= 1e-8 * diag.eigencondition
+        assert np.abs(V @ dense_Vinv(blocks) - np.eye(6)).max() <= 1e-8 * diag.eigencondition
         # Real matrix: spectrum closed under conjugation.
         unpaired = list(lam[np.abs(lam.imag) > 1e-9])
         for v in lam:
@@ -222,39 +275,53 @@ def test_eigenvalue_sort_and_conjugate_pairing():
                 assert min(abs(u - v.conjugate()) for u in unpaired) <= 1e-9
 
 
-def test_eigendecompose_deterministic_phase():
+def test_eigendecompose_is_deterministic():
     K = np.array([[0.0, 1.0, 0.2], [-1.0, 0.0, 0.0], [0.1, 0.0, -0.5]])
-    lam1, V1, _, _ = eigendecompose(K)
-    lam2, V2, _, _ = eigendecompose(K.copy())
-    assert (lam1 == lam2).all()
-    assert (V1 == V2).all()
-    for j in range(3):
-        col = V1[:, j]
-        pivot = col[np.abs(col) > 1e-12][0]
-        assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-        assert pivot.real > 0
+    lam1, blocks1, diag1 = eigendecompose(K)
+    lam2, blocks2, diag2 = eigendecompose(K.copy())
+    assert lam1.tobytes() == lam2.tobytes()
+    assert diag1 == diag2
+    for b1, b2 in zip(blocks1, blocks2, strict=True):
+        for field in ("rows", "eigenvalues", "vectors"):
+            assert getattr(b1, field).tobytes() == getattr(b2, field).tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1j, 2.0, -1j], [-1j, 1j, 2.0], [1j, -1j + 1e-16, 2.0], [2.0, 1j]],
+    ids=["apart", "lower-first", "inexact", "no-partner"],
+)
+def test_eigendecompose_refuses_pairs_out_of_place(monkeypatch, values):
+    # The real form relies on LAPACK's layout: each pair adjacent, upper
+    # first, exactly conjugate.  Anything else is refused, not guessed at.
+    values = np.array(values, dtype=complex)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (values, np.eye(values.size, dtype=complex)))
+    with pytest.raises(NonFiniteError, match="unpaired"):
+        eigendecompose(np.ones((values.size, values.size)))
+
+
+def test_eigenresidual_is_the_complex_residual_of_the_vectors_eig_returns(monkeypatch):
+    # With eig's vectors moved off the eigenvectors the residual is far above
+    # roundoff: the real-form residual must be max |K v - lambda v| over the
+    # complex columns, to roundoff relative to it, for pairs and real ones.
+    rng = np.random.default_rng(61)
+    K = rng.normal(size=(7, 7))
+    values, vectors = np.linalg.eig(K)
+    upper = np.flatnonzero(values.imag > 0)
+    assert upper.size and (values.imag == 0).any()
+    for pair_error, real_error in ((1e-3, 1e-6), (1e-6, 1e-3)):
+        error = np.where(values.imag == 0, real_error, pair_error)
+        moved = vectors + error * rng.normal(size=vectors.shape)
+        moved[:, upper + 1] = moved[:, upper].conjugate()
+        monkeypatch.setattr(np.linalg, "eig", lambda a, moved=moved: (values, moved))
+        expected = np.abs(K @ moved - moved * values).max()
+        assert eigendecompose(K)[2].eigenresidual == pytest.approx(expected, rel=1e-12)
 
 
 def test_jordan_block_raises_near_defective():
     K = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-14]])
     with pytest.raises(NearDefectiveError):
         eigendecompose(K)
-
-
-def test_phase_matches_per_column_reference():
-    # The per-column normalization the vectorized one replaced, applied to
-    # the raw eigenvectors in sorted order.
-    rng = np.random.default_rng(31)
-    K = rng.normal(size=(8, 8))
-    K[0] = 0.0  # a column whose first entry is zero moves the pivot down
-    lam, V, _, _ = eigendecompose(K)
-    raw_lam, raw = np.linalg.eig(K)
-    raw = raw[:, np.lexsort((-raw_lam.imag, -raw_lam.real))].astype(complex)
-    for j in range(raw.shape[1]):
-        column = raw[:, j] / np.linalg.norm(raw[:, j])
-        pivot = column[np.argmax(np.abs(column) > 1e-12)]
-        raw[:, j] = column * (pivot.conjugate() / abs(pivot))
-    assert np.abs(V - raw).max() <= 1e-15
 
 
 def block_labels(V):
@@ -274,20 +341,97 @@ def test_permuted_block_diagonal_matrix_decomposes_per_block():
     perm = rng.permutation(n)
     K = block[np.ix_(perm, perm)]
     label = label[perm]
-    lam, V, Vinv, diag = eigendecompose(K)
+    lam, blocks, diag = eigendecompose(K)
 
     assert diag.n_blocks == len(sizes)
     remaining = list(np.linalg.eigvals(K))
     for v in lam:
         k = int(np.argmin(np.abs(np.array(remaining) - v)))
         assert abs(remaining.pop(k) - v) <= 1e-12
+    # Each block's rows are the rows of one block K was built from.
+    assert sorted(b.rows.tolist() for b in blocks) == sorted(
+        np.flatnonzero(label == b).tolist() for b in range(len(sizes))
+    )
+    V, Vinv = dense_V(blocks), dense_Vinv(blocks)
     column_block = label[block_labels(V)]
     off_block = label[:, None] != column_block[None, :]
     assert (V[off_block] == 0).all()
     assert (Vinv.T[off_block] == 0).all()
     assert diag.eigencondition == pytest.approx(np.linalg.cond(V), rel=1e-12)
-    assert np.abs(K @ V - V * lam[None, :]).max() <= diag.eigenresidual * (1 + 1e-12)
+    assert np.abs(K @ V - V * mode_eigenvalues(blocks)).max() <= diag.eigenresidual * (1 + 1e-12)
     assert np.abs(V @ Vinv - np.eye(n)).max() <= 1e-12 * diag.eigencondition
+
+
+def real_form_cases(rng):
+    # Random real matrices of size 1..40 with only real eigenvalues, only
+    # conjugate pairs, both, and one pair repeated (to roundoff) throughout;
+    # then K of random fields with m = 1..4 and Duffing's K at c=8, whose
+    # pairs repeat to 1e-8.
+    for n in range(1, 41):
+        S = rng.normal(size=(n, n))
+        yield S @ np.diag(rng.normal(size=n)) @ np.linalg.inv(S)
+        yield rng.normal(size=(n, n))
+        if n % 2 == 0:
+            D = np.zeros((n, n))
+            for k in range(0, n, 2):
+                a, b = rng.normal(), rng.uniform(0.5, 2.0)
+                D[k:k + 2, k:k + 2] = [[a, b], [-b, a]]
+            yield S @ D @ np.linalg.inv(S)
+            Q = np.linalg.qr(S)[0]
+            yield Q @ np.kron(np.eye(n // 2), D[:2, :2]) @ Q.T
+    for m, c in [(1, 8), (2, 6), (3, 4), (4, 3)]:
+        for _ in range(3):
+            vf = VectorField(m, tuple(random_poly(rng, m, 3, 4) for _ in range(m)))
+            yield assemble_koopman(build_basis(c, m), vf)
+    yield assemble_koopman(build_basis(8, 2), DUFFING)
+
+
+def test_real_form_matches_the_complex_eigendecomposition():
+    # Against np.linalg.eig's complex, unit-column V, block by block:
+    # eigenvalues bit for bit, singular values and phi0 = V^-1 h0 to
+    # 1e-12 cond, the residual at roundoff.  A refused K must have a
+    # complex V as ill-conditioned.  Each pair is adjacent and exactly
+    # conjugate, as LAPACK lays it out.
+    rng = np.random.default_rng(59)
+    eps = np.finfo(float).eps
+    decomposed = 0
+    for K in real_form_cases(rng):
+        n = K.shape[0]
+        try:
+            lam, blocks, diag = eigendecompose(K)
+        except NearDefectiveError:
+            s = np.linalg.svd(np.linalg.eig(K)[1], compute_uv=False)
+            assert s[-1] <= 1e-12 * s[0]
+            continue
+        decomposed += 1
+        cond = diag.eigencondition
+        V, values, residual, column = np.zeros((n, n), dtype=complex), [], 0.0, 0
+        for b in blocks:
+            block = K[np.ix_(b.rows, b.rows)]
+            w, Vb = np.linalg.eig(block)
+            w, Vb = w.astype(complex), Vb / np.linalg.norm(Vb, axis=0)
+            assert w.tobytes() == b.eigenvalues.tobytes()
+            upper = np.flatnonzero(w.imag > 0)
+            assert np.array_equal(np.flatnonzero(w.imag < 0), upper + 1)
+            assert (w[upper + 1] == w[upper].conjugate()).all()
+            s = np.linalg.svd(Vb, compute_uv=False)
+            assert np.abs(np.linalg.svd(b.vectors, compute_uv=False) - s).max() <= (
+                1e-12 * cond * s.max()
+            )
+            residual = max(residual, np.abs(block @ Vb - Vb * w).max())
+            V[np.ix_(b.rows, np.arange(column, column + b.rows.size))] = Vb
+            values.append(w)
+            column += b.rows.size
+        values = np.concatenate(values)
+        assert lam.tobytes() == values[np.lexsort((-values.imag, -values.real))].tobytes()
+        assert cond == pytest.approx(np.linalg.cond(V), rel=1e-12 * cond)
+        h0 = rng.normal(size=n)
+        expected = np.linalg.solve(V, h0)
+        error = np.abs(initial_eigenfunctions(blocks, h0) - expected).max()
+        assert error <= 1e-12 * cond * np.abs(expected).max()
+        roundoff = n * eps * (np.abs(K).max() + np.abs(lam).max())
+        assert abs(diag.eigenresidual - residual) <= roundoff
+    assert decomposed >= 125  # of 133
 
 
 def test_eigendecompose_input_validation():
@@ -300,24 +444,35 @@ def test_eigendecompose_input_validation():
 # ---------------------------------------------------------------------------
 # propagation
 
+def identity_blocks(eigenvalues):
+    # One block whose eigenvectors are the unit vectors (real eigenvalues),
+    # or whose real form is the identity (pairs).
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    n = eigenvalues.size
+    return (EigenBlock(np.arange(n), eigenvalues, np.eye(n)),)
+
+
 def test_initial_eigenfunctions_identity_eigenvectors():
     h0 = np.array([1.0, 2.0, 3.0])
-    phi0 = initial_eigenfunctions(np.eye(3, dtype=complex), h0)
+    phi0 = initial_eigenfunctions(identity_blocks([1.0, 2.0, 3.0]), h0)
     assert phi0 == pytest.approx(h0)
+    # A pair's entries are (y1 -+ i y2)/sqrt2 of y = X^-1 h0.
+    phi0 = initial_eigenfunctions(identity_blocks([1j, -1j, 2.0]), h0)
+    assert phi0 == pytest.approx([(1 - 2j) / math.sqrt(2), (1 + 2j) / math.sqrt(2), 3.0])
 
 
 def test_initial_eigenfunctions_round_trip():
     basis = build_basis(3, 2)
     K = assemble_koopman(basis, DUFFING)
-    _, V, Vinv, _ = eigendecompose(K)
+    _, blocks, _ = eigendecompose(K)
     h0 = evaluate_basis(basis, (1.0, 0.0))
-    phi0 = initial_eigenfunctions(Vinv, h0)
-    assert np.abs(V @ phi0 - h0).max() <= 1e-10
+    phi0 = initial_eigenfunctions(blocks, h0)
+    assert np.abs(dense_V(blocks) @ phi0 - h0).max() <= 1e-10
 
 
 def test_initial_eigenfunctions_shape_check():
     with pytest.raises(ValueError):
-        initial_eigenfunctions(np.eye(3, dtype=complex), np.ones(2))
+        initial_eigenfunctions(identity_blocks([1.0, 2.0, 3.0]), np.ones(2))
 
 
 def test_propagation_at_time_zero_reconstructs_state():
@@ -327,7 +482,7 @@ def test_propagation_at_time_zero_reconstructs_state():
     for _ in range(100):
         x0 = rng.uniform(-1.0, 1.0, size=2)
         h0 = evaluate_basis(basis, x0)
-        phi0 = initial_eigenfunctions(model.Vinv, h0)
+        phi0 = initial_eigenfunctions(model.blocks, h0)
         traj = propagate(model, phi0, np.array([0.0]))
         assert np.abs(traj.values[:, 0] - x0).max() <= 1e-9
 
@@ -337,7 +492,7 @@ def test_harmonic_trajectory_is_cosine():
     for c in range(1, 6):
         basis = build_basis(c, 2)
         model = build_model(basis, HARMONIC, IDENTITY_QP)
-        phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (1.0, 0.0)))
+        phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (1.0, 0.0)))
         traj = propagate(model, phi0, times)
         assert np.abs(traj.values[0] - np.cos(times)).max() <= 1e-8
         assert np.abs(traj.values[1] + np.sin(times)).max() <= 1e-8
@@ -368,7 +523,7 @@ def test_linear_exactness_random_stable_systems():
         for c in (1, 3):
             basis = build_basis(c, 2)
             model = build_model(basis, vf, IDENTITY_QP)
-            phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, x0))
+            phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, x0))
             traj = propagate(model, phi0, times)
             assert np.abs(traj.values - closed).max() <= 1e-7
 
@@ -377,7 +532,7 @@ def test_duffing_against_rk4():
     basis = build_basis(3, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
     times = np.linspace(0.0, 10.0, 100)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (1.0, 0.0)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (1.0, 0.0)))
     traj = propagate(model, phi0, times)
     ref = rk4_integrate(DUFFING, (1.0, 0.0), times, 1e-4)
     assert np.abs(traj.values[0] - ref[0]).max() <= 1e-2
@@ -389,7 +544,7 @@ def test_short_time_oracle_agreement_small_epsilon():
     basis = build_basis(5, 2)
     model = build_model(basis, vf, IDENTITY_QP)
     times = np.linspace(0.0, 1.0, 50)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (1.0, 0.0)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (1.0, 0.0)))
     traj = propagate(model, phi0, times)
     ref = rk4_integrate(vf, (1.0, 0.0), times, 1e-4)
     assert np.abs(traj.values - ref).max() <= 1e-4
@@ -398,7 +553,7 @@ def test_short_time_oracle_agreement_small_epsilon():
 def test_propagate_times_validation():
     basis = build_basis(1, 2)
     model = build_model(basis, HARMONIC, IDENTITY_QP)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.5, 0.0)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.5, 0.0)))
     with pytest.raises(ValueError):
         propagate(model, phi0, np.array([]))
     with pytest.raises(ValueError):
@@ -417,35 +572,32 @@ def test_propagate_times_validation():
 
 def test_propagate_overflow_guard():
     H = np.array([[1.0]])
-    lam = np.array([800.0 + 0.0j])
-    V = np.array([[1.0 + 0.0j]])
     phi0 = np.array([1.0 + 0.0j])
     with pytest.raises(OverflowError):
-        propagate_observables(H, lam, V, phi0, np.array([1.0]))
+        propagate_observables(H, identity_blocks([800.0]), phi0, np.array([1.0]))
     # Just below the guard is fine.
-    traj = propagate_observables(H, lam * 0.8, V, phi0, np.array([0.5]))
+    traj = propagate_observables(H, identity_blocks([640.0]), phi0, np.array([0.5]))
     assert np.isfinite(traj.values).all()
 
 
 def test_overflow_guard_with_negative_times():
-    lam = np.array([0.5 + 0.0j, -800.0 + 0.0j])
-    V = np.eye(2, dtype=complex)
+    blocks = identity_blocks([0.5, -800.0])
     phi0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
     # Re(lambda) t = 800 at t = -1; the guard covers the mode H does not reach.
     with pytest.raises(OverflowError):
-        propagate_observables(np.array([[1.0, 0.0]]), lam, V, phi0, np.array([-1.0, 0.0]))
+        propagate_observables(np.array([[1.0, 0.0]]), blocks, phi0, np.array([-1.0, 0.0]))
     traj = propagate_observables(
-        np.array([[1.0, 0.0]]), lam, V, phi0, np.array([-0.5, 0.5])
+        np.array([[1.0, 0.0]]), blocks, phi0, np.array([-0.5, 0.5])
     )
     assert traj.n_modes_propagated == 1
     assert traj.values[0] == pytest.approx(np.exp([-0.25, 0.25]), rel=1e-15)
     # Re(lambda) t stays at 400 on both ends of this grid, but a later block
     # is propagated by exp(lambda (t - t_0)), and 400 * 2 = 800.
-    lam, V, phi0 = np.array([400.0 + 0.0j]), np.eye(1, dtype=complex), np.ones(1)
+    phi0 = np.ones(1)
     times = np.linspace(-1.0, 1.0, 2 * _TIME_BLOCK)
     with pytest.raises(OverflowError):
-        propagate_observables(np.ones((1, 1)), lam, V, phi0, times)
-    traj = propagate_observables(np.ones((1, 1)), lam / 2, V, phi0, times)
+        propagate_observables(np.ones((1, 1)), identity_blocks([400.0]), phi0, times)
+    traj = propagate_observables(np.ones((1, 1)), identity_blocks([200.0]), phi0, times)
     assert np.isfinite(traj.values).all()
 
 
@@ -454,9 +606,9 @@ def test_the_num_steps_cap_grid_stays_within_the_bound():
     # offsets grows with t, and the bound grows with |lambda| t alike.
     basis = build_basis(8, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
-    HV = model.H @ model.V
+    HV = blockwise_HV(model.H, model.blocks)
     r = np.flatnonzero(HV.any(axis=0))
-    eigenvalues = model.eigenvalues[r]
+    eigenvalues = mode_eigenvalues(model.blocks)[r]
     times = np.linspace(0.0, 1000.0, MAX_NUM_STEPS)
     rel = _relative_bound(eigenvalues, times)
     worst = 0.0
@@ -464,7 +616,7 @@ def test_the_num_steps_cap_grid_stays_within_the_bound():
         exps = np.exp(np.multiply.outer(eigenvalues, times[block]))
         worst = max(worst, (np.abs(modes - exps) / (rel * np.abs(exps))).max())
     assert worst <= 1.0
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     traj = propagate(model, phi0, times)
     for start in range(0, MAX_NUM_STEPS, 50 * _TIME_BLOCK):
         block = slice(start, start + _TIME_BLOCK)
@@ -479,11 +631,11 @@ def test_propagation_matches_every_mode_explicitly():
     # Duffing c=8: the identity observables reach 20 of the 45 modes.
     basis = build_basis(8, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 20.0, 200)
     traj = propagate(model, phi0, times)
-    modes = np.exp(np.multiply.outer(model.eigenvalues, times)) * phi0[:, None]
-    explicit = model.H @ model.V @ modes
+    modes = np.exp(np.multiply.outer(mode_eigenvalues(model.blocks), times)) * phi0[:, None]
+    explicit = model.H @ dense_V(model.blocks) @ modes
     assert traj.n_modes_propagated == 20
     assert np.abs(traj.values - explicit.real).max() <= 1e-13
 
@@ -492,9 +644,9 @@ def test_unreached_rows_propagate_zeros():
     basis = build_basis(4, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
     H = state_H = np.zeros((2, basis.n))
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     traj = propagate_observables(
-        np.vstack((H, state_H)), model.eigenvalues, model.V, phi0, np.linspace(0.0, 5.0, 40),
+        np.vstack((H, state_H)), model.blocks, phi0, np.linspace(0.0, 5.0, 40),
         imag_rows=len(H),
     )
     assert traj.n_modes_propagated == 0
@@ -510,7 +662,7 @@ def _relative_bound(eigenvalues, times):
     return 4 * eps * (1 + np.abs(eigenvalues)[:, None] * np.abs(times[[0, -1]]).max())
 
 
-def _check_against_one_shot(H, eigenvalues, V, phi0, times):
+def _check_against_one_shot(H, blocks, phi0, times):
     # The blocked, paired propagation against the formula evaluated in one
     # piece.  The first block holds the same exponentials exactly and the
     # same values to matmul roundoff.  A later block is the first block times
@@ -518,38 +670,39 @@ def _check_against_one_shot(H, eigenvalues, V, phi0, times):
     # `_relative_bound` of the one-shot ones, and its values within that
     # bound at the largest |lambda| times sum_i |HV_i exp_i phi0_i|.
     # Returns the number of times in each block.
-    HV = H @ V
+    eigenvalues = mode_eigenvalues(blocks)
+    HV = blockwise_HV(H, blocks)
     r = np.flatnonzero(HV.any(axis=0))
     exps = np.exp(np.multiply.outer(eigenvalues[r], times))
     terms = exps * phi0[r, None]
     expected = HV[:, r] @ terms
     # The buffer of a later block is reused, so each block is copied.
-    blocks = [
+    time_blocks = [
         (block, modes.copy())
         for block, modes in _mode_exponentials(eigenvalues[r], np.ones(r.size), times)
     ]
-    modes = np.hstack([modes for _, modes in blocks])
-    first = blocks[0][0]
+    modes = np.hstack([modes for _, modes in time_blocks])
+    first = time_blocks[0][0]
     rel = _relative_bound(eigenvalues[r], times)
     assert np.array_equal(modes[:, first], exps[:, first])
     later = slice(first.stop, None)
     assert (np.abs(modes - exps)[:, later] <= rel * np.abs(exps[:, later])).all()
-    traj = propagate_observables(H, eigenvalues, V, phi0, times)
+    traj = propagate_observables(H, blocks, phi0, times)
     assert traj.n_modes_propagated == r.size
     slack = rel.max() * (np.abs(HV[:, r]) @ np.abs(terms))
     slack[:, first] = 0.0
     error = np.abs(traj.values - expected.real)
     assert (error <= 1e-15 * np.abs(expected).max() + slack).all()
     assert abs(traj.max_imag - np.abs(expected.imag).max()) <= slack.max()
-    return [block.stop - block.start for block, _ in blocks]
+    return [block.stop - block.start for block, _ in time_blocks]
 
 
 def test_duffing_propagation_matches_the_one_shot_formula():
     basis = build_basis(8, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 40.0, 40_000)
-    sizes = _check_against_one_shot(model.H, model.eigenvalues, model.V, phi0, times)
+    sizes = _check_against_one_shot(model.H, model.blocks, phi0, times)
     assert sizes == [_TIME_BLOCK] * (40_000 // _TIME_BLOCK) + [40_000 % _TIME_BLOCK]
 
 
@@ -579,12 +732,12 @@ def test_block_diagonal_propagation_matches_the_one_shot_formula(nt, sizes):
     for block in blocks:
         K[start:start + len(block), start:start + len(block)] = block
         start += len(block)
-    eigenvalues, V, Vinv, _ = eigendecompose(K)
+    eigenvalues, eigenblocks, _ = eigendecompose(K)
     assert np.unique(eigenvalues).size < n and (eigenvalues.imag == 0).any()
-    phi0 = Vinv @ rng.standard_normal(n)
+    phi0 = initial_eigenfunctions(eigenblocks, rng.standard_normal(n))
     times = np.linspace(-2.0, 5.0, nt)
     H = rng.standard_normal((3, n))
-    assert _check_against_one_shot(H, eigenvalues, V, phi0, times) == sizes
+    assert _check_against_one_shot(H, eigenblocks, phi0, times) == sizes
 
 
 @pytest.mark.parametrize(
@@ -597,9 +750,17 @@ def test_block_diagonal_propagation_matches_the_one_shot_formula(nt, sizes):
     ],
 )
 def test_unpaired_eigenvalues_match_the_one_shot_formula(H, eigenvalues):
+    # A real H reaches both halves of a pair or neither (H V's columns of a
+    # pair are conjugates), so only _mode_exponentials can meet a mode
+    # without its partner.  Fed the modes H reaches with V = I, as
+    # _evaluate_rows feeds them, its one block is the formula exactly.
     phi0 = np.array([1.0 + 0.5j, 0.3 - 1.0j, -0.7 + 0.2j])
     times = np.linspace(-3.0, 3.0, 301)
-    _check_against_one_shot(H, eigenvalues, np.eye(3, dtype=complex), phi0, times)
+    r = np.flatnonzero(H.any(axis=0))
+    [(block, modes)] = _mode_exponentials(eigenvalues[r], phi0[r], times)
+    assert block == slice(0, times.size)
+    exps = np.exp(np.multiply.outer(eigenvalues[r], times))
+    assert np.array_equal(modes, exps * phi0[r, None])
 
 
 def test_propagation_memory_does_not_grow_with_the_whole_grid():
@@ -609,17 +770,44 @@ def test_propagation_memory_does_not_grow_with_the_whole_grid():
     basis = build_basis(8, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
     all_H = np.vstack((model.H, observable_matrix(basis, IDENTITY_QP)))
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 40.0, 40_000)
     tracemalloc.start()
     try:
-        propagate_observables(
-            all_H, model.eigenvalues, model.V, phi0, times, imag_rows=len(model.H)
-        )
+        propagate_observables(all_H, model.blocks, phi0, times, imag_rows=len(model.H))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_eigen_layer_memory_holds_no_dense_complex_matrix():
+    # The two quadratically coupled oscillators at c=8 (n = 495, blocks of
+    # 255 and 240), as a solve runs them: eigendecomposition, phi0 and the
+    # first block of 100 times with the state rows.  This peaks at 3.7 MiB,
+    # and one n x n complex array is 3.7 MiB more: a dense V for H V reads
+    # 6.8 MiB, and dense V and Vinv read 12.6 MiB.
+    terms = [
+        [(1.0, (0, 1, 0, 0))],
+        [(-1.0, (1, 0, 0, 0)), (-0.02, (0, 1, 0, 0)), (0.1, (1, 0, 1, 0))],
+        [(1.0, (0, 0, 0, 1))],
+        [(-2.0, (0, 0, 1, 0)), (-0.02, (0, 0, 0, 1)), (0.1, (2, 0, 0, 0))],
+    ]
+    basis = build_basis(8, 4)
+    K = assemble_koopman(basis, VectorField(4, tuple(canonicalize(t, 4) for t in terms)))
+    H = observable_matrix(basis, ObservableSet.identity(("x1", "v1", "x2", "v2")))
+    all_H = np.vstack((H, H))
+    h0 = evaluate_basis(basis, (0.3, 0.1, -0.2, 0.2))
+    tracemalloc.start()
+    try:
+        _, blocks, diag = eigendecompose(K)
+        phi0 = initial_eigenfunctions(blocks, h0)
+        next(_evaluate_rows(all_H, blocks, phi0, np.linspace(0.0, 5.0, 100), imag_rows=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.n == 495 and diag.n_blocks == 2
+    assert peak <= 5.5 * 2**20
 
 
 def test_propagation_at_the_num_steps_cap_holds_no_complex_output():
@@ -628,12 +816,12 @@ def test_propagation_at_the_num_steps_cap_holds_no_complex_output():
     basis = build_basis(8, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
     all_H = np.vstack((model.H, observable_matrix(basis, IDENTITY_QP)))
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 1000.0, MAX_NUM_STEPS)
     tracemalloc.start()
     try:
         trajectory = propagate_observables(
-            all_H, model.eigenvalues, model.V, phi0, times, imag_rows=len(model.H)
+            all_H, model.blocks, phi0, times, imag_rows=len(model.H)
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -661,7 +849,7 @@ def test_duffing_skewness_is_finite_nonzero():
     assert math.isfinite(s)
     assert s > 0.0
     # eigendecompose reports the same number in its diagnostics.
-    assert eigendecompose(K)[3].skewness == s
+    assert eigendecompose(K)[2].skewness == s
 
 
 # ---------------------------------------------------------------------------
@@ -768,22 +956,23 @@ def test_state_rows_share_the_observable_pass():
     )
     model = build_model(basis, DUFFING, observables)
     state_H = observable_matrix(basis, IDENTITY_QP)
-    phi0 = initial_eigenfunctions(model.Vinv, evaluate_basis(basis, (0.6, -0.3)))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 5.0, 40)
     plain = propagate(model, phi0, times)
     both = propagate_observables(
-        np.vstack((model.H, state_H)), model.eigenvalues, model.V, phi0, times,
-        imag_rows=len(model.H),
+        np.vstack((model.H, state_H)), model.blocks, phi0, times, imag_rows=len(model.H)
     )
-    states = propagate_observables(state_H, model.eigenvalues, model.V, phi0, times)
+    states = propagate_observables(state_H, model.blocks, phi0, times)
     assert np.abs(both.values[:1] - plain.values).max() <= 1e-15
     assert np.abs(both.values[1:] - states.values).max() <= 1e-15
     assert both.max_imag == pytest.approx(plain.max_imag, abs=1e-16)
     # max_imag covers the observable rows only: here the state row is e^{it}.
+    _, blocks, _ = eigendecompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert blocks[0].eigenvalues[0] == pytest.approx(1j, abs=1e-15)
     H, state_H = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+    reach = (state_H @ dense_V(blocks))[0, 0]
     traj = propagate_observables(
-        np.vstack((H, state_H)), np.array([1j, -1j]), np.eye(2, dtype=complex),
-        np.array([1.0 + 0j, 0j]), times, imag_rows=len(H),
+        np.vstack((H, state_H)), blocks, np.array([1.0 / reach, 0j]), times, imag_rows=len(H)
     )
     assert traj.max_imag == 0.0
     assert np.abs(traj.values[1] - np.cos(times)).max() <= 1e-15
