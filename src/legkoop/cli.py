@@ -11,6 +11,8 @@ import argparse
 import itertools
 import json
 import math
+import os
+import pickle
 import sys
 import time
 from contextlib import ExitStack, contextmanager, suppress
@@ -22,7 +24,7 @@ from typing import Callable, Optional, Sequence, TextIO
 import numpy as np
 
 from .basis import MAX_ORDER, build_basis, evaluate_basis
-from .dynamics import ObservableSet, SystemSpec, parse_system_config
+from .dynamics import MAX_OUTPUT_VALUES, ObservableSet, SystemSpec, parse_system_config
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 
 # propagate and propagate_observables are not called here (solve streams
@@ -62,10 +64,11 @@ EXIT_CHECK_FAILED = 5
 DEFAULT_RK_STEP = 1e-4
 # Most RK4 steps (t_final / rk_step) a reference on Duffing's 3-term field
 # may take; a field of N terms gets 3 * MAX_RK4_STEPS / N steps, because a
-# step's cost grows with the terms.  One step costs about 0.4 us on Duffing,
-# 0.8 us on a 4-D field with 8 terms and 12-22 us on 6-D fields with 120
-# terms of degree <= 3 (2-vCPU VM, Python 3.11), so this caps the reference
-# at about 4 s on Duffing, 3 s on the 4-D field and 3-6 s on the 6-D ones.
+# step's cost grows with the terms.  One step costs about 0.7-0.9 us on
+# Duffing, 1.6 us on a 4-D field with 8 terms and 25-33 us on 6-D fields
+# with 120 terms of degree <= 3 (2-vCPU VM, Python 3.11.7), so this caps the
+# reference at about 7-9 s on Duffing, 6 s on the 4-D field and 6-8 s on
+# the 6-D ones.
 MAX_RK4_STEPS = 10**7
 
 # Slack on the unit-box exit check: a boundary start reconstructs to
@@ -85,6 +88,8 @@ class SolveResult:
     first_box_exit: Optional[float]
     observable_errors: Optional[dict]
     timings: dict
+    # Each observable (rows) at each time (columns), if asked for.
+    observable_values: Optional[np.ndarray] = None
 
 
 def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np.ndarray:
@@ -115,6 +120,155 @@ def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np
     return values
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _read_into(fd: int, array: np.ndarray) -> None:
+    """Fill `array` with the next bytes read from `fd`."""
+    view = memoryview(array).cast("B")
+    while view:
+        count = os.readv(fd, [view])
+        if not count:
+            raise RuntimeError("the RK4 reference process ended before sending its values")
+        view = view[count:]
+
+
+def _pickled_exception(exc: BaseException) -> bytes:
+    """`exc` pickled; if it does not survive the round trip, a RuntimeError
+    with its type and message."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+class _ReferenceRun:
+    """`_reference_values(spec, times, rk_step)`, computed beside the solve.
+
+    When this process may use a second CPU and `os.fork` exists, a forked
+    child computes the values while the caller goes on.  It sends them
+    through a pipe as raw float64 bytes, which are read straight into the
+    array `values()` returns, or, if it fails, its exception pickled, which
+    `values()` raises again.  Otherwise `values()` makes the same call in
+    this process: on one CPU a child would only take turns with the solve.
+    `seconds` is the time the call took where it ran, without any wait.
+
+    Use it as a context manager: leaving the block reaps the child on every
+    path, killing it first if it has not sent its result.
+    """
+
+    def __init__(self, spec: SystemSpec, times: np.ndarray, rk_step: float):
+        self._args = (spec, times, rk_step)
+        self._shape = (len(spec.observables), times.size)
+        self._values: Optional[np.ndarray] = None
+        self._error: Optional[BaseException] = None
+        self.seconds: Optional[float] = None
+        self._pid = self._pipe = None
+        if hasattr(os, "fork") and _usable_cpus() > 1:
+            self._fork()
+
+    def __enter__(self) -> "_ReferenceRun":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _run(self) -> tuple[np.ndarray, float]:
+        started = time.perf_counter()
+        values = _reference_values(*self._args)
+        return values, time.perf_counter() - started
+
+    def _fork(self) -> None:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: compute in this one
+            os.close(read_end)
+            os.close(write_end)
+            return
+        if pid == 0:
+            # The child never returns into the caller's frames, and whatever
+            # it raises, interrupts included, goes to the parent to raise.
+            try:
+                os.close(read_end)
+                try:
+                    values, seconds = self._run()
+                    message = [b"v", np.float64(seconds).tobytes(), values]
+                except BaseException as exc:
+                    message = [b"e", _pickled_exception(exc)]
+                with open(write_end, "wb") as pipe:
+                    for part in message:
+                        pipe.write(part)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        self._pid, self._pipe = pid, read_end
+
+    def _receive(self, tag: bytes) -> None:
+        """Read the rest of the child's message, which began with `tag`, and
+        reap the child."""
+        try:
+            if tag == b"v":
+                seconds, values = np.empty(1), np.empty(self._shape)
+                _read_into(self._pipe, seconds)
+                _read_into(self._pipe, values)
+                self._values, self.seconds = values, float(seconds[0])
+            elif tag == b"e":
+                chunks = []
+                while chunk := os.read(self._pipe, 1 << 16):
+                    chunks.append(chunk)
+                self._error = pickle.loads(b"".join(chunks))
+            else:
+                raise RuntimeError("the RK4 reference process ended without a result")
+        finally:
+            self.close()
+
+    def ready(self) -> bool:
+        """Whether `values()` would return without waiting for RK4 work.
+        Never blocks; in-process it is always true, because nothing runs
+        beside the caller."""
+        if self._pipe is not None:
+            os.set_blocking(self._pipe, False)
+            try:
+                tag = os.read(self._pipe, 1)
+            except BlockingIOError:
+                return False
+            finally:
+                os.set_blocking(self._pipe, True)
+            self._receive(tag)
+        return True
+
+    def values(self) -> np.ndarray:
+        """The reference values, waiting for them if need be; raises what
+        the reference raised."""
+        if self._pipe is not None:
+            self._receive(os.read(self._pipe, 1))
+        elif self._values is None and self._error is None:
+            self._values, self.seconds = self._run()
+        if self._error is not None:
+            raise self._error
+        return self._values
+
+    def close(self) -> None:
+        """Reap the child, killing it first if it has not sent its result."""
+        if self._pid is None:
+            return
+        pid, self._pid = self._pid, None
+        os.close(self._pipe)
+        self._pipe = None
+        if self._values is None and self._error is None:
+            import signal  # here, so that `import legkoop.cli` does not load it
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 @contextmanager
 def _atomic_output(path: Path):
     """Write `path` through a temporary file beside it, renamed to `path` when
@@ -139,22 +293,26 @@ def _atomic_output(path: Path):
 def _solve_spec(
     spec: SystemSpec,
     *,
-    reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    reference: Optional[_ReferenceRun] = None,
     open_csv: Optional[Callable[[], TextIO]] = None,
+    keep_values: bool = False,
 ) -> SolveResult:
     """Solve `spec`, one block of output times at a time.
 
-    `reference`, if given, maps the time grid to the reference values of the
-    observables, which the errors compare against.  `open_csv`, if given, is
-    called once the first block is computed and the reference has run, and
-    each block's rows of the trajectory CSV are written to the stream it
-    returns as soon as they are computed; the caller closes it.  No block is
-    kept: the solve holds the time grid, one block and, with a reference,
-    the reference values and their errors.
+    `reference`, if given, gives the reference values of the observables on
+    the solve's time grid, which the errors compare against.  `open_csv`, if
+    given, is called once the first block is computed and the reference
+    values are in, and each block's rows of the trajectory CSV are written
+    to the stream it returns as soon as they are computed; the caller closes
+    it.  No block is kept: the solve holds the time grid, one block, with a
+    reference the reference values and their errors, and with `keep_values`
+    the observables' values at every time, returned as
+    `observable_values`.
 
     `timings["propagate"]` sums propagation and the box-exit check over the
-    blocks, `timings["reference"]` the reference and its errors, and
-    `timings["total"]` spans the whole solve, CSV writing included.
+    blocks, `timings["reference"]` the reference's own run (`seconds`) and
+    the errors, and `timings["total"]` spans the whole solve, CSV writing
+    and any wait for the reference included.
     """
     timings: dict = {}
     started = time.perf_counter()
@@ -200,7 +358,7 @@ def _solve_spec(
     all_H = H if state_H is None else np.vstack((H, state_H))
     blocks = _evaluate_rows(all_H, eigenblocks, phi0, times, imag_rows=n_obs)
     # The first block validates the grid and guards exp against overflow
-    # before the reference runs or any output exists.
+    # before the solve waits for the reference or any output exists.
     blocks = itertools.chain([next(blocks)], blocks)
     timings["propagate"] = time.perf_counter() - mark
 
@@ -208,12 +366,12 @@ def _solve_spec(
     header = ["t", *names]
     reference_values = errors = None
     if reference is not None:
-        mark = time.perf_counter()
-        reference_values = reference(times)
+        reference_values = reference.values()
         errors = np.empty_like(reference_values)
-        timings["reference"] = time.perf_counter() - mark
+        timings["reference"] = reference.seconds
         header += [f"{name}_ref" for name in names] + [f"{name}_err" for name in names]
 
+    kept = np.empty((n_obs, times.size)) if keep_values else None
     first_exit: Optional[float] = None
     max_imag = 0.0
     out = open_csv() if open_csv else None
@@ -229,6 +387,8 @@ def _solve_spec(
             if outside.any():
                 first_exit = float(times[block][np.argmax(outside)])
         timings["propagate"] += time.perf_counter() - mark
+        if kept is not None:
+            kept[:, block] = values[:n_obs]
         columns = [times[block, None], values[:n_obs].T]
         if errors is not None:
             mark = time.perf_counter()
@@ -258,6 +418,7 @@ def _solve_spec(
         first_box_exit=first_exit,
         observable_errors=observable_errors,
         timings=timings,
+        observable_values=kept,
     )
 
 
@@ -348,10 +509,14 @@ def run_solve(
     csv_path = out / f"{spec.name}_trajectory.csv"
     json_path = out / f"{spec.name}_summary.json"
     try:
-        rk4_reference = partial(_reference_values, spec, rk_step=rk_step) if reference else None
         # Both files are committed together when the block exits: a failure
         # in either leaves neither (see `_atomic_output`).
         with ExitStack() as outputs:
+            rk4_reference = None
+            if reference:
+                # Started first, to run while K is assembled and solved.
+                times = np.linspace(0.0, spec.t_final, spec.num_steps)
+                rk4_reference = outputs.enter_context(_ReferenceRun(spec, times, rk_step))
             open_csv = partial(outputs.enter_context, _atomic_output(csv_path))
             result = _solve_spec(spec, reference=rk4_reference, open_csv=open_csv)
             summary = outputs.enter_context(_atomic_output(json_path))
@@ -388,6 +553,18 @@ def run_solve(
 # ---------------------------------------------------------------------------
 # sweep
 
+def _settle_errors(waiting: list, reference_values: np.ndarray) -> None:
+    """Fill in the max error per observable of each waiting sweep row from
+    its observable values, add the time that takes to the row's wall time,
+    and empty `waiting`."""
+    for row, values in waiting:
+        started = time.perf_counter()
+        np.subtract(values, reference_values, out=values)
+        row["errors"] = [float(diff.max()) for diff in np.abs(values, out=values)]
+        row["wall"] += time.perf_counter() - started
+    waiting.clear()
+
+
 def run_sweep(
     config_path,
     orders: Sequence[int],
@@ -407,15 +584,40 @@ def run_sweep(
         return EXIT_CONFIG
 
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
+    names = spec.observables.names
+    m = len(spec.states)
+    rows: list[dict] = []
+    # The rows of orders solved before the reference is in, each with its
+    # observable values, as many as MAX_OUTPUT_VALUES holds.
+    waiting: list[tuple[dict, np.ndarray]] = []
+    most_waiting = MAX_OUTPUT_VALUES // (len(names) * times.size)
     try:
-        # Every order shares the grid, so it shares these values too.
-        reference_values = _reference_values(spec, times, rk_step)
+        # Every order shares the grid, so it shares one reference, which
+        # runs while the orders are solved.
+        with _ReferenceRun(spec, times, rk_step) as reference:
+            for order in orders:
+                started = time.perf_counter()
+                row = {"order": order, "errors": None, "resid": None}
+                try:
+                    order_spec = replace(spec, order=order)
+                    result = _solve_spec(order_spec, keep_values=True)
+                except (ValidationError, NearDefectiveError, NonFiniteError, OverflowError) as exc:
+                    row.update(n=math.comb(order + m, m), status=f"failed: {exc}")
+                else:
+                    row.update(n=result.model.basis.n, status="ok",
+                               resid=result.model.diagnostics.eigenresidual)
+                    waiting.append((row, result.observable_values))
+                    del result  # the values wait for the reference, not the model
+                row["wall"] = time.perf_counter() - started
+                rows.append(row)
+                if reference.ready() or len(waiting) >= most_waiting:
+                    _settle_errors(waiting, reference.values())
+            _settle_errors(waiting, reference.values())
     except NonFiniteError as exc:
+        # Each order's own failures are caught above: this is the reference's.
         print(f"numeric failure in RK4 reference: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    names = spec.observables.names
-    m = len(spec.states)
     header = (
         ["order", "n", "status"]
         + [f"max_err_{name}" for name in names]
@@ -423,27 +625,16 @@ def run_sweep(
     )
     csv_lines = [",".join(header)]
     table = [header]
-    for order in orders:
-        started = time.perf_counter()
-        try:
-            order_spec = replace(spec, order=order)
-            result = _solve_spec(order_spec, reference=lambda _times: reference_values)
-        except (ValidationError, NearDefectiveError, NonFiniteError, OverflowError) as exc:
-            n, status, errors, resid = math.comb(order + m, m), f"failed: {exc}", None, None
-        else:
-            n, status = result.model.basis.n, "ok"
-            errors = [result.observable_errors[name]["max"] for name in names]
-            resid = result.model.diagnostics.eigenresidual
-        wall = time.perf_counter() - started
+    for row in rows:
+        errors, resid, wall = row["errors"], row["resid"], row["wall"]
+        order, n, status = str(row["order"]), str(row["n"]), row["status"]
         if errors is None:
             csv_cells, table_cells = [""] * (len(names) + 1), ["-"] * (len(names) + 1)
         else:
             csv_cells = [repr(x) for x in errors + [resid]]
             table_cells = [f"{x:.3e}" for x in errors] + [f"{resid:.1e}"]
-        csv_lines.append(
-            ",".join([str(order), str(n), status.replace(",", ";")] + csv_cells + [repr(wall)])
-        )
-        table.append([str(order), str(n), status] + table_cells + [f"{wall:.2f}"])
+        csv_lines.append(",".join([order, n, status.replace(",", ";")] + csv_cells + [repr(wall)]))
+        table.append([order, n, status] + table_cells + [f"{wall:.2f}"])
 
     csv_path = Path(out_dir) / f"{spec.name}_sweep.csv"
     try:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -29,6 +30,7 @@ from legkoop.errors import NonFiniteError
 from legkoop.koopman import (
     _TIME_BLOCK,
     build_model,
+    eigendecompose,
     initial_eigenfunctions,
     observable_matrix,
     propagate_observables,
@@ -54,6 +56,15 @@ def write_config(tmp_path, doc, name="system.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # Every RK4 reference process a test starts is reaped by the time it
+    # ends, whatever the command did.
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_csv(path):
@@ -701,7 +712,9 @@ def test_sweep_failed_rows_have_empty_cells_and_ok_rows_keep_their_format(tmp_pa
         assert table_row[:5] == [str(order), n, status, "-", "-"]
 
     spec = parse_system_config(json.dumps({**doc, "order": 3}))
-    result = _solve_spec(spec, reference=partial(_reference_values, spec, rk_step=1e-2))
+    times = np.linspace(0.0, spec.t_final, spec.num_steps)
+    with cli._ReferenceRun(spec, times, 1e-2) as reference:
+        result = _solve_spec(spec, reference=reference)
     err = result.observable_errors["q3"]["max"]
     resid = result.model.diagnostics.eigenresidual
     assert csv_rows[2][:5] == ["3", "10", "ok", repr(err), repr(resid)]
@@ -782,28 +795,52 @@ def test_a_subnormal_time_step_is_refused(tmp_path, capsys, command):
     assert main(command + ["--config", write_config(tmp_path, doc), "--out-dir", str(out)]) == 0
 
 
+def _noting_calls(log, name, function):
+    # `function`, which first appends `name` to the file `log`: the RK4
+    # reference runs in a forked process, which shares files with the test
+    # but not its memory.
+    def noting(*args, **kwargs):
+        with log.open("a", encoding="utf-8") as notes:
+            notes.write(name + "\n")
+        return function(*args, **kwargs)
+
+    return noting
+
+
+def _noted_calls(log):
+    return log.read_text(encoding="utf-8").split() if log.exists() else []
+
+
 def _refuse_rk4(*args, **kwargs):
     raise AssertionError("RK4 work started for a refused reference")
 
 
+@pytest.fixture
+def refused_rk4(tmp_path, monkeypatch):
+    """`cli.rk4_integrate` made to raise; returns the calls made to it so far."""
+    log = tmp_path / "rk4_calls"
+    monkeypatch.setattr(cli, "rk4_integrate", _noting_calls(log, "rk4_integrate", _refuse_rk4))
+    return partial(_noted_calls, log)
+
+
 @pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1..3"]])
-def test_rk4_work_beyond_the_step_budget_is_refused(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(cli, "rk4_integrate", _refuse_rk4)
+def test_rk4_work_beyond_the_step_budget_is_refused(tmp_path, capsys, refused_rk4, command):
     config = write_config(tmp_path, {**DUFFING, "t_final": 1e5})
     out = tmp_path / "out"
     assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "t_final" in err and "--rk-step" in err
     assert not out.exists()
+    assert refused_rk4() == []
     # Just inside the limit the reference runs (and here meets the stub).
     step = repr(1.01 * 1e5 / cli.MAX_RK4_STEPS)
     with pytest.raises(AssertionError, match="RK4 work started"):
         main(command + ["--config", config, "--rk-step", step, "--out-dir", str(out)])
+    assert refused_rk4() == ["rk4_integrate"]
 
 
 @pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1"]])
-def test_rk4_budget_counts_the_terms_of_the_field(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(cli, "rk4_integrate", _refuse_rk4)
+def test_rk4_budget_counts_the_terms_of_the_field(tmp_path, capsys, refused_rk4, command):
     # 20 distinct terms of degree 1..4 per component: 120 terms, so the
     # default step's 1e6 steps are 1.2e8 step-terms.
     exps = [e for e in itertools.product(range(5), repeat=6) if 1 <= sum(e) <= 4]
@@ -824,28 +861,203 @@ def test_rk4_budget_counts_the_terms_of_the_field(tmp_path, capsys, monkeypatch,
     config = write_config(tmp_path, doc)
     assert main(command + ["--config", config, "--rk-step", "1e-6", "--out-dir", str(out)]) == 2
     assert "on a field of 0 terms" in capsys.readouterr().err
+    assert refused_rk4() == []
 
 
-def test_solve_without_reference_ignores_the_step_budget(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "rk4_integrate", _refuse_rk4)
+def test_solve_without_reference_ignores_the_step_budget(tmp_path, refused_rk4):
     config = write_config(tmp_path, {**DUFFING, "t_final": 1e5})
     assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+    assert refused_rk4() == []
 
 
 def test_sweep_evaluates_the_shared_reference_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counting(name):
-        original = getattr(cli, name)
-        return lambda *args: calls.append(name) or original(*args)
-
+    log = tmp_path / "calls"
     for name in ("_reference_values", "rk4_integrate"):
-        monkeypatch.setattr(cli, name, counting(name))
+        monkeypatch.setattr(cli, name, _noting_calls(log, name, getattr(cli, name)))
     config = write_config(tmp_path, DUFFING)
     assert main(["sweep", "--config", config, "--orders", "1..4", "--rk-step", "1e-2",
                  "--out-dir", str(tmp_path / "out")]) == 0
+    calls = _noted_calls(log)
     # One RK4 run and one evaluation of its observables, not one per order.
     assert calls == ["_reference_values", "rk4_integrate"]
+
+
+# dx/dt = x^2 from 0.5 blows up at t = 2.  K is solvable at even orders, so
+# the spectral solve succeeds and only the RK4 reference fails.
+BLOW_UP = {
+    "name": "blowup",
+    "states": ["x"],
+    "dynamics": [{"terms": [{"coef": 1.0, "exp": [2]}]}],
+    "initial_state": [0.5],
+    "order": 2,
+    "t_final": 3.0,
+    "num_steps": 50,
+}
+
+
+@pytest.mark.parametrize(
+    "command, prefix",
+    [(["solve", "--reference"], "numeric failure: "),
+     (["sweep", "--orders", "1..4"], "numeric failure in RK4 reference: ")],
+)
+def test_a_diverging_reference_exits_4_and_writes_nothing(tmp_path, capsys, command, prefix):
+    out = tmp_path / "out"
+    args = command + ["--config", write_config(tmp_path, BLOW_UP), "--out-dir", str(out)]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "state diverged before t = 2.02") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_failed_reference_stops_the_sweep_at_that_point(tmp_path, capsys, monkeypatch):
+    def diverging(*args):
+        raise NonFiniteError("stub divergence")
+
+    solved = []
+    solve = cli._solve_spec
+
+    def solve_after_the_reference_ends(spec, **kwargs):
+        # Let the reference process end (it has sent its error by then)
+        # before the first order is solved, without reaping it.
+        if not solved:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        solved.append(spec.order)
+        return solve(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "_reference_values", diverging)
+    monkeypatch.setattr(cli, "_solve_spec", solve_after_the_reference_ends)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, DUFFING), "--orders", "1..5",
+                 "--out-dir", str(out)]) == 4
+    assert capsys.readouterr().err == "numeric failure in RK4 reference: stub divergence\n"
+    assert solved == [1]
+    assert not out.exists()
+
+
+def test_solve_failures_beside_the_reference_surface_as_before(tmp_path, capsys, monkeypatch):
+    # The exp-overflow check fails while the reference (which diverges too)
+    # is still running.
+    growth = {**BLOW_UP, "dynamics": [{"terms": [{"coef": 100.0, "exp": [1]}]}], "order": 3,
+              "t_final": 10.0}
+    out = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, growth), "--out-dir", str(out)]
+    assert main(["solve", "--reference"] + args) == 4
+    err = capsys.readouterr().err
+    assert "> 700.0; exp would overflow" in err and err.count("\n") == 1
+    assert not out.exists()
+
+    # A solve that fails does not wait for a reference that would take 30 s.
+    def broken(K):
+        raise RuntimeError("stub eigen failure")
+
+    def slow_reference(*args):
+        time.sleep(30.0)
+        return _reference_values(*args)
+
+    monkeypatch.setattr(cli, "eigendecompose", broken)
+    monkeypatch.setattr(cli, "_reference_values", slow_reference)
+    args = ["--config", write_config(tmp_path, DUFFING), "--out-dir", str(out)]
+    for command in (["solve", "--reference"], ["sweep", "--orders", "1..3"]):
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="stub eigen failure"):
+            main(command + args)
+        assert time.perf_counter() - started < 10.0
+        assert not out.exists()
+        # The reference process is gone before the next command starts.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_holds_at_most_max_output_values_for_the_reference(tmp_path, monkeypatch):
+    # A reference that is never ready between orders: with room for the
+    # values of two orders, the sweep waits for it after every second one.
+    config = write_config(tmp_path, DUFFING)
+    args = ["sweep", "--config", config, "--orders", "1..5", "--rk-step", "1e-2"]
+    assert main(args + ["--out-dir", str(tmp_path / "ready")]) == 0
+
+    held = []
+    settle = cli._settle_errors
+
+    def noting_held(waiting, reference_values):
+        held.append(len(waiting))
+        settle(waiting, reference_values)
+
+    monkeypatch.setattr(cli._ReferenceRun, "ready", lambda self: False)
+    monkeypatch.setattr(cli, "MAX_OUTPUT_VALUES", 2 * 2 * DUFFING["num_steps"] + 1)
+    monkeypatch.setattr(cli, "_settle_errors", noting_held)
+    assert main(args + ["--out-dir", str(tmp_path / "waiting")]) == 0
+    assert held == [2, 2, 1]
+
+    def without_wall_time(out):
+        lines = (out / "duffing_sweep.csv").read_text(encoding="utf-8").splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    assert without_wall_time(tmp_path / "waiting") == without_wall_time(tmp_path / "ready")
+
+
+def _patch_out_the_second_process(monkeypatch, way):
+    if way == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.mark.parametrize("way", ["no fork", "one CPU"])
+def test_without_a_second_process_the_reference_runs_in_this_one(tmp_path, monkeypatch, way):
+    log = tmp_path / "pids"
+
+    def noting_pid(*args):
+        with log.open("a", encoding="utf-8") as notes:
+            notes.write(f"{os.getpid()}\n")
+        return _reference_values(*args)
+
+    monkeypatch.setattr(cli, "_reference_values", noting_pid)
+    config = write_config(tmp_path, DUFFING)
+    commands = {
+        "sweep": ["sweep", "--config", config, "--orders", "1..4", "--rk-step", "1e-2"],
+        "solve": ["solve", "--config", config, "--reference", "--rk-step", "1e-2"],
+    }
+
+    def outputs(out_dir):
+        sweep = (out_dir / "duffing_sweep.csv").read_text(encoding="utf-8").splitlines()
+        trajectory = (out_dir / "duffing_trajectory.csv").read_bytes()
+        return [line.rsplit(",", 1)[0] for line in sweep], trajectory
+
+    for command in commands.values():
+        assert main(command + ["--out-dir", str(tmp_path / "forked")]) == 0
+    forked_pids = _noted_calls(log)
+    log.unlink()
+    _patch_out_the_second_process(monkeypatch, way)
+    for command in commands.values():
+        assert main(command + ["--out-dir", str(tmp_path / "here")]) == 0
+    assert str(os.getpid()) not in forked_pids and len(forked_pids) == 2
+    assert _noted_calls(log) == [str(os.getpid())] * 2
+    assert outputs(tmp_path / "here") == outputs(tmp_path / "forked")
+
+
+@pytest.mark.parametrize("way", [None, "no fork"], ids=["forked", "no fork"])
+def test_reference_timing_is_the_reference_run_not_the_wait(tmp_path, monkeypatch, way):
+    # The reference takes 0.4 s and the solve 0.25 s besides: a forked
+    # solve waits about 0.15 s for it, yet reports the reference's 0.4 s.
+    def slow_reference(*args):
+        time.sleep(0.4)
+        return _reference_values(*args)
+
+    def slow_eigen(K):
+        time.sleep(0.25)
+        return eigendecompose(K)
+
+    monkeypatch.setattr(cli, "_reference_values", slow_reference)
+    monkeypatch.setattr(cli, "eigendecompose", slow_eigen)
+    if way:
+        _patch_out_the_second_process(monkeypatch, way)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, DUFFING), "--reference",
+                 "--rk-step", "1e-2", "--out-dir", str(out)]) == 0
+    timings = json.loads((out / "duffing_summary.json").read_text())["timings"]
+    assert set(timings) == {"basis", "assemble", "eigen", "propagate", "reference", "total"}
+    assert timings["reference"] >= 0.4
+    assert timings["total"] >= (0.4 if way is None else 0.65)
 
 
 def test_reference_values_are_evaluate_at_each_time_bit_for_bit():
@@ -996,6 +1208,13 @@ def test_importing_the_cli_does_not_load_numpy_polynomial():
     # The benchmark's setup_s times a fresh `import legkoop.cli`; loading
     # numpy.polynomial would add 1.5-2 ms to it.
     assert _loaded_by_importing_the_cli("numpy.polynomial") == "[]"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The RK4 reference's second process is a bare os.fork: neither
+    # multiprocessing nor concurrent.futures adds to the import.
+    assert _loaded_by_importing_the_cli("multiprocessing") == "[]"
+    assert _loaded_by_importing_the_cli("concurrent") == "[]"
 
 
 def test_importing_the_cli_does_not_load_the_invariant_suite():
