@@ -62,13 +62,13 @@ EXIT_NUMERIC = 4
 EXIT_CHECK_FAILED = 5
 
 DEFAULT_RK_STEP = 1e-4
-# Most RK4 steps (t_final / rk_step) a reference on Duffing's 3-term field
-# may take; a field of N terms gets 3 * MAX_RK4_STEPS / N steps, because a
-# step's cost grows with the terms.  One step costs about 0.7-0.9 us on
-# Duffing, 1.6 us on a 4-D field with 8 terms and 25-33 us on 6-D fields
-# with 120 terms of degree <= 3 (2-vCPU VM, Python 3.11.7), so this caps the
-# reference at about 7-9 s on Duffing, 6 s on the 4-D field and 6-8 s on
-# the 6-D ones.
+# Most RK4 steps (about t_final / rk_step, at least one per output interval)
+# a reference on Duffing's 3-term field may take; a field of N terms gets
+# 3 * MAX_RK4_STEPS / N steps, because a step's cost grows with the terms.
+# One step costs about 0.7-0.9 us on Duffing, 1.6 us on a 4-D field with 8
+# terms and 25-33 us on 6-D fields with 120 terms of degree <= 3 (2-vCPU VM,
+# Python 3.11.7), so this caps the reference at about 7-9 s on Duffing, 6 s
+# on the 4-D field and 6-8 s on the 6-D ones.
 MAX_RK4_STEPS = 10**7
 
 # Slack on the unit-box exit check: a boundary start reconstructs to
@@ -479,14 +479,18 @@ def _load_spec(config_path, orders: Sequence[int] = ()) -> SystemSpec | int:
 def _rk4_budget_exceeded(spec: SystemSpec, rk_step: float) -> bool:
     """Whether the RK4 reference would do more work than MAX_RK4_STEPS steps
     on a 3-term field; if so, says why on stderr."""
-    steps = spec.t_final / rk_step
+    # rk4_integrate covers each output interval with steps of at most
+    # rk_step, at least one per interval (see its 1e-9 slack on full steps).
+    intervals = spec.num_steps - 1
+    per_interval = float(np.ceil(spec.t_final / intervals / rk_step - 1e-9))
+    steps = intervals * max(per_interval, 1.0)
     terms = sum(len(comp.terms) for comp in spec.vf.components)
     if steps * max(terms, 1) <= 3 * MAX_RK4_STEPS:
         return False
     print(
-        f"config error: t_final / --rk-step = {steps:.3g} RK4 steps on a field of {terms} "
-        f"terms exceeds the limit of {3 * MAX_RK4_STEPS:.0e} step-terms; lower t_final "
-        "or raise --rk-step",
+        f"config error: the RK4 reference takes {steps:.3g} steps (t_final / --rk-step, "
+        f"at least one per output interval) on a field of {terms} terms, over the limit of "
+        f"{3 * MAX_RK4_STEPS:.0e} step-terms; lower t_final or num_steps, or raise --rk-step",
         file=sys.stderr,
     )
     return True

@@ -42,10 +42,11 @@ MAX_POLY_DEGREE = 64
 # Most output times a solve may ask for.  Output streams in blocks, so this
 # bounds time and CSV bytes, not memory: at the cap desk Duffing at order 3
 # solves in 0.7 s with 41 MiB peak RSS and writes a 58 MB CSV.  On the
-# largest basis (n = 1820, 1807 modes reached) propagation takes about 1.1 s
-# per 1e5 times; the whole solve takes about 9.2 s, with 166 MiB peak RSS, at
-# the 5e5 times MAX_OUTPUT_VALUES allows its four states (2-vCPU VM, one BLAS
-# thread, Python 3.11, numpy 2.4).
+# largest basis (n = 1820, 1807 modes reached, 911 distinct exponents)
+# propagation takes about 0.2 s per 1e5 times; the whole solve takes about
+# 3.5 s, with 138 MiB peak RSS (the eigen layer's), at the 5e5 times
+# MAX_OUTPUT_VALUES allows its four states (2-vCPU VM, one BLAS thread,
+# Python 3.11, numpy 2.4).
 MAX_NUM_STEPS = 10**6
 # Most values a solve may propagate: num_steps times one row per observable
 # plus one per state (the box-exit check), so identity observables on a 2-D

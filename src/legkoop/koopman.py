@@ -18,13 +18,17 @@ largest imaginary magnitude: `propagate` gathers the blocks into a
 modes reached; the time grid stays the caller's), and the CLI writes each
 block out and drops it.  Only the modes the observables reach are
 propagated (a mode whose column of H V is all zeros adds exact zeros and is
-skipped).  The first block takes one exponential per mode and time, scaled
-by phi0; a conjugate pair of eigenvalues shares one exponential, since the
-lower one's row is the conjugate of the upper one's, which equals its own
-exponential exactly.  The grid must be evenly spaced: every later block is
-the first block times exp(lambda (t_s - t_0)) at its first time t_s, one
-exponential per pair per block, within a few eps (1 + |lambda| max|t|) of
-exp(lambda t) (see `_mode_exponentials`).
+skipped).  Their coefficients c_i = (H V)_i phi0_i are grouped by distinct
+exponent d = Re lambda + i |Im lambda| (`_grouped_coefficients`), which
+folds each conjugate pair, and each exactly repeated eigenvalue, into one
+column.  So each distinct exponential is computed and multiplied once, in
+real arithmetic: the first block's E = exp(d t) is held as one real table
+[Re E; Im E], and a block's values are one real matrix product with it.
+For a real initial state the imaginary parts cancel exactly and
+`max_imag` reads 0.0.  The grid must be evenly spaced: every later block
+scales the grouped coefficients by exp(d (t_s - t_0)) at its first time
+t_s, one exponential per distinct exponent per block, within a few
+eps (1 + |lambda| max|t|) of exp(lambda t) (see `_evaluate_rows`).
 
 K often splits into blocks that do not couple at all (Duffing's odd
 symmetry gives an even and an odd block): the connected components of the
@@ -85,10 +89,11 @@ EXP_OVERFLOW_LIMIT = 700.0
 
 # Output times per block, of propagation and of the CLI's CSV rows.  On
 # Duffing c=8 at 40 000 times, with blocks of 512 / 1024 / 2048 times, a solve
-# peaked at 34.1-34.8 / 34.7-34.8 / 35.6-35.7 MiB, propagation took
-# 10.5-11.6 / 6.4-7.0 / 6.9-7.4 ms and the whole solve 43-47 / 26-28 /
-# 26-28 ms (medians of 20 solves in each of 3 rounds, one process per round
-# and size; 2-vCPU VM).  2048 saves no time, for 0.9 MiB more peak.
+# peaked at 33.6-33.8 / 33.9-34.0 / 34.2-34.4 MiB, propagation with the
+# box-exit check took 4.8-5.7 / 3.4-3.7 / 3.2-4.5 ms and the whole solve
+# 35-43 / 29-32 / 27-32 ms (medians of 20 solves in each of 3 rounds, one
+# process per round and size; 2-vCPU VM, one BLAS thread).  2048 saves
+# little and not reliably, for 0.3-0.5 MiB more peak.
 _TIME_BLOCK = 1024
 
 
@@ -353,9 +358,9 @@ class Trajectory:
     (one column per time).
 
     `max_imag` is the largest imaginary magnitude discarded when taking the
-    real part of `values`; for a real initial state it should sit at
-    roundoff level.  `n_modes_propagated` counts the modes the rows of H
-    reach: those whose column of H V is not all zeros.
+    real part of `values`; for a real initial state it is exactly 0.0.
+    `n_modes_propagated` counts the modes the rows of H reach: those whose
+    column of H V is not all zeros.
     """
 
     values: np.ndarray
@@ -378,7 +383,7 @@ def propagate_observables(
     `times` must be strictly increasing and evenly spaced, as np.linspace
     makes them: later blocks of times are propagated from the first block's
     exponentials, and a grid whose spacing drifts by more than roundoff
-    raises ValueError (see `_mode_exponentials`).  The values are the blocks
+    raises ValueError (see `_evaluate_rows`).  The values are the blocks
     of `_evaluate_rows`, gathered into read-only `values`;
     `max_imag` is taken over the first `imag_rows` rows (all by default), so
     rows stacked under the observables, such as the state coordinates of the
@@ -403,9 +408,23 @@ def _evaluate_rows(
     per row of H, in a buffer the next block overwrites; `max_imag` is the
     largest imaginary magnitude it dropped over its first `imag_rows` rows
     (all by default); `n_modes` is the number of modes H reaches.  The grid
-    is validated (it must be evenly spaced, see `_mode_exponentials`), and
-    exp guarded against overflow, when the first block is asked for.  A few
-    block-sized complex arrays are held, never one as long as the grid.
+    is validated, and exp guarded against overflow, when the first block is
+    asked for.
+
+    The modes are grouped by distinct exponent (`_grouped_coefficients`),
+    and the first block's exponentials E = exp(d t) are held once, as one
+    real table [Re E; Im E].  A block starting at t_s scales the grouped
+    coefficients S0 by exp(d (t_s - t_0)) and takes its values as one real
+    product [Re S, -Im S] @ table.  That is exp(d t_k) only if
+    t_k - t_s == t_j - t_0 for the k-th time of the block and the j-th of
+    the table; a mismatch delta costs a relative error of |d delta|.  So
+    before the first block is yielded every block's mismatch is measured,
+    and a grid where max|d| max|delta| exceeds 4 eps (1 + max|d| max|t|) is
+    refused with ValueError; np.linspace grids stay near 1.6 eps max|t|.
+    The imaginary parts, [Im D, Re D] @ table, are formed only for the rows
+    whose D0 is not all zeros, so a real initial state, whose pairs cancel
+    in D0 exactly, reports max_imag 0.0 without forming them.  A few
+    block-sized real arrays are held, never one as long as the grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -434,15 +453,75 @@ def _evaluate_rows(
     H = np.asarray(H, dtype=float)
     HV = _complex_columns(np.hstack([H[:, b.rows] @ b.vectors for b in blocks]), eigenvalues)
     reached = np.flatnonzero(HV.any(axis=0))
-    HV_reached = HV[:, reached]
-    # A last block may take one time more than _TIME_BLOCK.
-    buffer = np.empty((HV.shape[0], min(times.size, _TIME_BLOCK + 1)), dtype=complex)
-    for block, modes in _mode_exponentials(eigenvalues[reached], phi0[reached], times):
-        block_values = np.matmul(HV_reached, modes, out=buffer[:, : modes.shape[1]])
-        if not np.isfinite(block_values.real).all():
+    distinct, S0, D0 = _grouped_coefficients(
+        eigenvalues[reached], HV[:, reached] * phi0[reached]
+    )
+    D0 = D0[np.flatnonzero(D0[:imag_rows].any(axis=1))]
+
+    time_blocks = _time_blocks(times.size)
+    width = max(block.stop - block.start for block in time_blocks)
+    offsets = times[:width] - times[0]
+    mismatch = max(
+        (
+            np.abs(times[block] - times[block.start] - offsets[: block.stop - block.start]).max()
+            for block in time_blocks[1:]
+        ),
+        default=0.0,
+    )
+    largest = float(np.abs(distinct).max(initial=0.0))
+    t_max = max(abs(times[0]), abs(times[-1]))
+    if largest * mismatch > 4 * np.finfo(float).eps * (1 + largest * t_max):
+        raise ValueError("times must be evenly spaced")
+
+    exps = np.exp(np.multiply.outer(distinct, times[:width]))
+    table = np.concatenate((exps.real, exps.imag))
+    del exps  # not held beside the table while the blocks are yielded
+    buffer = np.empty((H.shape[0], width))
+    for block in time_blocks:
+        size = block.stop - block.start
+        scale = np.exp(distinct * (times[block.start] - times[0]))
+        S = S0 * scale
+        values = np.matmul(np.hstack((S.real, -S.imag)), table[:, :size], out=buffer[:, :size])
+        if not np.isfinite(values).all():
             raise NonFiniteError("propagation produced non-finite values")
-        max_imag = float(np.abs(block_values[:imag_rows].imag).max())
-        yield block, block_values.real, max_imag, int(reached.size)
+        max_imag = 0.0
+        if D0.size:
+            D = D0 * scale
+            max_imag = float(np.abs(np.hstack((D.imag, D.real)) @ table[:, :size]).max())
+        yield block, values, max_imag, int(reached.size)
+
+
+def _grouped_coefficients(
+    eigenvalues: np.ndarray, coefficients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, S0, D0): the distinct exponents d = complex(Re lambda, |Im lambda|)
+    in order of first appearance, and per row of `coefficients` (one column
+    c_i per mode) S0[:, j] = sum c_i over the modes of d_j on or above the
+    real axis plus sum conj(c_i) over those below; D0 the same with the
+    lower ones subtracted.
+
+    c conj(E) and conj(c) E share their real part and have opposite
+    imaginary parts, so with E = exp(d_j t), sum_i c_i exp(lambda_i t) has
+    real part Re(S0 E) and imaginary part Im(D0 E).  A real d has Im E == 0
+    exactly, so only Im D0 counts there and Re D0 is set to 0.  Modes are
+    added one at a time in order; a pair is adjacent, so for a real initial
+    state, whose pairs' c are exact conjugates (the complex product of
+    conjugates is the exact conjugate), D0 is exactly 0.
+    """
+    groups: dict[complex, int] = {}
+    index = [
+        groups.setdefault(complex(z.real, abs(z.imag)), len(groups))
+        for z in eigenvalues.tolist()
+    ]
+    distinct = np.array(list(groups), dtype=complex)
+    below = eigenvalues.imag < 0
+    lifted = np.where(below, coefficients.conj(), coefficients)
+    S0 = np.zeros((coefficients.shape[0], distinct.size), dtype=complex)
+    D0 = np.zeros_like(S0)
+    np.add.at(S0.T, index, lifted.T)
+    np.add.at(D0.T, index, np.where(below, -lifted, lifted).T)
+    D0.real[:, distinct.imag == 0] = 0.0
+    return distinct, S0, D0
 
 
 def _time_blocks(size: int) -> list[slice]:
@@ -458,65 +537,3 @@ def _time_blocks(size: int) -> list[slice]:
         blocks.append(slice(start, stop))
         start = stop
     return blocks
-
-
-def _mode_exponentials(eigenvalues: np.ndarray, phi0: np.ndarray, times: np.ndarray):
-    """Yield (slice, phi0[:, None] * exp(outer(eigenvalues, times[slice])))
-    per block of an evenly spaced grid of times.
-
-    The first block is a table P: each distinct value of
-    complex(Re lambda, |Im lambda|) is exponentiated once per time, and the
-    row of an eigenvalue below the real axis is the conjugate of its
-    partner's row.  exp(conj z) == conj(exp z) bit for bit, and
-    conj(lambda) * t differs from conj(lambda * t) at most in the sign of a
-    zero, so every row of P equals exp(lambda t) phi0 as if computed alone.
-
-    A later block starting at t_s is P's first columns times one column
-    exp(lambda (t_s - t_0)), paired the same way: one exp per distinct value
-    per block.  That is exp(lambda t_k) only if t_k - t_s == t_j - t_0 for the
-    k-th time of the block and the j-th of P; a mismatch delta costs a
-    relative error of |lambda delta|.  So before the first block is yielded
-    every block's mismatch is measured, and a grid where
-    max|lambda| max|delta| exceeds 4 eps (1 + max|lambda| max|t|) is refused
-    with ValueError; np.linspace grids stay near 1.6 eps max|t|.  A later
-    block is written into one buffer that the next block overwrites.
-    """
-    rows: dict[complex, int] = {}
-    index = [
-        rows.setdefault(complex(z.real, abs(z.imag)), len(rows))
-        for z in eigenvalues.tolist()
-    ]
-    distinct = np.array(list(rows), dtype=complex)
-    below = (eigenvalues.imag < 0)[:, None]
-    blocks = _time_blocks(times.size)
-    width = max(block.stop - block.start for block in blocks)
-
-    offsets = times[:width] - times[0]
-    mismatch = max(
-        (
-            np.abs(times[block] - times[block.start] - offsets[: block.stop - block.start]).max()
-            for block in blocks[1:]
-        ),
-        default=0.0,
-    )
-    largest = float(np.abs(distinct).max(initial=0.0))
-    t_max = max(abs(times[0]), abs(times[-1]))
-    if largest * mismatch > 4 * np.finfo(float).eps * (1 + largest * t_max):
-        raise ValueError("times must be evenly spaced")
-
-    def paired(exps):
-        modes = exps[index]
-        np.conjugate(modes, out=modes, where=below)
-        return modes
-
-    table = paired(np.exp(np.multiply.outer(distinct, times[:width])))
-    # complex (eigenvalues are), so any phi0 multiplies into it
-    table *= phi0[:, None]
-    yield blocks[0], table[:, : blocks[0].stop]
-    if len(blocks) == 1:
-        return
-    modes = np.empty_like(table)
-    for block in blocks[1:]:
-        step = paired(np.exp(distinct[:, None] * (times[block.start] - times[0])))
-        size = block.stop - block.start
-        yield block, np.multiply(table[:, :size], step, out=modes[:, :size])

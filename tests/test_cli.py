@@ -99,6 +99,39 @@ def test_solve_writes_trajectory_and_summary(tmp_path):
     assert summary["timings"]["total"] > 0
 
 
+# Two oscillators with light damping and quadratic coupling.
+QUADRATIC_4D = {
+    "name": "quad4",
+    "states": ["x1", "v1", "x2", "v2"],
+    "dynamics": [
+        {"terms": [{"coef": 1.0, "exp": [0, 1, 0, 0]}]},
+        {"terms": [{"coef": -1.0, "exp": [1, 0, 0, 0]}, {"coef": -0.02, "exp": [0, 1, 0, 0]},
+                   {"coef": 0.1, "exp": [1, 0, 1, 0]}]},
+        {"terms": [{"coef": 1.0, "exp": [0, 0, 0, 1]}]},
+        {"terms": [{"coef": -2.0, "exp": [0, 0, 1, 0]}, {"coef": -0.02, "exp": [0, 0, 0, 1]},
+                   {"coef": 0.1, "exp": [2, 0, 0, 0]}]},
+    ],
+    "initial_state": [0.3, 0.1, -0.2, 0.2],
+    "order": 5,
+    "t_final": 5.0,
+    "num_steps": 100,
+}
+
+
+@pytest.mark.parametrize(
+    "doc", [{**DUFFING, "order": 8}, QUADRATIC_4D], ids=["duffing-c8", "quadratic-4d"]
+)
+def test_a_real_initial_state_drops_no_imaginary_part(tmp_path, doc):
+    # A real initial state's conjugate pairs cancel exactly in the imaginary
+    # part, so the summary reports no roundoff there.
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / f"{doc['name']}_summary.json").read_text())
+    assert summary["n_modes_propagated"] > 0
+    assert summary["max_imag"] == 0.0
+
+
 def test_solve_with_reference_appends_error_columns(tmp_path):
     config = write_config(tmp_path, DUFFING)
     out = tmp_path / "out"
@@ -841,15 +874,9 @@ def test_rk4_work_beyond_the_step_budget_is_refused(tmp_path, capsys, refused_rk
 
 @pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1"]])
 def test_rk4_budget_counts_the_terms_of_the_field(tmp_path, capsys, refused_rk4, command):
-    # 20 distinct terms of degree 1..4 per component: 120 terms, so the
-    # default step's 1e6 steps are 1.2e8 step-terms.
-    exps = [e for e in itertools.product(range(5), repeat=6) if 1 <= sum(e) <= 4]
-    doc = _linear_6d(1)
+    # The default step's 1e6 steps are 1.2e8 step-terms.
+    doc = _field_of_120_terms()
     doc["t_final"] = 100.0
-    doc["dynamics"] = [
-        {"terms": [{"coef": 0.01, "exp": list(e)} for e in exps[20 * k:20 * (k + 1)]]}
-        for k in range(6)
-    ]
     config = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
@@ -862,6 +889,39 @@ def test_rk4_budget_counts_the_terms_of_the_field(tmp_path, capsys, refused_rk4,
     assert main(command + ["--config", config, "--rk-step", "1e-6", "--out-dir", str(out)]) == 2
     assert "on a field of 0 terms" in capsys.readouterr().err
     assert refused_rk4() == []
+
+
+def _field_of_120_terms():
+    # `_linear_6d` plus 19 distinct terms of degree 2..4 per component; at
+    # order 1, K is not defective.
+    exps = [e for e in itertools.product(range(5), repeat=6) if 2 <= sum(e) <= 4]
+    doc = _linear_6d(1)
+    for k, component in enumerate(doc["dynamics"]):
+        component["terms"] += [
+            {"coef": 0.01, "exp": list(e)} for e in exps[19 * k:19 * (k + 1)]
+        ]
+    return doc
+
+
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1"]])
+def test_rk4_budget_counts_a_step_per_output_interval(tmp_path, capsys, refused_rk4, command):
+    # t_final / --rk-step is one step, but RK4 takes at least one step per
+    # output interval: 3e5 intervals on 120 terms are 3.6e7 step-terms.
+    doc = {**_field_of_120_terms(), "t_final": 1.0, "num_steps": 300_001}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    args = command + ["--config", config, "--rk-step", "1.0", "--out-dir", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "3e+05 steps" in err and "num_steps" in err
+    assert not out.exists()
+    assert refused_rk4() == []
+    # 2.5e5 intervals are just inside the limit: the reference runs.
+    config = write_config(tmp_path, {**doc, "num_steps": 250_001})
+    args = command + ["--config", config, "--rk-step", "1.0", "--out-dir", str(out)]
+    with pytest.raises(AssertionError, match="RK4 work started"):
+        main(args)
+    assert refused_rk4() == ["rk4_integrate"]
 
 
 def test_solve_without_reference_ignores_the_step_budget(tmp_path, refused_rk4):
