@@ -38,10 +38,10 @@ __all__ = [
 
 MAX_DIMENSION = 6
 MAX_ORDER = 12
-# Largest basis a solve may use: n = 1820 (c=12, m=4) peaks at 138 MiB RSS at
-# 100 output times, set by the eigen layer, and at 166 MiB at 1e5, set by
-# propagation's block tables; a coupled quadratic field solved in 2.5-3.1 s
-# and 3.1-4.5 s (2-vCPU VM, one BLAS thread).  eig grows like n**3.
+# Largest basis a solve may use: n = 1820 (c=12, m=4) peaks at 143.5 MiB RSS
+# at both 100 and 1e5 output times, set by the eigen layer; a coupled
+# quadratic field solved in 2.1-2.8 s and 2.4-3.0 s (2-vCPU VM, one BLAS
+# thread, numpy 2.4.6).  eig grows like n**3.
 MAX_BASIS_SIZE = 2000
 
 

@@ -83,7 +83,6 @@ _BOX_EXIT_SLACK = 1e-9
 class SolveResult:
     spec: SystemSpec
     model: KoopmanModel
-    max_imag: float
     n_modes_propagated: int
     first_box_exit: Optional[float]
     observable_errors: Optional[dict]
@@ -356,7 +355,7 @@ def _solve_spec(
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     n_obs = H.shape[0]
     all_H = H if state_H is None else np.vstack((H, state_H))
-    blocks = _evaluate_rows(all_H, eigenblocks, phi0, times, imag_rows=n_obs)
+    blocks = _evaluate_rows(all_H, eigenblocks, phi0, times)
     # The first block validates the grid and guards exp against overflow
     # before the solve waits for the reference or any output exists.
     blocks = itertools.chain([next(blocks)], blocks)
@@ -373,15 +372,13 @@ def _solve_spec(
 
     kept = np.empty((n_obs, times.size)) if keep_values else None
     first_exit: Optional[float] = None
-    max_imag = 0.0
     out = open_csv() if open_csv else None
     if out:
         out.write(",".join(header) + "\n")
     # `mark` is reset after each block, so the next block's propagation,
     # which runs as the loop asks for it, is counted too.
     mark = time.perf_counter()
-    for block, values, block_imag, n_modes in blocks:
-        max_imag = max(max_imag, block_imag)
+    for block, values, n_modes in blocks:
         if first_exit is None and state_H is not None:
             outside = np.abs(values[n_obs:]).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
             if outside.any():
@@ -413,7 +410,6 @@ def _solve_spec(
     return SolveResult(
         spec=spec,
         model=model,
-        max_imag=max_imag,
         n_modes_propagated=n_modes,
         first_box_exit=first_exit,
         observable_errors=observable_errors,
@@ -435,7 +431,8 @@ def _summary_json(result: SolveResult) -> dict:
         "eigenresidual": model.diagnostics.eigenresidual,
         "eigencondition": model.diagnostics.eigencondition,
         "skewness": model.diagnostics.skewness,
-        "max_imag": result.max_imag,
+        # Propagation is real, so no imaginary part is dropped; the key stays.
+        "max_imag": 0.0,
         "n_modes_propagated": result.n_modes_propagated,
         "observable_errors": result.observable_errors,
         "first_box_exit_time": result.first_box_exit,
@@ -545,7 +542,7 @@ def run_solve(
     print(
         f"{spec.name}: m={basis.m} c={basis.c} n={basis.n}  "
         f"skewness={diag.skewness:.3e}  eigencondition={diag.eigencondition:.3e}  "
-        f"max_imag={result.max_imag:.3e}"
+        "max_imag=0.000e+00"
     )
     if result.observable_errors is not None:
         worst = max(err["max"] for err in result.observable_errors.values())

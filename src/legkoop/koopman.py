@@ -9,33 +9,27 @@ dL_i/dt = grad(L_i) . f, which projects back onto the basis:
 right eigenvectors K V = V diag(lambda), observables g = H L propagate
 analytically:
 
-    g(t_k) = Re[ H V diag(exp(lambda t_k)) phi0 ],    phi0 = V^-1 L(x0)
+    g(t_k) = H V diag(exp(lambda t_k)) V^-1 L(x0)
 
-No time stepping is involved.  `_evaluate_rows` walks the time grid in
-blocks of `_TIME_BLOCK` times and yields each block's real part and its
-largest imaginary magnitude: `propagate` gathers the blocks into a
-`Trajectory` (the values, the largest imaginary part and the number of
-modes reached; the time grid stays the caller's), and the CLI writes each
-block out and drops it.  Only the modes the observables reach are
-propagated (a mode whose column of H V is all zeros adds exact zeros and is
-skipped).  Their coefficients c_i = (H V)_i phi0_i are grouped by distinct
-exponent d = Re lambda + i |Im lambda| (`_grouped_coefficients`), which
-folds each conjugate pair, and each exactly repeated eigenvalue, into one
-column.  So each distinct exponential is computed and multiplied once, in
-real arithmetic: the first block's E = exp(d t) is held as one real table
-[Re E; Im E], and a block's values are one real matrix product with it.
-For a real initial state the imaginary parts cancel exactly and
-`max_imag` reads 0.0.  The grid must be evenly spaced: every later block
-scales the grouped coefficients by exp(d (t_s - t_0)) at its first time
-t_s, one exponential per distinct exponent per block, within a few
+No time stepping is involved.  K often splits into blocks that do not
+couple at all (Duffing's odd symmetry gives an even and an odd block): the
+connected components of the sparsity graph of K, found with no tolerance.
+Each keeps its eigenvalues and real eigenvectors X = V_b T, T unitary
+(`EigenBlock`), and all after eig stays in these real coordinates: y =
+X^-1 L(x0) (`initial_eigenfunctions`) and H X, one block at a time.
+
+`_evaluate_rows` walks the time grid in blocks of `_TIME_BLOCK` times and
+yields each block's values: `propagate` gathers them into a `Trajectory`,
+and the CLI writes each block out and drops it.  A mode whose columns of
+H X are all zeros adds exact zeros and is skipped.  Each real mode and
+each conjugate pair gives one complex coefficient per row, grouped by
+distinct exponent d (`_grouped_coefficients`), so each distinct
+exponential is computed and multiplied once, in real arithmetic: the first
+block's E = exp(d t) is held as one real table [Re E; Im E], and a block's
+values are one real matrix product with it.  The grid must be evenly
+spaced: every later block scales the grouped coefficients by
+exp(d (t_s - t_0)) at its first time t_s, within a few
 eps (1 + |lambda| max|t|) of exp(lambda t) (see `_evaluate_rows`).
-
-K often splits into blocks that do not couple at all (Duffing's odd
-symmetry gives an even and an odd block): the connected components of the
-sparsity graph of K, found with no tolerance.  Each keeps its eigenvalues
-and real eigenvectors X = V_b T, T unitary (`EigenBlock`); H V and phi0 are
-formed per block in real arithmetic, and an observable that lives on one
-block reaches only that block's modes.
 
 K and H are assembled in coefficient space, without expanding any basis
 function into monomials.  Per axis, multiplication by x is the tridiagonal
@@ -55,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -331,25 +325,15 @@ def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) ->
     )
 
 
-def _complex_columns(X: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    # Real-form columns (last axis) made complex: a pair's x, y -> (x + iy)/sqrt2, conjugate.
-    upper = np.flatnonzero(eigenvalues.imag > 0)
-    Z = X.astype(complex)
-    Z[..., upper] = (X[..., upper] + 1j * X[..., upper + 1]) * math.sqrt(0.5)
-    Z[..., upper + 1] = Z[..., upper].conj()
-    return Z
-
-
 def initial_eigenfunctions(blocks: Sequence[EigenBlock], h0: np.ndarray) -> np.ndarray:
-    """Eigenfunction values at the initial state, phi0 = V^-1 h0, in the blocks'
-    order of modes: per block one real LU solve y = X^-1 h0[rows], since
-    V^-1 = T X^-1, and a pair's entries (y1 -+ i y2)/sqrt2."""
+    """The initial state in the blocks' real eigen coordinates, y = X^-1 h0,
+    in the blocks' order of modes: one real LU solve per block.  The complex
+    phi0 = V^-1 h0 = T y has a pair's entries (y1 -+ i y2)/sqrt2."""
     h0 = np.asarray(h0, dtype=float)
     n = sum(b.rows.size for b in blocks)
     if h0.shape != (n,):
         raise ValueError(f"h0 has shape {h0.shape}, expected ({n},)")
-    y = np.concatenate([np.linalg.solve(b.vectors, h0[b.rows]) for b in blocks])
-    return _complex_columns(y, np.concatenate([b.eigenvalues for b in blocks])).conj()
+    return np.concatenate([np.linalg.solve(b.vectors, h0[b.rows]) for b in blocks])
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,14 +341,12 @@ class Trajectory:
     """Observable values on the caller's time grid, one row per observable
     (one column per time).
 
-    `max_imag` is the largest imaginary magnitude discarded when taking the
-    real part of `values`; for a real initial state it is exactly 0.0.
-    `n_modes_propagated` counts the modes the rows of H reach: those whose
-    column of H V is not all zeros.
+    `n_modes_propagated` counts the modes the rows of H reach: a real mode
+    whose column of H X is not all zeros, and both modes of a pair either of
+    whose two columns is not.
     """
 
     values: np.ndarray
-    max_imag: float
     n_modes_propagated: int
 
 
@@ -375,41 +357,35 @@ def propagate(model: KoopmanModel, phi0: np.ndarray, times) -> Trajectory:
 
 
 def propagate_observables(
-    H: np.ndarray, blocks: Sequence[EigenBlock], phi0: np.ndarray, times,
-    imag_rows: Optional[int] = None,
+    H: np.ndarray, blocks: Sequence[EigenBlock], phi0: np.ndarray, times
 ) -> Trajectory:
-    """values[:, k] = Re[H V diag(exp(lambda t_k)) phi0], V as `blocks` hold it.
+    """values[:, k] = H V diag(exp(lambda t_k)) V^-1 h0, V as `blocks` hold
+    it and phi0 = X^-1 h0 the real coordinates `initial_eigenfunctions`
+    returns.
 
     `times` must be strictly increasing and evenly spaced, as np.linspace
     makes them: later blocks of times are propagated from the first block's
     exponentials, and a grid whose spacing drifts by more than roundoff
-    raises ValueError (see `_evaluate_rows`).  The values are the blocks
-    of `_evaluate_rows`, gathered into read-only `values`;
-    `max_imag` is taken over the first `imag_rows` rows (all by default), so
-    rows stacked under the observables, such as the state coordinates of the
-    box-exit check, can share the exponentials without counting there.
+    raises ValueError (see `_evaluate_rows`).  So does a phi0 that is
+    complex or not of shape (n,), or an H without n columns.  The values
+    are the blocks of `_evaluate_rows`, gathered into read-only `values`.
     """
     values = np.empty((np.shape(H)[0], np.size(times)))
-    max_imag = 0.0
-    for block, real, imag, n_modes in _evaluate_rows(H, blocks, phi0, times, imag_rows):
-        values[:, block] = real
-        max_imag = max(max_imag, imag)
+    for block, rows, n_modes in _evaluate_rows(H, blocks, phi0, times):
+        values[:, block] = rows
     values.flags.writeable = False
-    return Trajectory(values=values, max_imag=max_imag, n_modes_propagated=n_modes)
+    return Trajectory(values=values, n_modes_propagated=n_modes)
 
 
 def _evaluate_rows(
-    H: np.ndarray, blocks: Sequence[EigenBlock], phi0: np.ndarray, times,
-    imag_rows: Optional[int] = None,
-) -> Iterator[tuple[slice, np.ndarray, float, int]]:
-    """Yield (block, values, max_imag, n_modes) per block of the time grid.
+    H: np.ndarray, blocks: Sequence[EigenBlock], phi0: np.ndarray, times
+) -> Iterator[tuple[slice, np.ndarray, int]]:
+    """Yield (block, values, n_modes) per block of the time grid.
 
-    `values` is Re[H V diag(exp(lambda t_k)) phi0] at times[block], one row
-    per row of H, in a buffer the next block overwrites; `max_imag` is the
-    largest imaginary magnitude it dropped over its first `imag_rows` rows
-    (all by default); `n_modes` is the number of modes H reaches.  The grid
-    is validated, and exp guarded against overflow, when the first block is
-    asked for.
+    `values` is H V diag(exp(lambda t_k)) V^-1 h0 at times[block], one row
+    per row of H, in a buffer the next block overwrites, and `n_modes` the
+    number of modes H reaches.  The arguments and the grid are validated,
+    and exp guarded against overflow, when the first block is asked for.
 
     The modes are grouped by distinct exponent (`_grouped_coefficients`),
     and the first block's exponentials E = exp(d t) are held once, as one
@@ -421,10 +397,7 @@ def _evaluate_rows(
     before the first block is yielded every block's mismatch is measured,
     and a grid where max|d| max|delta| exceeds 4 eps (1 + max|d| max|t|) is
     refused with ValueError; np.linspace grids stay near 1.6 eps max|t|.
-    The imaginary parts, [Im D, Re D] @ table, are formed only for the rows
-    whose D0 is not all zeros, so a real initial state, whose pairs cancel
-    in D0 exactly, reports max_imag 0.0 without forming them.  A few
-    block-sized real arrays are held, never one as long as the grid.
+    A few block-sized real arrays are held, never one as long as the grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -434,7 +407,16 @@ def _evaluate_rows(
     if not (times[1:] > times[:-1]).all():
         raise ValueError("times must be strictly increasing")
     eigenvalues = np.concatenate([b.eigenvalues for b in blocks])
+    n = eigenvalues.size
     phi0 = np.asarray(phi0)
+    if np.iscomplexobj(phi0):
+        raise ValueError("phi0 must be real: the coordinates X^-1 h0 of initial_eigenfunctions")
+    phi0 = phi0.astype(float, copy=False)
+    if phi0.shape != (n,):
+        raise ValueError(f"phi0 has shape {phi0.shape}, expected ({n},)")
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.shape[1] != n:
+        raise ValueError(f"H has shape {H.shape}, expected {n} columns")
 
     # max over (i, k) of Re(lambda_i) t_k sits at a corner of the two
     # ranges, and rounding is monotone, so this is the max of the full
@@ -448,15 +430,15 @@ def _evaluate_rows(
             f"Re(lambda)*t reaches {growth:.3e} > {EXP_OVERFLOW_LIMIT}; "
             "exp would overflow"
         )
-    # H V per block in real arithmetic, then in complex form.  A mode whose
-    # column is all zeros adds exact zeros to every row.
-    H = np.asarray(H, dtype=float)
-    HV = _complex_columns(np.hstack([H[:, b.rows] @ b.vectors for b in blocks]), eigenvalues)
-    reached = np.flatnonzero(HV.any(axis=0))
-    distinct, S0, D0 = _grouped_coefficients(
-        eigenvalues[reached], HV[:, reached] * phi0[reached]
-    )
-    D0 = D0[np.flatnonzero(D0[:imag_rows].any(axis=1))]
+    # H X per block.  A mode whose column is all zeros adds exact zeros to
+    # every row; a pair is reached through either of its two columns.
+    HX = np.hstack([H[:, b.rows] @ b.vectors for b in blocks])
+    reached = HX.any(axis=0)
+    upper = np.flatnonzero(eigenvalues.imag > 0)
+    reached[upper] |= reached[upper + 1]
+    reached[upper + 1] = reached[upper]
+    distinct, S0 = _grouped_coefficients(eigenvalues, HX, phi0, reached)
+    n_modes = int(np.count_nonzero(reached))
 
     time_blocks = _time_blocks(times.size)
     width = max(block.stop - block.start for block in time_blocks)
@@ -479,49 +461,38 @@ def _evaluate_rows(
     buffer = np.empty((H.shape[0], width))
     for block in time_blocks:
         size = block.stop - block.start
-        scale = np.exp(distinct * (times[block.start] - times[0]))
-        S = S0 * scale
+        S = S0 * np.exp(distinct * (times[block.start] - times[0]))
         values = np.matmul(np.hstack((S.real, -S.imag)), table[:, :size], out=buffer[:, :size])
         if not np.isfinite(values).all():
             raise NonFiniteError("propagation produced non-finite values")
-        max_imag = 0.0
-        if D0.size:
-            D = D0 * scale
-            max_imag = float(np.abs(np.hstack((D.imag, D.real)) @ table[:, :size]).max())
-        yield block, values, max_imag, int(reached.size)
+        yield block, values, n_modes
 
 
 def _grouped_coefficients(
-    eigenvalues: np.ndarray, coefficients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, S0, D0): the distinct exponents d = complex(Re lambda, |Im lambda|)
-    in order of first appearance, and per row of `coefficients` (one column
-    c_i per mode) S0[:, j] = sum c_i over the modes of d_j on or above the
-    real axis plus sum conj(c_i) over those below; D0 the same with the
-    lower ones subtracted.
+    eigenvalues: np.ndarray, HX: np.ndarray, y: np.ndarray, reached: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d, S0): the distinct exponents d, the `reached` eigenvalues on or
+    above the real axis in order of first appearance, and per row of H X
+    S0[:, j] = the sum of the coefficients S of the modes of d_j.
 
-    c conj(E) and conj(c) E share their real part and have opposite
-    imaginary parts, so with E = exp(d_j t), sum_i c_i exp(lambda_i t) has
-    real part Re(S0 E) and imaginary part Im(D0 E).  A real d has Im E == 0
-    exactly, so only Im D0 counts there and Re D0 is set to 0.  Modes are
-    added one at a time in order; a pair is adjacent, so for a real initial
-    state, whose pairs' c are exact conjugates (the complex product of
-    conjugates is the exact conjugate), D0 is exactly 0.
+    A real mode with column hx has S = hx y_k.  A pair a +- ib with columns
+    hx, hy and coordinates y1, y2 has S = (hx y1 + hy y2) + i (hy y1 - hx y2):
+    its two conjugate terms sum to Re(S exp((a + ib) t)).  So with
+    E = exp(d_j t) a row of H V diag(exp(lambda t)) V^-1 h0 is Re(S0 E),
+    each exactly repeated eigenvalue sharing one column.
     """
+    modes = np.flatnonzero(reached & (eigenvalues.imag >= 0))
+    pair = eigenvalues[modes].imag > 0
+    upper = modes[pair]
+    S = (HX[:, modes] * y[modes]).astype(complex)
+    S.real[:, pair] += HX[:, upper + 1] * y[upper + 1]
+    S.imag[:, pair] = HX[:, upper + 1] * y[upper] - HX[:, upper] * y[upper + 1]
     groups: dict[complex, int] = {}
-    index = [
-        groups.setdefault(complex(z.real, abs(z.imag)), len(groups))
-        for z in eigenvalues.tolist()
-    ]
+    index = [groups.setdefault(z, len(groups)) for z in eigenvalues[modes].tolist()]
     distinct = np.array(list(groups), dtype=complex)
-    below = eigenvalues.imag < 0
-    lifted = np.where(below, coefficients.conj(), coefficients)
-    S0 = np.zeros((coefficients.shape[0], distinct.size), dtype=complex)
-    D0 = np.zeros_like(S0)
-    np.add.at(S0.T, index, lifted.T)
-    np.add.at(D0.T, index, np.where(below, -lifted, lifted).T)
-    D0.real[:, distinct.imag == 0] = 0.0
-    return distinct, S0, D0
+    S0 = np.zeros((HX.shape[0], distinct.size), dtype=complex)
+    np.add.at(S0.T, index, S.T)
+    return distinct, S0
 
 
 def _time_blocks(size: int) -> list[slice]:

@@ -179,9 +179,7 @@ def eager_solve(spec, rk_step=None, edit=None):
     phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, [(x - c) / h for x, c, h in box]))
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     n_obs = len(model.H)
-    trajectory = propagate_observables(
-        np.vstack((model.H, state_H)), model.blocks, phi0, times, imag_rows=n_obs
-    )
+    trajectory = propagate_observables(np.vstack((model.H, state_H)), model.blocks, phi0, times)
     values = trajectory.values[:n_obs].copy()
     if edit is not None:
         edit(values)
@@ -201,9 +199,7 @@ def eager_solve(spec, rk_step=None, edit=None):
         }
     lines = [",".join(header)]
     lines += [",".join(repr(float(col[k])) for col in columns) for k in range(times.size)]
-    result = cli.SolveResult(
-        spec, model, trajectory.max_imag, trajectory.n_modes_propagated, first_exit, errors, {}
-    )
+    result = cli.SolveResult(spec, model, trajectory.n_modes_propagated, first_exit, errors, {})
     summary = cli._summary_json(result)
     del summary["timings"]
     return ("\n".join(lines) + "\n").encode("utf-8"), json.loads(json.dumps(summary))
@@ -263,9 +259,9 @@ def test_trajectory_csv_is_the_repr_of_each_value(tmp_path, monkeypatch):
             values[0, -1] = 3.5e-7
 
     def injecting(*args, **kwargs):
-        for block, values, imag, n_modes in stream(*args, **kwargs):
+        for block, values, n_modes in stream(*args, **kwargs):
             edit(values, block.start == 0, block.stop == doc["num_steps"])
-            yield block, values, imag, n_modes
+            yield block, values, n_modes
 
     monkeypatch.setattr(cli, "_evaluate_rows", injecting)
     spec = parse_system_config(json.dumps(doc))

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,22 @@ from legkoop.refinteg import rk4_integrate
 HARMONIC = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
 DUFFING = duffing_vector_field(1.0, 1.0, 1.0, 0.001)
 IDENTITY_QP = ObservableSet.identity(("q", "p"))
+# Two oscillators (frequencies 1 and sqrt 2) with light damping and
+# quadratic coupling.
+QUADRATIC_4D = VectorField(4, tuple(canonicalize(t, 4) for t in [
+    [(1.0, (0, 1, 0, 0))],
+    [(-1.0, (1, 0, 0, 0)), (-0.02, (0, 1, 0, 0)), (0.1, (1, 0, 1, 0))],
+    [(1.0, (0, 0, 0, 1))],
+    [(-2.0, (0, 0, 1, 0)), (-0.02, (0, 0, 0, 1)), (0.1, (2, 0, 0, 0))],
+]))
+# Two identical damped oscillators: K splits into sparsity blocks with the
+# same entries, so their eigenvalues repeat bit for bit.
+TWIN_OSCILLATORS = VectorField(4, tuple(canonicalize(t, 4) for t in [
+    [(1.0, (0, 1, 0, 0))],
+    [(-1.0, (1, 0, 0, 0)), (-0.1, (0, 1, 0, 0))],
+    [(1.0, (0, 0, 0, 1))],
+    [(-1.0, (0, 0, 1, 0)), (-0.1, (0, 0, 0, 1))],
+]))
 
 
 def as_dict(p):
@@ -203,9 +220,8 @@ def dense_V(blocks):
 
 
 def blockwise_HV(H, blocks):
-    # H V as propagation forms it, bit for bit: H[:, rows] X per block in
-    # real arithmetic, then a pair's columns x, y as (x + iy)/sqrt2 and its
-    # conjugate.
+    # H V from H[:, rows] X per block in real arithmetic, then a pair's
+    # columns x, y as (x + iy)/sqrt2 and its conjugate.
     columns = []
     for b in blocks:
         HX = H[:, b.rows] @ b.vectors
@@ -221,10 +237,29 @@ def blockwise_HV(H, blocks):
     return HV
 
 
+def complex_phi0(blocks, h0):
+    # The complex phi0 = V^-1 h0 = T X^-1 h0, in the blocks' order of modes:
+    # a pair's entries (y1 -+ i y2)/sqrt2 of the real y = X^-1 h0.
+    y = initial_eigenfunctions(blocks, h0)
+    phi0 = y.astype(complex)
+    upper = np.flatnonzero(mode_eigenvalues(blocks).imag > 0)
+    phi0[upper] = (y[upper] - 1j * y[upper + 1]) * math.sqrt(0.5)
+    phi0[upper + 1] = phi0[upper].conjugate()
+    return phi0
+
+
 def dense_Vinv(blocks):
-    # V^-1 column by column: phi0 of each unit vector, one LU solve per block.
+    # V^-1 column by column: phi0 of each unit vector.
     n = sum(b.rows.size for b in blocks)
-    return np.column_stack([initial_eigenfunctions(blocks, e) for e in np.eye(n)])
+    return np.column_stack([complex_phi0(blocks, e) for e in np.eye(n)])
+
+
+def one_shot(H, blocks, h0, times):
+    # H V diag(exp(lambda t)) V^-1 h0 in complex arithmetic, every mode at
+    # every time at once; its imaginary part is what a real initial state
+    # leaves at roundoff.
+    modes = np.exp(np.multiply.outer(mode_eigenvalues(blocks), times))
+    return blockwise_HV(H, blocks) @ (modes * complex_phi0(blocks, h0)[:, None])
 
 
 def test_diagonal_matrix_decomposition():
@@ -427,7 +462,7 @@ def test_real_form_matches_the_complex_eigendecomposition():
         assert cond == pytest.approx(np.linalg.cond(V), rel=1e-12 * cond)
         h0 = rng.normal(size=n)
         expected = np.linalg.solve(V, h0)
-        error = np.abs(initial_eigenfunctions(blocks, h0) - expected).max()
+        error = np.abs(complex_phi0(blocks, h0) - expected).max()
         assert error <= 1e-12 * cond * np.abs(expected).max()
         roundoff = n * eps * (np.abs(K).max() + np.abs(lam).max())
         assert abs(diag.eigenresidual - residual) <= roundoff
@@ -454,10 +489,11 @@ def identity_blocks(eigenvalues):
 
 def test_initial_eigenfunctions_identity_eigenvectors():
     h0 = np.array([1.0, 2.0, 3.0])
-    phi0 = initial_eigenfunctions(identity_blocks([1.0, 2.0, 3.0]), h0)
-    assert phi0 == pytest.approx(h0)
-    # A pair's entries are (y1 -+ i y2)/sqrt2 of y = X^-1 h0.
-    phi0 = initial_eigenfunctions(identity_blocks([1j, -1j, 2.0]), h0)
+    for eigenvalues in ([1.0, 2.0, 3.0], [1j, -1j, 2.0]):
+        y = initial_eigenfunctions(identity_blocks(eigenvalues), h0)
+        assert y.dtype == np.float64 and y == pytest.approx(h0)
+    # The complex phi0's pair entries are (y1 -+ i y2)/sqrt2 of y = X^-1 h0.
+    phi0 = complex_phi0(identity_blocks([1j, -1j, 2.0]), h0)
     assert phi0 == pytest.approx([(1 - 2j) / math.sqrt(2), (1 + 2j) / math.sqrt(2), 3.0])
 
 
@@ -466,8 +502,12 @@ def test_initial_eigenfunctions_round_trip():
     K = assemble_koopman(basis, DUFFING)
     _, blocks, _ = eigendecompose(K)
     h0 = evaluate_basis(basis, (1.0, 0.0))
-    phi0 = initial_eigenfunctions(blocks, h0)
-    assert np.abs(dense_V(blocks) @ phi0 - h0).max() <= 1e-10
+    y = initial_eigenfunctions(blocks, h0)
+    start = 0
+    for b in blocks:
+        assert np.abs(b.vectors @ y[start:start + b.rows.size] - h0[b.rows]).max() <= 1e-10
+        start += b.rows.size
+    assert np.abs(dense_V(blocks) @ complex_phi0(blocks, h0) - h0).max() <= 1e-10
 
 
 def test_initial_eigenfunctions_shape_check():
@@ -492,11 +532,12 @@ def test_harmonic_trajectory_is_cosine():
     for c in range(1, 6):
         basis = build_basis(c, 2)
         model = build_model(basis, HARMONIC, IDENTITY_QP)
-        phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (1.0, 0.0)))
-        traj = propagate(model, phi0, times)
+        h0 = evaluate_basis(basis, (1.0, 0.0))
+        traj = propagate(model, initial_eigenfunctions(model.blocks, h0), times)
         assert np.abs(traj.values[0] - np.cos(times)).max() <= 1e-8
         assert np.abs(traj.values[1] + np.sin(times)).max() <= 1e-8
-        assert traj.max_imag <= 1e-8 * max(1.0, np.abs(traj.values).max())
+        imag = np.abs(one_shot(model.H, model.blocks, h0, times).imag).max()
+        assert imag <= 1e-8 * max(1.0, np.abs(traj.values).max())
 
 
 def test_linear_exactness_random_stable_systems():
@@ -532,11 +573,11 @@ def test_duffing_against_rk4():
     basis = build_basis(3, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
     times = np.linspace(0.0, 10.0, 100)
-    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (1.0, 0.0)))
-    traj = propagate(model, phi0, times)
+    h0 = evaluate_basis(basis, (1.0, 0.0))
+    traj = propagate(model, initial_eigenfunctions(model.blocks, h0), times)
     ref = rk4_integrate(DUFFING, (1.0, 0.0), times, 1e-4)
     assert np.abs(traj.values[0] - ref[0]).max() <= 1e-2
-    assert traj.max_imag <= 1e-8
+    assert np.abs(one_shot(model.H, model.blocks, h0, times).imag).max() <= 1e-8
 
 
 def test_short_time_oracle_agreement_small_epsilon():
@@ -572,7 +613,7 @@ def test_propagate_times_validation():
 
 def test_propagate_overflow_guard():
     H = np.array([[1.0]])
-    phi0 = np.array([1.0 + 0.0j])
+    phi0 = np.array([1.0])
     with pytest.raises(OverflowError):
         propagate_observables(H, identity_blocks([800.0]), phi0, np.array([1.0]))
     # Just below the guard is fine.
@@ -582,7 +623,7 @@ def test_propagate_overflow_guard():
 
 def test_overflow_guard_with_negative_times():
     blocks = identity_blocks([0.5, -800.0])
-    phi0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
+    phi0 = np.array([1.0, 1.0])
     # Re(lambda) t = 800 at t = -1; the guard covers the mode H does not reach.
     with pytest.raises(OverflowError):
         propagate_observables(np.array([[1.0, 0.0]]), blocks, phi0, np.array([-1.0, 0.0]))
@@ -612,16 +653,17 @@ def test_the_num_steps_cap_grid_stays_within_the_bound():
     eigenvalues = mode_eigenvalues(model.blocks)[r]
     times = np.linspace(0.0, 1000.0, MAX_NUM_STEPS)
     rel = _relative_bound(eigenvalues, times)
-    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
-    traj = propagate(model, phi0, times)
-    assert traj.max_imag == 0.0
+    h0 = evaluate_basis(basis, (0.6, -0.3))
+    phi0 = complex_phi0(model.blocks, h0)
+    traj = propagate(model, initial_eigenfunctions(model.blocks, h0), times)
     worst = 0.0
     for start in range(0, MAX_NUM_STEPS, _TIME_BLOCK):
         block = slice(start, start + _TIME_BLOCK)
         terms = np.exp(np.multiply.outer(eigenvalues, times[block])) * phi0[r, None]
         expected = HV[:, r] @ terms
         slack = rel.max() * (np.abs(HV[:, r]) @ np.abs(terms))
-        error = np.abs(traj.values[:, block] - expected.real)
+        # The real values, and the imaginary part they leave out.
+        error = np.maximum(np.abs(traj.values[:, block] - expected.real), np.abs(expected.imag))
         worst = max(worst, (error / (1e-15 * np.abs(expected).max() + slack)).max())
     print(f"worst error at the num_steps cap: {worst:.3f} of the bound")
     assert worst <= 1.0
@@ -631,10 +673,11 @@ def test_propagation_matches_every_mode_explicitly():
     # Duffing c=8: the identity observables reach 20 of the 45 modes.
     basis = build_basis(8, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
-    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
+    h0 = evaluate_basis(basis, (0.6, -0.3))
     times = np.linspace(0.0, 20.0, 200)
-    traj = propagate(model, phi0, times)
-    modes = np.exp(np.multiply.outer(mode_eigenvalues(model.blocks), times)) * phi0[:, None]
+    traj = propagate(model, initial_eigenfunctions(model.blocks, h0), times)
+    modes = np.exp(np.multiply.outer(mode_eigenvalues(model.blocks), times))
+    modes *= complex_phi0(model.blocks, h0)[:, None]
     explicit = model.H @ dense_V(model.blocks) @ modes
     assert traj.n_modes_propagated == 20
     assert np.abs(traj.values - explicit.real).max() <= 1e-13
@@ -646,11 +689,9 @@ def test_unreached_rows_propagate_zeros():
     H = state_H = np.zeros((2, basis.n))
     phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     traj = propagate_observables(
-        np.vstack((H, state_H)), model.blocks, phi0, np.linspace(0.0, 5.0, 40),
-        imag_rows=len(H),
+        np.vstack((H, state_H)), model.blocks, phi0, np.linspace(0.0, 5.0, 40)
     )
     assert traj.n_modes_propagated == 0
-    assert traj.max_imag == 0.0
     assert (traj.values == 0).all()
 
 
@@ -662,39 +703,42 @@ def _relative_bound(eigenvalues, times):
     return 4 * eps * (1 + np.abs(eigenvalues)[:, None] * np.abs(times[[0, -1]]).max())
 
 
-def _check_against_one_shot(H, blocks, phi0, times):
-    # The blocked, grouped propagation against the formula evaluated in one
-    # piece.  The first block is the same sum, regrouped, to roundoff.  A
-    # later block scales the grouped coefficients by one exponential per
-    # distinct exponent, which moves each term by up to `_relative_bound`,
-    # so its values may move by that bound at the largest |lambda| times
-    # sum_i |HV_i exp_i phi0_i|.  So may max_imag.  Returns the number of
-    # times in each block and max_imag.
+def _check_against_one_shot(H, blocks, h0, times):
+    # The blocked, grouped propagation from the real y = X^-1 h0 against the
+    # complex formula from phi0 = V^-1 h0, evaluated in one piece.  The
+    # first block is the same sum, regrouped, to roundoff.  A later block
+    # scales the grouped coefficients by one exponential per distinct
+    # exponent, which moves each term by up to `_relative_bound`, so its
+    # values may move by that bound at the largest |lambda| times
+    # sum_i |HV_i exp_i phi0_i|.  The formula's imaginary part, which the
+    # real path never forms, stays within the same bound of 0.  Returns the
+    # number of times in each block.
     eigenvalues = mode_eigenvalues(blocks)
     HV = blockwise_HV(H, blocks)
     r = np.flatnonzero(HV.any(axis=0))
+    phi0 = complex_phi0(blocks, h0)
     terms = np.exp(np.multiply.outer(eigenvalues[r], times)) * phi0[r, None]
     expected = HV[:, r] @ terms
-    sizes = [block.stop - block.start for block, *_ in _evaluate_rows(H, blocks, phi0, times)]
-    traj = propagate_observables(H, blocks, phi0, times)
+    y = initial_eigenfunctions(blocks, h0)
+    sizes = [block.stop - block.start for block, *_ in _evaluate_rows(H, blocks, y, times)]
+    traj = propagate_observables(H, blocks, y, times)
     assert traj.n_modes_propagated == r.size
     slack = _relative_bound(eigenvalues[r], times).max() * (np.abs(HV[:, r]) @ np.abs(terms))
     slack[:, : sizes[0]] = 0.0
     roundoff = 1e-15 * np.abs(expected).max()
     error = np.abs(traj.values - expected.real)
     assert (error <= roundoff + slack).all()
-    assert abs(traj.max_imag - np.abs(expected.imag).max()) <= roundoff + slack.max()
-    return sizes, traj.max_imag
+    assert np.abs(expected.imag).max() <= roundoff + slack.max()
+    return sizes
 
 
 def test_duffing_propagation_matches_the_one_shot_formula():
     basis = build_basis(8, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
-    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
+    h0 = evaluate_basis(basis, (0.6, -0.3))
     times = np.linspace(0.0, 40.0, 40_000)
-    sizes, max_imag = _check_against_one_shot(model.H, model.blocks, phi0, times)
+    sizes = _check_against_one_shot(model.H, model.blocks, h0, times)
     assert sizes == [_TIME_BLOCK] * (40_000 // _TIME_BLOCK) + [40_000 % _TIME_BLOCK]
-    assert max_imag == 0.0
 
 
 # A last block of one time joins the block before it.
@@ -725,68 +769,119 @@ def test_block_diagonal_propagation_matches_the_one_shot_formula(nt, sizes):
         start += len(block)
     eigenvalues, eigenblocks, _ = eigendecompose(K)
     assert np.unique(eigenvalues).size < n and (eigenvalues.imag == 0).any()
-    phi0 = initial_eigenfunctions(eigenblocks, rng.standard_normal(n))
+    h0 = rng.standard_normal(n)
     times = np.linspace(-2.0, 5.0, nt)
     H = rng.standard_normal((3, n))
-    assert _check_against_one_shot(H, eigenblocks, phi0, times) == (sizes, 0.0)
+    assert _check_against_one_shot(H, eigenblocks, h0, times) == sizes
 
 
 @pytest.mark.parametrize(
-    "H, eigenvalues",
-    [
-        # -2i has no partner in the spectrum, and 0.4 is real.
-        (np.array([[1.0, 1.0, 1.0]]), np.array([1j, -2j, 0.4])),
-        # Only the lower half of the pair is reached.
-        (np.array([[0.0, 1.0, 1.0]]), np.array([1j, -1j, -0.4])),
-    ],
+    "H",
+    [np.array([[1.0, 0.0, 1.0]]), np.array([[0.0, 1.0, 1.0]]), np.array([[0.0, 2.0, 0.0]])],
+    ids=["x-column", "y-column", "y-column-alone"],
 )
-def test_unpaired_eigenvalues_match_the_one_shot_formula(H, eigenvalues):
-    # A real H reaches both halves of a pair or neither (H V's columns of a
-    # pair are conjugates), so only _grouped_coefficients can meet a mode
-    # without its partner.  Fed the modes H reaches with V = I, as
-    # _evaluate_rows feeds them, each exponent holds one mode, so S0 and D0
-    # are its coefficient or the conjugate, exactly, and give the formula's
-    # real and imaginary parts.
-    phi0 = np.array([1.0 + 0.5j, 0.3 - 1.0j, -0.7 + 0.2j])
+def test_a_pair_reached_through_one_real_column_matches_the_one_shot_formula(H):
+    # With X = I, H reaches the pair 1 +- 2i through only one of its real
+    # columns: the pair's coefficient is still formed from both of its
+    # coordinates, and both of its modes count as reached.
+    blocks = identity_blocks([0.1 + 2j, 0.1 - 2j, -0.4])
+    h0 = np.array([0.7, -1.3, 0.5])
     times = np.linspace(-3.0, 3.0, 301)
-    r = np.flatnonzero(H.any(axis=0))
-    c = H[:, r] * phi0[r]
-    distinct, S0, D0 = _grouped_coefficients(eigenvalues[r], c)
-    below = eigenvalues[r].imag < 0
-    assert np.array_equal(distinct, eigenvalues[r].real + 1j * np.abs(eigenvalues[r].imag))
-    assert np.array_equal(S0, np.where(below, c.conj(), c))
-    lifted = np.where(below, -c.conj(), c)
-    assert np.array_equal(D0, np.where(eigenvalues[r].imag == 0, 1j * lifted.imag, lifted))
-    E = np.exp(np.multiply.outer(distinct, times))
-    expected = c @ np.exp(np.multiply.outer(eigenvalues[r], times))
-    assert np.abs((S0 @ E).real - expected.real).max() <= 1e-15 * np.abs(expected).max()
-    assert np.abs((D0 @ E).imag - expected.imag).max() <= 1e-15 * np.abs(expected).max()
+    y = initial_eigenfunctions(blocks, h0)
+    eigenvalues = mode_eigenvalues(blocks)
+    reached = np.array([True, True, bool(H[0, 2])])
+    distinct, S0 = _grouped_coefficients(eigenvalues, H, y, reached)
+    assert np.array_equal(distinct, eigenvalues[[0, 2] if H[0, 2] else [0]])
+    expected = one_shot(H, blocks, h0, times)
+    grouped = (S0 @ np.exp(np.multiply.outer(distinct, times))).real
+    assert np.abs(grouped - expected.real).max() <= 1e-15 * np.abs(expected).max()
+    traj = propagate_observables(H, blocks, y, times)
+    assert traj.n_modes_propagated == reached.sum()
+    assert np.abs(traj.values - expected.real).max() <= 1e-15 * np.abs(expected).max()
 
 
-def test_an_unpaired_complex_phi0_keeps_its_imaginary_part():
-    # On a rotation K, phi0 = [1, 0] weights only the upper mode, so the
-    # observable is complex; max_imag is the formula's |Im g|, over blocks
-    # propagated from the first as well.
-    _, blocks, _ = eigendecompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    H = np.array([[1.0, 0.0], [0.3, -0.8]])
-    phi0 = np.array([1.0, 0.0j])
-    times = np.linspace(0.0, 3.0, 2 * _TIME_BLOCK + 7)
-    traj = propagate_observables(H, blocks, phi0, times, imag_rows=1)
-    modes = np.exp(np.multiply.outer(mode_eigenvalues(blocks), times)) * phi0[:, None]
-    expected = H @ dense_V(blocks) @ modes
-    assert np.abs(expected[0].imag).max() > 0.5
-    assert abs(traj.max_imag - np.abs(expected[0].imag).max()) <= 1e-15
-    assert np.abs(traj.values - expected.real).max() <= 1e-15
+@pytest.mark.parametrize(
+    "case", ["phi0-too-long", "phi0-of-one-entry", "phi0-complex", "H-too-narrow"]
+)
+def test_propagation_refuses_phi0_or_H_that_do_not_fit_the_blocks(case):
+    # Duffing c=3, n = 10: phi0 must be the real y = X^-1 h0 of shape (10,),
+    # and H must have 10 columns; nothing is dropped or broadcast.
+    basis = build_basis(3, 2)
+    model = build_model(basis, DUFFING, IDENTITY_QP)
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
+    H, times = model.H, np.linspace(0.0, 1.0, 5)
+    match = {"phi0-complex": "must be real", "H-too-narrow": "H has shape"}.get(case, "phi0 has")
+    if case == "phi0-too-long":
+        phi0 = np.append(phi0, 1.0)
+    elif case == "phi0-of-one-entry":
+        phi0 = phi0[:1]
+    elif case == "phi0-complex":
+        phi0 = phi0 + 0j
+    else:
+        H = H[:, :-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        with pytest.raises(ValueError, match=match):
+            propagate_observables(H, model.blocks, phi0, times)
+        if H is model.H:
+            with pytest.raises(ValueError, match=match):
+                propagate(model, phi0, times)
+
+
+def _dense_eig_one_shot(K, H, h0, times):
+    # Re[H W diag(exp(mu t)) W^-1 h0] from one np.linalg.eig of the whole
+    # dense K: no sparsity blocks, no real form, no grouping, and every
+    # exponential from np.exp (in slices of times, to bound the memory).
+    mu, W = np.linalg.eig(K)
+    HW, coefficients = H @ W, np.linalg.solve(W, h0)
+    out = np.empty((H.shape[0], times.size))
+    for start in range(0, times.size, 4096):
+        part = slice(start, start + 4096)
+        modes = np.exp(np.multiply.outer(mu, times[part])) * coefficients[:, None]
+        out[:, part] = (HW @ modes).real
+    return out
+
+
+def _seed_one_state(m):
+    # The benchmark's seed-1 initial state (perfbench/workloads.py): a phase
+    # on a fixed-radius orbit.
+    theta = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, size=2)
+    if m == 4:
+        r = 0.45
+        return (r * math.cos(theta[0]), r * math.sin(theta[0]),
+                r * math.cos(theta[1]), r * math.sqrt(2.0) * math.sin(theta[1]))
+    return (0.9 * math.cos(theta[0]), 0.9 * math.sin(theta[0]))
+
+
+@pytest.mark.parametrize(
+    "vf, c, x0, t_final, nt",
+    [
+        (DUFFING, 10, _seed_one_state(2), 2.0, 100),  # sweep-duffing, its top order
+        (QUADRATIC_4D, 5, _seed_one_state(4), 5.0, 100),  # solve-4d-quadratic
+        (DUFFING, 8, _seed_one_state(2), 40.0, 40_000),  # solve-long-duffing
+        (TWIN_OSCILLATORS, 3, (0.4, -0.2, 0.1, 0.3), 8.0, 2 * _TIME_BLOCK + 1),
+        (QUADRATIC_4D, 4, (0.3, 0.1, -0.2, 0.2), 6.0, 3 * _TIME_BLOCK + 37),
+    ],
+    ids=["sweep-duffing", "solve-4d-quadratic", "solve-long-duffing", "repeated-eigenvalues",
+         "ragged-last-block"],
+)
+def test_propagation_matches_a_dense_eig_one_shot(vf, c, x0, t_final, nt):
+    # The workloads' seed-1 configs, a field with exactly repeated
+    # eigenvalues and a grid whose last block is partial, against the
+    # textbook formula, on the state coordinates.
+    basis = build_basis(c, vf.m)
+    model = build_model(basis, vf, ObservableSet.identity(tuple(f"y{k}" for k in range(vf.m))))
+    h0 = evaluate_basis(basis, x0)
+    times = np.linspace(0.0, t_final, nt)
+    traj = propagate(model, initial_eigenfunctions(model.blocks, h0), times)
+    expected = _dense_eig_one_shot(model.K, model.H, h0, times)
+    error = np.abs(traj.values - expected).max()
+    print(f"largest difference from the dense one-shot formula: {error:.2e}")
+    assert error <= 1e-13
 
 
 def test_exactly_repeated_eigenvalues_of_a_field_are_grouped():
-    # Two identical damped oscillators: K splits into sparsity blocks with
-    # the same entries, so their eigenvalues repeat bit for bit and their
-    # modes share one exponential each.
-    oscillator = [[(1.0, (0, 1))], [(-1.0, (1, 0)), (-0.1, (0, 1))]]
-    terms = [[(coef, exp + (0, 0)) for coef, exp in comp] for comp in oscillator]
-    terms += [[(coef, (0, 0) + exp) for coef, exp in comp] for comp in oscillator]
-    vf = VectorField(4, tuple(canonicalize(t, 4) for t in terms))
+    # The twin oscillators' exactly repeated modes share one exponential each.
     basis = build_basis(3, 4)
     observables = ObservableSet(
         ("x1", "x2", "energy"),
@@ -796,18 +891,20 @@ def test_exactly_repeated_eigenvalues_of_a_field_are_grouped():
             canonicalize([(0.5, (2, 0, 0, 0)), (0.5, (0, 1, 0, 0)), (0.5, (0, 0, 0, 2))], 4),
         ),
     )
-    model = build_model(basis, vf, observables)
+    model = build_model(basis, TWIN_OSCILLATORS, observables)
     eigenvalues = mode_eigenvalues(model.blocks)
     HV = blockwise_HV(model.H, model.blocks)
     r = np.flatnonzero(HV.any(axis=0))
-    distinct, _, _ = _grouped_coefficients(eigenvalues[r], HV[:, r])
+    HX = np.hstack([model.H[:, b.rows] @ b.vectors for b in model.blocks])
+    reached = HV.any(axis=0)
+    distinct, _ = _grouped_coefficients(eigenvalues, HX, np.ones(basis.n), reached)
     upper = eigenvalues[r][eigenvalues[r].imag >= 0]
     assert np.unique(upper).size == distinct.size < upper.size
-    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.4, -0.2, 0.1, 0.3)))
+    h0 = evaluate_basis(basis, (0.4, -0.2, 0.1, 0.3))
     times = np.linspace(0.0, 8.0, 2 * _TIME_BLOCK + 1)
-    assert _check_against_one_shot(model.H, model.blocks, phi0, times) == (
-        [_TIME_BLOCK, _TIME_BLOCK + 1], 0.0
-    )
+    assert _check_against_one_shot(model.H, model.blocks, h0, times) == [
+        _TIME_BLOCK, _TIME_BLOCK + 1
+    ]
 
 
 def test_propagation_memory_does_not_grow_with_the_whole_grid():
@@ -821,7 +918,7 @@ def test_propagation_memory_does_not_grow_with_the_whole_grid():
     times = np.linspace(0.0, 40.0, 40_000)
     tracemalloc.start()
     try:
-        propagate_observables(all_H, model.blocks, phi0, times, imag_rows=len(model.H))
+        propagate_observables(all_H, model.blocks, phi0, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -834,14 +931,8 @@ def test_eigen_layer_memory_holds_no_dense_complex_matrix():
     # first block of 100 times with the state rows.  This peaks at 3.7 MiB,
     # and one n x n complex array is 3.7 MiB more: a dense V for H V reads
     # 6.8 MiB, and dense V and Vinv read 12.6 MiB.
-    terms = [
-        [(1.0, (0, 1, 0, 0))],
-        [(-1.0, (1, 0, 0, 0)), (-0.02, (0, 1, 0, 0)), (0.1, (1, 0, 1, 0))],
-        [(1.0, (0, 0, 0, 1))],
-        [(-2.0, (0, 0, 1, 0)), (-0.02, (0, 0, 0, 1)), (0.1, (2, 0, 0, 0))],
-    ]
     basis = build_basis(8, 4)
-    K = assemble_koopman(basis, VectorField(4, tuple(canonicalize(t, 4) for t in terms)))
+    K = assemble_koopman(basis, QUADRATIC_4D)
     H = observable_matrix(basis, ObservableSet.identity(("x1", "v1", "x2", "v2")))
     all_H = np.vstack((H, H))
     h0 = evaluate_basis(basis, (0.3, 0.1, -0.2, 0.2))
@@ -849,7 +940,7 @@ def test_eigen_layer_memory_holds_no_dense_complex_matrix():
     try:
         _, blocks, diag = eigendecompose(K)
         phi0 = initial_eigenfunctions(blocks, h0)
-        next(_evaluate_rows(all_H, blocks, phi0, np.linspace(0.0, 5.0, 100), imag_rows=4))
+        next(_evaluate_rows(all_H, blocks, phi0, np.linspace(0.0, 5.0, 100)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -867,16 +958,13 @@ def test_propagation_at_the_num_steps_cap_holds_no_complex_output():
     times = np.linspace(0.0, 1000.0, MAX_NUM_STEPS)
     tracemalloc.start()
     try:
-        trajectory = propagate_observables(
-            all_H, model.blocks, phi0, times, imag_rows=len(model.H)
-        )
+        trajectory = propagate_observables(all_H, model.blocks, phi0, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     print(f"propagation at the num_steps cap peaked at {peak / 2**20:.1f} MiB")
     assert peak <= 48 * 2**20
     assert trajectory.values.shape == (4, MAX_NUM_STEPS)
-    assert trajectory.max_imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1007,20 +1095,16 @@ def test_state_rows_share_the_observable_pass():
     phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     times = np.linspace(0.0, 5.0, 40)
     plain = propagate(model, phi0, times)
-    both = propagate_observables(
-        np.vstack((model.H, state_H)), model.blocks, phi0, times, imag_rows=len(model.H)
-    )
+    both = propagate_observables(np.vstack((model.H, state_H)), model.blocks, phi0, times)
     states = propagate_observables(state_H, model.blocks, phi0, times)
     assert np.abs(both.values[:1] - plain.values).max() <= 1e-15
     assert np.abs(both.values[1:] - states.values).max() <= 1e-15
-    assert both.max_imag == pytest.approx(plain.max_imag, abs=1e-16)
-    # max_imag covers the observable rows only: here the state row is e^{it}.
+    # On a rotation K, L = (cos t, -sin t) from (1, 0): a state row beside
+    # an observable row that reaches no mode.
     _, blocks, _ = eigendecompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert blocks[0].eigenvalues[0] == pytest.approx(1j, abs=1e-15)
     H, state_H = np.zeros((1, 2)), np.array([[1.0, 0.0]])
-    reach = (state_H @ dense_V(blocks))[0, 0]
-    traj = propagate_observables(
-        np.vstack((H, state_H)), blocks, np.array([1.0 / reach, 0j]), times, imag_rows=len(H)
-    )
-    assert traj.max_imag == 0.0
+    y = initial_eigenfunctions(blocks, np.array([1.0, 0.0]))
+    traj = propagate_observables(np.vstack((H, state_H)), blocks, y, times)
+    assert (traj.values[0] == 0).all()
     assert np.abs(traj.values[1] - np.cos(times)).max() <= 1e-15
