@@ -25,6 +25,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .polyalg import real_array
+
 __all__ = [
     "MAX_DIMENSION",
     "MAX_ORDER",
@@ -138,9 +140,10 @@ def evaluate_basis(basis: BasisSet, x: Sequence[float]) -> np.ndarray:
     """Values of all n basis functions at the point x.
 
     Each factor N_p(x_a) comes from the recurrence, so no monomial
-    expansion (and none of its cancellation) is involved.
+    expansion (and none of its cancellation) is involved.  A complex x
+    raises ValueError.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = real_array(x, "x")
     if xa.shape != (basis.m,):
         raise ValueError(f"point has shape {xa.shape}, expected ({basis.m},)")
     values = _legendre_values(basis.c, xa)

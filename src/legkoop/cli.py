@@ -40,9 +40,8 @@ from .koopman import (  # noqa: F401
     propagate,
     propagate_observables,
 )
-# Not called here: perfbench/tracing.py counts calls to this name.
-from .polyalg import evaluate  # noqa: F401
-from .refinteg import rk4_integrate
+from .polyalg import evaluate
+from .refinteg import rk4_integrate, segment_steps
 from .reprtext import repr_rows
 
 __all__ = [
@@ -92,31 +91,9 @@ class SolveResult:
 
 
 def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np.ndarray:
-    """Each observable (rows) at each time (columns) along the RK4 reference.
-
-    `polyalg.evaluate` at every time, bit for bit, a term at a time over all
-    times: the products and sums run in its order, and a factor with
-    exponent e >= 2 is the float `**` of each value, since numpy's array
-    powers round differently.  Exponent 1 is the value itself
-    (`x ** 1 == x`, see `legkoop.refinteg`).
-    """
+    """Each observable (rows) at each time (columns) along the RK4 reference."""
     states = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
-    values = np.zeros((len(spec.observables), times.size))
-    # Like float arithmetic, overflow gives inf and inf - inf nan, silently.
-    with np.errstate(all="ignore"):
-        for total, g in zip(values, spec.observables.polys):
-            for term in g.terms:
-                product = np.full(times.size, term.coef)
-                for k, e in enumerate(term.exp):
-                    if e == 1:
-                        product *= states[k]
-                    elif e:
-                        # One power at a time: no list of nt floats.
-                        product *= np.fromiter(
-                            (x**e for x in memoryview(states[k])), np.float64, times.size
-                        )
-                total += product
-    return values
+    return np.array([evaluate(g, states) for g in spec.observables.polys])
 
 
 def _usable_cpus() -> int:
@@ -126,37 +103,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _read_into(fd: int, array: np.ndarray) -> None:
-    """Fill `array` with the next bytes read from `fd`."""
-    view = memoryview(array).cast("B")
-    while view:
-        count = os.readv(fd, [view])
-        if not count:
-            raise RuntimeError("the RK4 reference process ended before sending its values")
-        view = view[count:]
-
-
-def _pickled_exception(exc: BaseException) -> bytes:
-    """`exc` pickled; if it does not survive the round trip, a RuntimeError
-    with its type and message."""
+def _picklable(exc: BaseException) -> BaseException:
+    """`exc` if it survives a pickle round trip, else a RuntimeError with its
+    type and message."""
     try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
+        pickle.loads(pickle.dumps(exc))
+        return exc
     except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 class _ReferenceRun:
     """`_reference_values(spec, times, rk_step)`, computed beside the solve.
 
     When this process may use a second CPU and `os.fork` exists, a forked
-    child computes the values while the caller goes on.  It sends them
-    through a pipe as raw float64 bytes, which are read straight into the
-    array `values()` returns, or, if it fails, its exception pickled, which
-    `values()` raises again.  Otherwise `values()` makes the same call in
-    this process: on one CPU a child would only take turns with the solve.
-    `seconds` is the time the call took where it ran, without any wait.
+    child computes the values while the caller goes on.  It sends one
+    pickled message through a pipe: `(values, seconds)`, or the exception
+    it raised, which `values()` raises again.  Otherwise `values()` makes
+    the same call in this process: on one CPU a child would only take turns
+    with the solve.  `seconds` is the time the call took where it ran,
+    without any wait.
 
     Use it as a context manager: leaving the block reaps the child on every
     path, killing it first if it has not sent its result.
@@ -164,9 +130,8 @@ class _ReferenceRun:
 
     def __init__(self, spec: SystemSpec, times: np.ndarray, rk_step: float):
         self._args = (spec, times, rk_step)
-        self._shape = (len(spec.observables), times.size)
-        self._values: Optional[np.ndarray] = None
-        self._error: Optional[BaseException] = None
+        # (values, seconds) once they are in, or the exception the child sent.
+        self._result = None
         self.seconds: Optional[float] = None
         self._pid = self._pipe = None
         if hasattr(os, "fork") and _usable_cpus() > 1:
@@ -197,34 +162,24 @@ class _ReferenceRun:
             try:
                 os.close(read_end)
                 try:
-                    values, seconds = self._run()
-                    message = [b"v", np.float64(seconds).tobytes(), values]
+                    message = self._run()
                 except BaseException as exc:
-                    message = [b"e", _pickled_exception(exc)]
+                    message = _picklable(exc)
                 with open(write_end, "wb") as pipe:
-                    for part in message:
-                        pipe.write(part)
+                    # Protocol 5 writes the values' buffer without a copy.
+                    pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
             finally:
                 os._exit(0)
         os.close(write_end)
         self._pid, self._pipe = pid, read_end
 
-    def _receive(self, tag: bytes) -> None:
-        """Read the rest of the child's message, which began with `tag`, and
-        reap the child."""
+    def _receive(self) -> None:
+        """Read the child's message and reap the child."""
         try:
-            if tag == b"v":
-                seconds, values = np.empty(1), np.empty(self._shape)
-                _read_into(self._pipe, seconds)
-                _read_into(self._pipe, values)
-                self._values, self.seconds = values, float(seconds[0])
-            elif tag == b"e":
-                chunks = []
-                while chunk := os.read(self._pipe, 1 << 16):
-                    chunks.append(chunk)
-                self._error = pickle.loads(b"".join(chunks))
-            else:
-                raise RuntimeError("the RK4 reference process ended without a result")
+            with open(self._pipe, "rb", closefd=False) as pipe:
+                self._result = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            self._result = RuntimeError("the RK4 reference process ended without a result")
         finally:
             self.close()
 
@@ -233,26 +188,24 @@ class _ReferenceRun:
         Never blocks; in-process it is always true, because nothing runs
         beside the caller."""
         if self._pipe is not None:
-            os.set_blocking(self._pipe, False)
-            try:
-                tag = os.read(self._pipe, 1)
-            except BlockingIOError:
+            import select  # here, so that `import legkoop.cli` does not load it
+
+            if not select.select([self._pipe], [], [], 0)[0]:
                 return False
-            finally:
-                os.set_blocking(self._pipe, True)
-            self._receive(tag)
+            self._receive()
         return True
 
     def values(self) -> np.ndarray:
         """The reference values, waiting for them if need be; raises what
         the reference raised."""
         if self._pipe is not None:
-            self._receive(os.read(self._pipe, 1))
-        elif self._values is None and self._error is None:
-            self._values, self.seconds = self._run()
-        if self._error is not None:
-            raise self._error
-        return self._values
+            self._receive()
+        elif self._result is None:
+            self._result = self._run()
+        if isinstance(self._result, BaseException):
+            raise self._result
+        values, self.seconds = self._result
+        return values
 
     def close(self) -> None:
         """Reap the child, killing it first if it has not sent its result."""
@@ -261,7 +214,7 @@ class _ReferenceRun:
         pid, self._pid = self._pid, None
         os.close(self._pipe)
         self._pipe = None
-        if self._values is None and self._error is None:
+        if self._result is None:
             import signal  # here, so that `import legkoop.cli` does not load it
 
             os.kill(pid, signal.SIGKILL)
@@ -476,11 +429,9 @@ def _load_spec(config_path, orders: Sequence[int] = ()) -> SystemSpec | int:
 def _rk4_budget_exceeded(spec: SystemSpec, rk_step: float) -> bool:
     """Whether the RK4 reference would do more work than MAX_RK4_STEPS steps
     on a 3-term field; if so, says why on stderr."""
-    # rk4_integrate covers each output interval with steps of at most
-    # rk_step, at least one per interval (see its 1e-9 slack on full steps).
     intervals = spec.num_steps - 1
-    per_interval = float(np.ceil(spec.t_final / intervals / rk_step - 1e-9))
-    steps = intervals * max(per_interval, 1.0)
+    full_steps, remainder = segment_steps(spec.t_final / intervals, rk_step)
+    steps = intervals * (full_steps + (remainder > 0))
     terms = sum(len(comp.terms) for comp in spec.vf.components)
     if steps * max(terms, 1) <= 3 * MAX_RK4_STEPS:
         return False

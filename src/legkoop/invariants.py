@@ -7,7 +7,8 @@ monomial route is kept here as the independent reference the tests and
 expanded into monomials (`monomial_matrix`, `basis_as_polynomial`), dL_i/dt
 as a polynomial (`total_derivative`), and tensor-product Gauss-Legendre
 quadrature on numpy's `leggauss` nodes (Golub & Welsch, Math. Comp. 23,
-1969).  `import legkoop.cli` loads neither this module nor numpy.polynomial.
+1969), each polynomial evaluated on the whole grid in one call.
+`import legkoop.cli` loads neither this module nor numpy.polynomial.
 
 Each check returns the number it bounds and leaves the bound to the caller,
 so a test keeps its own literal bound and changing one here cannot loosen
@@ -18,7 +19,6 @@ values are products of sqrt((2i+1)/2)-scaled Legendre coefficients).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -153,14 +153,10 @@ def gauss_legendre_inner_product(a: Polynomial, b: Polynomial, nodes_per_dim: in
             f"{a.total_degree + b.total_degree}; need >= {required}"
         )
     nodes, weights = gauss_legendre_nodes(nodes_per_dim)
-    contributions = []
-    for combo in itertools.product(range(nodes_per_dim), repeat=a.m):
-        point = [nodes[i] for i in combo]
-        w = 1.0
-        for i in combo:
-            w *= weights[i]
-        contributions.append(w * evaluate(a, point) * evaluate(b, point))
-    return math.fsum(contributions)
+    # The node indices of every grid point, one point per column.
+    grid = np.indices((nodes_per_dim,) * a.m).reshape(a.m, -1)
+    points, w = nodes[grid], np.prod(weights[grid], axis=0)
+    return math.fsum(w * evaluate(a, points) * evaluate(b, points))
 
 
 # ---------------------------------------------------------------------------

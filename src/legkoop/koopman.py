@@ -56,6 +56,7 @@ import numpy as np
 from .basis import BasisSet, derivative_matrix, jacobi_matrix
 from .dynamics import MAX_POLY_DEGREE, ObservableSet, VectorField
 from .errors import NearDefectiveError, NonFiniteError, ValidationError
+from .polyalg import real_array
 
 # Not called here: perfbench/tracing.py swaps these names on this module to
 # count calls, and test_instrumentation_restores_library_names reads them.
@@ -328,8 +329,9 @@ def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) ->
 def initial_eigenfunctions(blocks: Sequence[EigenBlock], h0: np.ndarray) -> np.ndarray:
     """The initial state in the blocks' real eigen coordinates, y = X^-1 h0,
     in the blocks' order of modes: one real LU solve per block.  The complex
-    phi0 = V^-1 h0 = T y has a pair's entries (y1 -+ i y2)/sqrt2."""
-    h0 = np.asarray(h0, dtype=float)
+    phi0 = V^-1 h0 = T y has a pair's entries (y1 -+ i y2)/sqrt2.  A complex
+    h0 raises ValueError."""
+    h0 = real_array(h0, "h0")
     n = sum(b.rows.size for b in blocks)
     if h0.shape != (n,):
         raise ValueError(f"h0 has shape {h0.shape}, expected ({n},)")
@@ -367,8 +369,9 @@ def propagate_observables(
     makes them: later blocks of times are propagated from the first block's
     exponentials, and a grid whose spacing drifts by more than roundoff
     raises ValueError (see `_evaluate_rows`).  So does a phi0 that is
-    complex or not of shape (n,), or an H without n columns.  The values
-    are the blocks of `_evaluate_rows`, gathered into read-only `values`.
+    complex or not of shape (n,), or an H that is complex or without n
+    columns.  The values are the blocks of `_evaluate_rows`, gathered into
+    read-only `values`.
     """
     values = np.empty((np.shape(H)[0], np.size(times)))
     for block, rows, n_modes in _evaluate_rows(H, blocks, phi0, times):
@@ -408,13 +411,10 @@ def _evaluate_rows(
         raise ValueError("times must be strictly increasing")
     eigenvalues = np.concatenate([b.eigenvalues for b in blocks])
     n = eigenvalues.size
-    phi0 = np.asarray(phi0)
-    if np.iscomplexobj(phi0):
-        raise ValueError("phi0 must be real: the coordinates X^-1 h0 of initial_eigenfunctions")
-    phi0 = phi0.astype(float, copy=False)
+    phi0 = real_array(phi0, "phi0")
     if phi0.shape != (n,):
         raise ValueError(f"phi0 has shape {phi0.shape}, expected ({n},)")
-    H = np.asarray(H, dtype=float)
+    H = real_array(H, "H")
     if H.ndim != 2 or H.shape[1] != n:
         raise ValueError(f"H has shape {H.shape}, expected {n} columns")
 

@@ -9,6 +9,8 @@ structural and fixes every accumulation order, so repeated runs produce
 bit-identical results.
 
 All values are immutable; every operation returns a fresh polynomial.
+`evaluate` takes one point or an m x N array of points, and gives each
+point the same float operations either way.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Monomial",
@@ -243,15 +247,39 @@ def affine_substitute(
     return canonicalize(out, p.m)
 
 
-def evaluate(p: Polynomial, x: Sequence[float]) -> float:
-    """Evaluate p at the point x (sequence of m reals)."""
-    if len(x) != p.m:
-        raise ValueError(f"point has length {len(x)}, expected {p.m}")
-    total = 0.0
-    for t in p.terms:
-        v = t.coef
-        for xk, e in zip(x, t.exp):
-            if e:
-                v *= float(xk) ** e
-        total += v
-    return total
+def real_array(x, name: str) -> np.ndarray:
+    """`x` as a float array; a complex `x` raises ValueError rather than
+    losing its imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got complex values")
+    return x.astype(float, copy=False)
+
+
+def evaluate(p: Polynomial, x) -> Union[float, np.ndarray]:
+    """Evaluate p at the point x (m reals), or at each column of the m x N
+    array x, returning N floats.
+
+    Each point gets the float operations of a loop over the terms in
+    canonical order: coef times each factor, summed from 0.0.  A factor
+    with exponent 1 is the bare value (`x ** 1 == x`, see
+    `legkoop.refinteg`), one with e >= 2 the float `**` of each value,
+    since numpy's array powers round differently.  As in float arithmetic,
+    an overflowing product gives inf silently and a power OverflowError.
+    """
+    points = real_array(x, "x")
+    if points.ndim not in (1, 2) or len(points) != p.m:
+        raise ValueError(f"points have shape {points.shape}, expected ({p.m},) or ({p.m}, N)")
+    columns = points.reshape(p.m, -1)
+    total = np.zeros(columns.shape[1])
+    with np.errstate(all="ignore"):
+        for t in p.terms:
+            product = np.full(total.size, t.coef)
+            for values, e in zip(columns, t.exp):
+                if e == 1:
+                    product *= values
+                elif e:
+                    # One power at a time: no list of N floats.
+                    product *= np.fromiter((v**e for v in memoryview(values)), float, total.size)
+            total += product
+    return float(total[0]) if points.ndim == 1 else total

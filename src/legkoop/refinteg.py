@@ -33,6 +33,7 @@ from .errors import NonFiniteError
 __all__ = [
     "DIVERGENCE_LIMIT",
     "rk4_integrate",
+    "segment_steps",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -100,6 +101,19 @@ def _rk4_runner(vf: VectorField):
     return namespace["run"]
 
 
+def segment_steps(span: float, step: float) -> tuple[int, float]:
+    """How `rk4_integrate` covers a segment of length span > 0: the number
+    of full steps of size `step` (with a slack of 1e-9 steps), and the one
+    shorter step after them, 0.0 if none.  A remainder is dropped only
+    below 1e-12 of max(the step actually taken, 1.0), so a step far longer
+    than the segment still covers it."""
+    full_steps = int(math.floor(span / step + 1e-9))
+    remainder = span - full_steps * step
+    if remainder <= 1e-12 * max(min(step, span), 1.0):
+        remainder = 0.0
+    return full_steps, remainder
+
+
 def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> np.ndarray:
     """The states of classical Runge-Kutta from x(0) = x0 at each time.
 
@@ -128,13 +142,10 @@ def rk4_integrate(vf: VectorField, x0: Sequence[float], times, step: float) -> n
     for idx, target in enumerate(times):
         span = float(target) - current
         if span > 0.0:
-            full_steps = int(math.floor(span / step + 1e-9))
+            full_steps, remainder = segment_steps(span, step)
             try:
                 x = run(x, step, full_steps)
-                remainder = span - full_steps * step
-                # Relative to the step actually taken, so a step far longer
-                # than the segment still advances the state.
-                if remainder > 1e-12 * max(min(step, span), 1.0):
+                if remainder:
                     x = run(x, remainder, 1)
             except OverflowError:
                 raise NonFiniteError(f"state diverged before t = {target}") from None

@@ -238,6 +238,11 @@ def test_evaluate_basis_dimension_mismatch():
         evaluate_basis(basis, (1.0,))
 
 
+def test_evaluate_basis_refuses_a_complex_point():
+    with pytest.raises(ValueError, match="x must be real"):
+        evaluate_basis(build_basis(3, 2), np.array([0.5, 0.25 + 1e-3j]))
+
+
 @pytest.mark.parametrize("c, m", [(12, 2), (8, 4)])
 def test_evaluate_basis_matches_legval(c, m):
     # The reference runs legval in extended precision: in double precision

@@ -4,6 +4,7 @@ import errno
 import itertools
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 
 from legkoop import invariants
 import legkoop.cli as cli
+import legkoop.refinteg as refinteg
 from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER, build_basis, evaluate_basis
 from legkoop.cli import _reference_values, _solve_spec, main
 from legkoop.dynamics import (
@@ -920,6 +922,45 @@ def test_rk4_budget_counts_a_step_per_output_interval(tmp_path, capsys, refused_
     assert refused_rk4() == ["rk4_integrate"]
 
 
+@pytest.mark.parametrize(
+    "t_final, num_steps, rk_step, steps",
+    [
+        (2.0, 5, 0.1, 20),  # an interval of 0.5: an exact multiple of the step
+        (1.0, 5, 0.1, 12),  # 0.25: two full steps and a shorter one
+        (1.0, 11, 0.5, 10),  # 0.1: the step is longer than the interval
+        (10.0, 100, 1e-2, 1089),  # 0.10101...: ten full steps and a shorter one
+        # Within the slack of ten steps, with a remainder of 5e-11 that is
+        # still taken.
+        (1.0, 2, 1.0 / (10.0 + 5e-10), 11),
+    ],
+)
+def test_rk4_budget_counts_the_steps_the_reference_takes(
+    monkeypatch, capsys, t_final, num_steps, rk_step, steps
+):
+    spec = parse_system_config(json.dumps({**DUFFING, "t_final": t_final, "num_steps": num_steps}))
+    taken = []
+    runner = refinteg._rk4_runner
+
+    def counting_runner(vf):
+        run = runner(vf)
+
+        def counted(x, h, count):
+            taken.append(count)
+            return run(x, h, count)
+
+        return counted
+
+    monkeypatch.setattr(refinteg, "_rk4_runner", counting_runner)
+    rk4_integrate(spec.vf, spec.initial_state, np.linspace(0.0, t_final, num_steps), rk_step)
+    assert sum(taken) == steps
+    # Duffing's field has 3 terms: the budget allows MAX_RK4_STEPS steps.
+    monkeypatch.setattr(cli, "MAX_RK4_STEPS", steps)
+    assert not cli._rk4_budget_exceeded(spec, rk_step)
+    monkeypatch.setattr(cli, "MAX_RK4_STEPS", steps - 1)
+    assert cli._rk4_budget_exceeded(spec, rk_step)
+    assert f"takes {steps:.3g} steps" in capsys.readouterr().err
+
+
 def test_solve_without_reference_ignores_the_step_budget(tmp_path, refused_rk4):
     config = write_config(tmp_path, {**DUFFING, "t_final": 1e5})
     assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
@@ -1049,6 +1090,59 @@ def test_sweep_holds_at_most_max_output_values_for_the_reference(tmp_path, monke
         return [line.rsplit(",", 1)[0] for line in lines]
 
     assert without_wall_time(tmp_path / "waiting") == without_wall_time(tmp_path / "ready")
+
+
+needs_a_second_cpu = pytest.mark.skipif(
+    cli._usable_cpus() < 2, reason="on one CPU the reference runs in this process"
+)
+
+
+def _duffing_reference():
+    spec = parse_system_config(json.dumps(DUFFING))
+    return cli._ReferenceRun(spec, np.linspace(0.0, spec.t_final, spec.num_steps), 1e-2)
+
+
+def _exit_without_a_message(*args):
+    os._exit(0)
+
+
+def _dump_all_but_the_last_byte(obj, file, protocol=None):
+    file.write(pickle.dumps(obj, protocol)[:-1])
+
+
+@needs_a_second_cpu
+@pytest.mark.parametrize("way", ["exit", "truncated"])
+def test_a_reference_process_that_sends_no_whole_message_is_an_error(monkeypatch, way):
+    if way == "exit":
+        monkeypatch.setattr(cli, "_reference_values", _exit_without_a_message)
+    else:
+        monkeypatch.setattr(pickle, "dump", _dump_all_but_the_last_byte)
+    with _duffing_reference() as reference:
+        # Once the child has ended (left unreaped), the message is all there is.
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        assert reference.ready()
+        with pytest.raises(RuntimeError, match="^the RK4 reference process ended without a result$"):
+            reference.values()
+
+
+class _NotUnpicklable(Exception):
+    # It pickles, but unpickling calls __init__ with the message alone.
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _raise_not_unpicklable(*args):
+    raise _NotUnpicklable("stub failure", "t = 1")
+
+
+@needs_a_second_cpu
+def test_a_reference_exception_that_does_not_unpickle_arrives_by_type_and_message(monkeypatch):
+    monkeypatch.setattr(cli, "_reference_values", _raise_not_unpicklable)
+    with _duffing_reference() as reference:
+        with pytest.raises(RuntimeError) as raised:
+            reference.values()
+    assert type(raised.value) is RuntimeError
+    assert str(raised.value) == "_NotUnpicklable: stub failure at t = 1"
 
 
 def _patch_out_the_second_process(monkeypatch, way):
@@ -1271,6 +1365,8 @@ def test_importing_the_cli_loads_no_process_pool():
     # multiprocessing nor concurrent.futures adds to the import.
     assert _loaded_by_importing_the_cli("multiprocessing") == "[]"
     assert _loaded_by_importing_the_cli("concurrent") == "[]"
+    # `ready` imports select when it is first called.
+    assert _loaded_by_importing_the_cli("select") == "[]"
 
 
 def test_importing_the_cli_does_not_load_the_invariant_suite():

@@ -515,6 +515,14 @@ def test_initial_eigenfunctions_shape_check():
         initial_eigenfunctions(identity_blocks([1.0, 2.0, 3.0]), np.ones(2))
 
 
+def test_initial_eigenfunctions_refuses_a_complex_h0():
+    blocks = identity_blocks([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        with pytest.raises(ValueError, match="h0 must be real"):
+            initial_eigenfunctions(blocks, np.ones(3) + 1e-3j)
+
+
 def test_propagation_at_time_zero_reconstructs_state():
     basis = build_basis(3, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
@@ -801,22 +809,25 @@ def test_a_pair_reached_through_one_real_column_matches_the_one_shot_formula(H):
 
 
 @pytest.mark.parametrize(
-    "case", ["phi0-too-long", "phi0-of-one-entry", "phi0-complex", "H-too-narrow"]
+    "case", ["phi0-too-long", "phi0-of-one-entry", "phi0-complex", "H-too-narrow", "H-complex"]
 )
 def test_propagation_refuses_phi0_or_H_that_do_not_fit_the_blocks(case):
     # Duffing c=3, n = 10: phi0 must be the real y = X^-1 h0 of shape (10,),
-    # and H must have 10 columns; nothing is dropped or broadcast.
+    # and H must be real with 10 columns; nothing is dropped or broadcast.
     basis = build_basis(3, 2)
     model = build_model(basis, DUFFING, IDENTITY_QP)
     phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, (0.6, -0.3)))
     H, times = model.H, np.linspace(0.0, 1.0, 5)
-    match = {"phi0-complex": "must be real", "H-too-narrow": "H has shape"}.get(case, "phi0 has")
+    match = {"phi0-complex": "phi0 must be real", "H-too-narrow": "H has shape",
+             "H-complex": "H must be real"}.get(case, "phi0 has")
     if case == "phi0-too-long":
         phi0 = np.append(phi0, 1.0)
     elif case == "phi0-of-one-entry":
         phi0 = phi0[:1]
     elif case == "phi0-complex":
         phi0 = phi0 + 0j
+    elif case == "H-complex":
+        H = H + 1e-3j
     else:
         H = H[:, :-1]
     with warnings.catch_warnings():

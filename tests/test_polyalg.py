@@ -315,3 +315,64 @@ def test_evaluate_basis_function_8_at_corner():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
         evaluate(variable(2, 0), (1.0,))
+
+
+def _float_loop(p, x):
+    # evaluate's float operations on one point, in Python floats.
+    total = 0.0
+    for t in p.terms:
+        v = t.coef
+        for xk, e in zip(x, t.exp):
+            if e:
+                v *= float(xk) ** e
+        total += v
+    return total
+
+
+def _same_floats(a, b):
+    # Equal bit for bit, except that any nan matches any nan.
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def test_evaluate_on_an_array_of_points_is_evaluate_at_each_point_bit_for_bit():
+    # Powers 1..6, alone and in products, at random points and at -0.0,
+    # subnormals, inf and nan: numpy's array powers round differently from
+    # float ** at e >= 2, so the array path must not use them.
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan, 1.0, -1.0]
+    q = np.concatenate([rng.uniform(-3.0, 3.0, 400), special, special[::-1]])
+    p = np.concatenate([rng.uniform(-3.0, 3.0, 400), special[::-1], special])
+    points = np.vstack([q, p])
+    polys = [
+        P([(0.7, (e, 0)), (-1.3, (e - 1, 1)), (0.25, (0, e)), (-0.5, (0, 0))]) for e in range(1, 7)
+    ] + [P([(3.0, (2, 3)), (1e-3, (5, 1)), (-2.0, (1, 1))])]
+    for poly in polys:
+        values = evaluate(poly, points)
+        assert values.shape == (points.shape[1],)
+        per_point = [evaluate(poly, points[:, k]) for k in range(points.shape[1])]
+        assert all(type(v) is float for v in per_point)
+        assert _same_floats(values, per_point)
+        assert _same_floats(per_point, [_float_loop(poly, points[:, k]) for k in range(q.size)])
+
+
+def test_evaluate_on_an_array_keeps_signed_zero():
+    # Each term adds -0.0 or 0.0 to the 0.0 the sum starts from: 0.0, as in floats.
+    cube = P([(-1.0, (3, 0))])
+    zeros = np.array([[0.0, -0.0], [1.0, 1.0]])
+    assert _same_floats(evaluate(cube, zeros), [0.0, 0.0])
+    assert evaluate(cube, [0.0, 1.0]) == 0.0
+
+
+def test_evaluate_refuses_complex_points():
+    with pytest.raises(ValueError, match="must be real"):
+        evaluate(variable(2, 0), np.array([1.0 + 1e-3j, 0.0]))
+    with pytest.raises(ValueError, match="must be real"):
+        evaluate(variable(2, 0), np.ones((2, 3), dtype=complex))
+
+
+def test_evaluate_refuses_arrays_of_other_shapes():
+    for x in (np.ones((3, 4)), np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError, match="expected"):
+            evaluate(variable(2, 0), x)
