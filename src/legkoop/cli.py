@@ -19,7 +19,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TextIO
+from typing import BinaryIO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .koopman import (  # noqa: F401
 )
 from .polyalg import evaluate
 from .refinteg import rk4_integrate, segment_steps
-from .reprtext import repr_rows
+from .reprtext import RowWriter
 
 __all__ = [
     "DEFAULT_RK_STEP",
@@ -226,12 +226,12 @@ def _atomic_output(path: Path):
     """Write `path` through a temporary file beside it, renamed to `path` when
     the block exits cleanly; on failure that file and every directory made
     for it are removed, so a failed run leaves nothing behind.  Every file
-    the CLI writes goes through here."""
+    the CLI writes goes through here, as bytes."""
     made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     partial_path = path.with_name(path.name + ".tmp")
     try:
-        with partial_path.open("w", encoding="utf-8") as out:
+        with partial_path.open("wb") as out:
             yield out
         partial_path.replace(path)
     except BaseException:
@@ -246,7 +246,7 @@ def _solve_spec(
     spec: SystemSpec,
     *,
     reference: Optional[_ReferenceRun] = None,
-    open_csv: Optional[Callable[[], TextIO]] = None,
+    open_csv: Optional[Callable[[], BinaryIO]] = None,
     keep_values: bool = False,
 ) -> SolveResult:
     """Solve `spec`, one block of output times at a time.
@@ -254,12 +254,12 @@ def _solve_spec(
     `reference`, if given, gives the reference values of the observables on
     the solve's time grid, which the errors compare against.  `open_csv`, if
     given, is called once the first block is computed and the reference
-    values are in, and each block's rows of the trajectory CSV are written
-    to the stream it returns as soon as they are computed; the caller closes
-    it.  No block is kept: the solve holds the time grid, one block, with a
-    reference the reference values and their errors, and with `keep_values`
-    the observables' values at every time, returned as
-    `observable_values`.
+    values are in, and the rows of the trajectory CSV are written to the
+    binary stream it returns, a `RowWriter` chunk at a time, as the blocks
+    are computed; the caller closes it.  No block is kept: the solve holds
+    the time grid, one block, one chunk of rows, with a reference the
+    reference values and their errors, and with `keep_values` the
+    observables' values at every time, returned as `observable_values`.
 
     `timings["propagate"]` sums propagation and the box-exit check over the
     blocks, `timings["reference"]` the reference's own run (`seconds`) and
@@ -325,9 +325,11 @@ def _solve_spec(
 
     kept = np.empty((n_obs, times.size)) if keep_values else None
     first_exit: Optional[float] = None
-    out = open_csv() if open_csv else None
-    if out:
-        out.write(",".join(header) + "\n")
+    rows = None
+    if open_csv:
+        out = open_csv()
+        out.write((",".join(header) + "\n").encode("utf-8"))
+        rows = RowWriter(out, len(header))
     # `mark` is reset after each block, so the next block's propagation,
     # which runs as the loop asks for it, is counted too.
     mark = time.perf_counter()
@@ -345,10 +347,12 @@ def _solve_spec(
             np.abs(values[:n_obs] - reference_values[:, block], out=errors[:, block])
             columns += [reference_values[:, block].T, errors[:, block].T]
             timings["reference"] += time.perf_counter() - mark
-        if out:
+        if rows is not None:
             # Each value as its repr: the shortest decimal that round-trips.
-            out.write(repr_rows(np.hstack(columns)))
+            rows.write(*columns)
         mark = time.perf_counter()
+    if rows is not None:
+        rows.flush()
 
     observable_errors = None
     if errors is not None:
@@ -472,7 +476,7 @@ def run_solve(
             open_csv = partial(outputs.enter_context, _atomic_output(csv_path))
             result = _solve_spec(spec, reference=rk4_reference, open_csv=open_csv)
             summary = outputs.enter_context(_atomic_output(json_path))
-            summary.write(json.dumps(_summary_json(result), indent=2) + "\n")
+            summary.write((json.dumps(_summary_json(result), indent=2) + "\n").encode("utf-8"))
     except NearDefectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_DEFECTIVE
@@ -591,7 +595,7 @@ def run_sweep(
     csv_path = Path(out_dir) / f"{spec.name}_sweep.csv"
     try:
         with _atomic_output(csv_path) as out:
-            out.write("\n".join(csv_lines) + "\n")
+            out.write(("\n".join(csv_lines) + "\n").encode("utf-8"))
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -82,13 +82,12 @@ __all__ = [
 NEAR_DEFECTIVE_CONDITION = 1e12
 EXP_OVERFLOW_LIMIT = 700.0
 
-# Output times per block, of propagation and of the CLI's CSV rows.  On
-# Duffing c=8 at 40 000 times, with blocks of 512 / 1024 / 2048 times, a solve
-# peaked at 33.6-33.8 / 33.9-34.0 / 34.2-34.4 MiB, propagation with the
-# box-exit check took 4.8-5.7 / 3.4-3.7 / 3.2-4.5 ms and the whole solve
-# 35-43 / 29-32 / 27-32 ms (medians of 20 solves in each of 3 rounds, one
-# process per round and size; 2-vCPU VM, one BLAS thread).  2048 saves
-# little and not reliably, for 0.3-0.5 MiB more peak.
+# Output times per block of propagation.  Each block is propagated from its
+# own start (see `_evaluate_rows`), so the block size sets where roundoff is
+# re-anchored: with blocks of 2048, 19 363 of the 40 000 rows of Duffing c=8
+# (the benchmark's long solve), from row 1025 on, move by up to 3.2e-15 and
+# the CSV is no longer byte-identical.  The CLI formats its CSV in chunks of
+# their own size (`reprtext.RowWriter`), independent of this one.
 _TIME_BLOCK = 1024
 
 

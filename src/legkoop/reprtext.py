@@ -1,4 +1,4 @@
-"""CSV rows of float64 values, each written as its `repr`, a block at a time.
+"""CSV rows of float64 values, each written as its `repr`, a chunk at a time.
 
 `repr(x)` of a float is the shortest decimal that reads back as x (of
 several that short, the closest), written positionally when its decimal
@@ -41,17 +41,26 @@ from __future__ import annotations
 import functools
 import sys
 from types import SimpleNamespace
+from typing import BinaryIO
 
 import numpy as np
 
-__all__ = ["repr_rows"]
+__all__ = ["RowWriter", "repr_rows"]
 
 # Blocks of fewer values are written by the `%` line.  With the caches
-# evicted, the vectorized path costs about 0.23 ms a block plus 0.12 us a
-# value and the `%` line 1.15 us a value: they break even near 220 values.
-# But the first vectorized block in a process builds the tables (0.7 ms),
-# which lifts solve-4d-quadratic's peak RSS (one block of 500) by 0.13 MiB.
+# evicted, the vectorized path costs about 0.25 ms a block plus 0.10 us a
+# value and the `%` line 1.1-1.2 us a value: they break even near 240 values
+# (medians of 200 calls per size from 700 to 6144 values of the long Duffing
+# run; 2-vCPU VM, numpy 2.4).  But the first vectorized block in a process
+# builds the tables (0.7 ms), which lifts solve-4d-quadratic's peak RSS (one
+# block of 500) by 0.13 MiB.
 _MIN_VALUES = 700
+# Values per `repr_rows` call of a `RowWriter`.  Against the 3072 of one
+# 1024-row block of the long Duffing run's three columns, 6144 take 0.81 of
+# the formatter's time (4096: 0.90, 8192: 0.75).  A call's temporaries, some
+# 57 bytes a value, add to the solve's peak: in fresh processes its RSS rose
+# by about 0.1 MiB at 4096 and 5120 values and 0.2 MiB at 6144.
+_CHUNK_VALUES = 6144
 # Bytes per value: the longest fast text, "-0.00012345678901234567", and ",".
 _SLOT = 24
 # Most digits the fast path drops from floor(x 10^k).
@@ -61,18 +70,54 @@ _LOWEST_EXPONENT = 1009  # biased exponent of 2^-14, the binade of 1e-4
 _HIGHEST_EXPONENT = 1073  # biased exponent of 2^50, the binade below 2^51
 
 
-def repr_rows(table: np.ndarray) -> str:
-    """The CSV lines of a 2-D float64 array, each value as its `repr`.
+class RowWriter:
+    """Writes CSV rows of float64 values, each as its `repr`, to a binary
+    stream, about `_CHUNK_VALUES` values to a `repr_rows` call.
 
-    Exactly ``(",".join(["%r"] * cols) + "\\n") * rows % tuple(table.ravel().tolist())``.
+    `write` takes a block of rows as 2-D arrays side by side, `cols` columns
+    in all, and copies them into the next chunk: blocks of narrow rows are
+    merged and blocks of wide rows split, so the per-call cost is spread over
+    as many values however wide the rows, and the formatter never holds more
+    than a chunk.  `flush` writes the rows taken since the last chunk; call
+    it after the last block.
+    """
+
+    def __init__(self, out: BinaryIO, cols: int):
+        self._out = out
+        self._chunk = np.empty((max(_CHUNK_VALUES // cols, 1), cols))
+        self._filled = 0
+
+    def write(self, *parts: np.ndarray) -> None:
+        taken, rows = 0, len(parts[0])
+        while taken < rows:
+            start = self._filled
+            self._filled = min(start + rows - taken, len(self._chunk))
+            col, stop = 0, taken + self._filled - start
+            for part in parts:
+                self._chunk[start : self._filled, col : col + part.shape[1]] = part[taken:stop]
+                col += part.shape[1]
+            taken = stop
+            if self._filled == len(self._chunk):
+                self.flush()
+
+    def flush(self) -> None:
+        if self._filled:
+            self._out.write(repr_rows(self._chunk[: self._filled]))
+            self._filled = 0
+
+
+def repr_rows(table: np.ndarray) -> memoryview:
+    """The CSV lines of a 2-D float64 array, each value as its `repr`, as a
+    view of their ASCII bytes (no copy is made to return them).
+
+    Exactly ``((",".join(["%r"] * cols) + "\\n") * rows % tuple(table.ravel().tolist())).encode()``.
     """
     rows, cols = table.shape
     values = np.ascontiguousarray(table, dtype=np.float64).ravel()
     # The slots are read as bytes in little-endian word order.
     if values.size < _MIN_VALUES or sys.byteorder != "little":
         return _percent_rows(values, rows, cols)
-    ax = np.abs(values)
-    (slots, length), fallback = _fast_slots(values, ax, (ax >= 1e-4) & (ax < 2.0**51), cols)
+    (slots, length), fallback = _fast_slots(values, cols)
     if fallback.size:
         # Each left-over value's repr, right-aligned in its slot; a negative
         # one with 17 digits and a 3-digit exponent takes 24 bytes, too many.
@@ -89,12 +134,12 @@ def repr_rows(table: np.ndarray) -> str:
     at = np.ndarray((end[-1] + 1,), f"V{_SLOT}", out, strides=(1,))
     at[end[::-1]] = slots.view(f"V{_SLOT}").ravel()[::-1]
     del slots, end, length, at
-    return str(out[_SLOT:], "ascii")
+    return memoryview(out)[_SLOT:]
 
 
-def _percent_rows(values: np.ndarray, rows: int, cols: int) -> str:
+def _percent_rows(values: np.ndarray, rows: int, cols: int) -> memoryview:
     line = ",".join(["%r"] * cols) + "\n"
-    return line * rows % tuple(values.tolist())
+    return memoryview((line * rows % tuple(values.tolist())).encode("ascii"))
 
 
 @functools.cache
@@ -156,11 +201,10 @@ def _tables() -> SimpleNamespace:
     )
 
 
-def _fast_slots(values: np.ndarray, ax: np.ndarray, fast: np.ndarray, cols: int):
+def _fast_slots(values: np.ndarray, cols: int):
     """Each value's text right-aligned in a 24-byte row, its separator last,
-    with the length of both; and the rows left over, which hold anything.
-    `ax` is |values|, left as it is; `fast` marks 1e-4 <= |x| < 2^51 and is
-    cleared where the digits are not found.
+    with the length of both; and the rows left over, which hold anything:
+    those outside 1e-4 <= |x| < 2^51 and those whose digits are not found.
 
     The steps work in place and drop what they no longer need, so that only
     a few arrays of the block's size are alive at once.  They keep to a few
@@ -169,19 +213,28 @@ def _fast_slots(values: np.ndarray, ax: np.ndarray, fast: np.ndarray, cols: int)
     (sign bits stand in), no masked ufuncs.
     """
     T = _tables()
-    ax = np.fmin(ax, 2.0**51)  # keeps the others' arithmetic in range
-    j = (ax.view(np.int64) >> 52) - _LOWEST_EXPONENT  # the binade: ax >= 0
-    digits, row = _shortest_digits(ax, j, fast)
+    ax = np.abs(values)
+    fast = ax >= 1e-4
+    fast &= ax < 2.0**51
+    np.fmin(ax, 2.0**51, out=ax)  # keeps the others' arithmetic in range
+    digits, row = _shortest_digits(ax, fast)
     # digits / 10^f with a 0 put in for the point: the integer part times
     # 10^(f+1) plus the fraction, below 10^18.
     pointed = ax.astype(np.int64)
     pointed *= T.nines.take(row, mode="clip")
     pointed += digits
-    row = T.shown.take(row, mode="clip")
+    del digits
     # Sign bits as 0 or -1: past the power of ten, and of a negative value.
-    row -= ((T.next_ten.take(j, mode="clip") - ax).view(np.int64) >> 63) * 42
+    past = T.next_ten.take(row >> 2, mode="clip")  # row >> 2 is the binade
+    past -= ax
+    del ax
+    past = past.view(np.int64)
+    past >>= 63
+    past *= 42
+    row = T.shown.take(row, mode="clip")
+    row -= past
+    del past
     row -= values.view(np.int64) >> 63
-    del ax, j, digits
 
     # Groups of four bytes: "0000", the digits of 10^18..10^15, of 10^14..10^3
     # in three groups, then those of 10^2..10^0 and the separator.
@@ -190,50 +243,62 @@ def _fast_slots(values: np.ndarray, ax: np.ndarray, fast: np.ndarray, cols: int)
     rest = pointed // 1000
     pointed -= rest * 1000
     slots[:, 5] = T.last.take(pointed, mode="clip")
+    del pointed
     for i in (4, 3, 2):
         group = rest
         rest = group // 10**4
         group -= rest * 10**4
         slots[:, i] = T.groups.take(group, mode="clip")
+        del group
     words[:, 0] = T.top.take(rest, mode="clip")
-    del pointed, group, rest
+    del rest
     words -= T.pattern.take(row, axis=0, mode="clip")
     slots = slots.view(np.uint8)
     slots.reshape(-1, cols, _SLOT)[:, -1, -1] = ord("\n")
     return (slots, T.length.take(row, mode="clip")), np.flatnonzero(~fast)
 
 
-def _shortest_digits(ax: np.ndarray, j: np.ndarray, fast: np.ndarray):
-    """The shortest digits of each |x| in `ax` (binade index `j`) and the
-    table row 4j + (digits dropped) - 1; clears `fast` where the digits are
-    not found.  The 128-bit product is taken in uint64; from floor(x 10^k)
-    on, every value is below 2^62 and the arithmetic is int64.
+def _shortest_digits(ax: np.ndarray, fast: np.ndarray):
+    """The shortest digits of each |x| in `ax` and the table row 4j +
+    (digits dropped) - 1, j the binade of x; clears `fast` where the digits
+    are not found.  The 128-bit product is taken in uint64; from floor(x
+    10^k) on, every value is below 2^62 and the arithmetic is int64.
     """
     T = _tables()
-    low = (ax.view(_U) << _U(12)) >> _U(11)  # 2M - 2^53
+    row = ax.view(np.int64) >> 52
+    row -= _LOWEST_EXPONENT  # the binade j: ax >= 0
+    low = ax.view(_U) << _U(12)
+    low >>= _U(11)  # 2M - 2^53
     fast &= low.view(np.int64) > 0  # M is not a power of two
     low += _U(1 << 53)
-    p = T.pow5.take(j, mode="clip")
-    low *= p  # wraps: the low word of 2M 5^k
+    low *= T.pow5.take(row, mode="clip")  # wraps: the low word of 2M 5^k
     # The low word's share from its top 53 bits, in a signed conversion.
-    high = ax * T.high.take(j, mode="clip")
-    high -= (low >> _U(11)).view(np.int64).astype(np.float64) * 2.0**-53
+    high = T.high.take(row, mode="clip")
+    high *= ax
+    share = (low >> _U(11)).view(np.int64).astype(np.float64)
+    share *= 2.0**-53
+    high -= share
+    del share
     high = np.rint(high, out=high).astype(np.int64).view(_U)
-    shift = T.shift.take(j, mode="clip")
-    kept = low >> shift
-    below = low
-    below -= kept << shift  # the bits shifted out
-    fast &= below.view(np.int64) > 0  # x 10^k is not an integer
     # floor(2M 5^k / 2^s), the upper bound and how far below it the lower.
-    high <<= T.left.take(j, mode="clip")
+    shift = T.shift.take(row, mode="clip")
+    high <<= T.left.take(row, mode="clip")
+    kept = low >> shift
     high += kept
+    kept <<= shift
+    below = low
+    below -= kept  # the bits shifted out
+    del kept
+    fast &= below.view(np.int64) > 0  # x 10^k is not an integer
     scaled = high.view(np.int64)
-    upper = below + p
-    upper >>= shift
-    gap = T.mask_pow5.take(j, mode="clip")
+    gap = T.mask_pow5.take(row, mode="clip")
     gap -= below
     gap >>= shift
-    del low, below, p, shift, kept
+    upper = T.pow5.take(row, mode="clip")
+    upper += below  # 5^k plus the bits shifted out
+    del low, below
+    upper >>= shift
+    del shift
     upper = upper.view(np.int64)
     upper += scaled
     gap = gap.view(np.int64)
@@ -241,9 +306,10 @@ def _shortest_digits(ax: np.ndarray, j: np.ndarray, fast: np.ndarray):
 
     # Drop digits while the interval holds a multiple of the next power of
     # ten: the largest one up to `upper` lies above `lower`.
-    row = j * _MAX_DROPS
+    row *= _MAX_DROPS
+    top = np.empty_like(upper)
     for d in range(2, _MAX_DROPS + 2):
-        top = upper // 10**d
+        np.floor_divide(upper, 10**d, out=top)
         top *= 10**d
         np.subtract(lower, top, out=top)  # negative where it lies above
         if d <= _MAX_DROPS:
@@ -258,5 +324,8 @@ def _shortest_digits(ax: np.ndarray, j: np.ndarray, fast: np.ndarray):
     dropped -= digits * unit
     unit >>= 1
     np.minimum(gap, unit, out=gap)
-    digits -= (gap - dropped - 1) >> 63
+    del unit
+    gap -= dropped
+    gap -= 1
+    digits -= np.right_shift(gap, 63, out=gap)
     return digits, row

@@ -19,6 +19,7 @@ import pytest
 from legkoop import invariants
 import legkoop.cli as cli
 import legkoop.refinteg as refinteg
+import legkoop.reprtext as reprtext
 from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER, build_basis, evaluate_basis
 from legkoop.cli import _reference_values, _solve_spec, main
 from legkoop.dynamics import (
@@ -51,6 +52,21 @@ DUFFING = {
     "order": 3,
     "t_final": 10.0,
     "num_steps": 100,
+}
+
+# Duffing at order 8 with 40 monomial observables of degree 1 to 8: rows of
+# 41 CSV values, 121 with --reference, so that each block of rows is split
+# over several chunks of the CSV writer.
+WIDE = {
+    **DUFFING,
+    "name": "wide",
+    "initial_state": [0.5, 0.0],
+    "order": 8,
+    "observables": [
+        {"name": f"q{a}p{d - a}", "terms": [{"coef": 1.0, "exp": [a, d - a]}]}
+        for d in range(1, 9)
+        for a in range(d, -1, -1)
+    ][:40],
 }
 
 
@@ -221,14 +237,57 @@ def solve_outputs(tmp_path, doc, rk_step=None):
 
 @pytest.mark.parametrize("rk_step", [None, 1e-3])
 @pytest.mark.parametrize(
-    "nt",
-    [_TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1, 2 * _TIME_BLOCK + 1],
-    ids=["B-1", "B", "B+1", "2B+1"],  # B = _TIME_BLOCK
+    "doc, rows",
+    [
+        (DUFFING, lambda chunk: _TIME_BLOCK - 1),
+        (DUFFING, lambda chunk: _TIME_BLOCK),
+        (DUFFING, lambda chunk: _TIME_BLOCK + 1),
+        (DUFFING, lambda chunk: 2 * _TIME_BLOCK + 1),
+        (DUFFING, lambda chunk: 2 * chunk - 1),
+        (DUFFING, lambda chunk: 2 * chunk),
+        (DUFFING, lambda chunk: 2 * chunk + 1),
+        (WIDE, lambda chunk: _TIME_BLOCK + 1),
+    ],
+    # B = _TIME_BLOCK; C = the rows of a CSV chunk: 2048 of the three
+    # columns t,q,p, 877 of the seven with --reference.
+    ids=["B-1", "B", "B+1", "2B+1", "2C-1", "2C", "2C+1", "wide-B+1"],
 )
-def test_streamed_solve_matches_the_eager_oracle(tmp_path, nt, rk_step):
-    doc = {**DUFFING, "num_steps": nt}
+def test_streamed_solve_matches_the_eager_oracle(tmp_path, doc, rows, rk_step):
+    observables = len(parse_system_config(json.dumps(doc)).observables.names)
+    columns = 1 + observables * (1 if rk_step is None else 3)
+    doc = {**doc, "num_steps": rows(reprtext._CHUNK_VALUES // columns)}
     csv, summary = solve_outputs(tmp_path, doc, rk_step)
     assert (csv, summary) == eager_solve(parse_system_config(json.dumps(doc)), rk_step)
+
+
+def test_the_long_solve_formats_its_rows_in_chunks_of_6144_values(tmp_path, monkeypatch):
+    # 40 000 rows of t,q,p: nineteen chunks of 2048 rows, each two blocks of
+    # propagation, and the 1088 rows left.
+    sizes = []
+    formatter = reprtext.repr_rows
+    monkeypatch.setattr(reprtext, "repr_rows", lambda table: sizes.append(table.size) or formatter(table))
+    doc = {**DUFFING, "order": 8, "t_final": 40.0, "num_steps": 40_000}
+    solve_outputs(tmp_path, doc)
+    assert sizes == [6144] * 19 + [3264]
+
+
+def test_propagation_timing_leaves_out_the_csv(tmp_path, monkeypatch):
+    # Five chunks of 2048 rows, each taking at least 20 ms to format.
+    calls = []
+    formatter = reprtext.repr_rows
+
+    def slow(table):
+        calls.append(table.size)
+        time.sleep(0.02)
+        return formatter(table)
+
+    monkeypatch.setattr(reprtext, "repr_rows", slow)
+    config = write_config(tmp_path, {**DUFFING, "num_steps": 5 * 2048})
+    assert main(["solve", "--config", config, "--out-dir", str(tmp_path)]) == 0
+    timings = json.loads((tmp_path / "duffing_summary.json").read_text())["timings"]
+    assert len(calls) == 5
+    assert timings["propagate"] < 0.02
+    assert timings["total"] >= 0.02 * len(calls)
 
 
 def test_box_exit_first_seen_in_the_second_block(tmp_path, capsys):
@@ -290,6 +349,22 @@ def test_trajectory_csv_memory_does_not_grow_with_the_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_wide_rows_are_formatted_a_chunk_at_a_time(tmp_path):
+    # 41 columns: a block of 1024 rows is some 42 000 values, whose formatting
+    # took about 3.4 MiB of temporaries when a block went to repr_rows whole
+    # (the solve peaked at 4.8 MiB).  A chunk is about 6144 values.
+    config = write_config(tmp_path, {**WIDE, "num_steps": 3 * _TIME_BLOCK})
+    solve = partial(cli.run_solve, config, out_dir=str(tmp_path))
+    assert solve() == 0
+    tracemalloc.start()
+    try:
+        assert solve() == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_solve_memory_does_not_grow_with_the_output_times(tmp_path):

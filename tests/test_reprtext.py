@@ -1,5 +1,6 @@
-"""CSV rows of float64 values: `repr_rows` against the `%` line it stands for."""
+"""CSV rows of float64 values: `repr_rows` and `RowWriter` against the `%` line they stand for."""
 
+import io
 import json
 import math
 from fractions import Fraction
@@ -17,7 +18,7 @@ MIN = reprtext._MIN_VALUES
 
 def percent_rows(table):
     line = ",".join(["%r"] * table.shape[1]) + "\n"
-    return line * table.shape[0] % tuple(table.ravel().tolist())
+    return (line * table.shape[0] % tuple(table.ravel().tolist())).encode("ascii")
 
 
 def check_blocks(values, cols, rows=1024):
@@ -59,8 +60,7 @@ def test_the_vectorized_path_writes_nearly_every_ordinary_value():
     # 200 are left to repr.
     rng = np.random.default_rng(11)
     values = rng.uniform(-50.0, 50.0, 3 * 1024) * 10.0 ** rng.integers(-3, 3, 3 * 1024)
-    ax = np.abs(values)
-    _, fallback = reprtext._fast_slots(values, ax, (ax >= 1e-4) & (ax < 2.0**51), 3)
+    _, fallback = reprtext._fast_slots(values, 3)
     assert fallback.size < values.size / 200
 
 
@@ -131,8 +131,7 @@ def test_a_column_slice_and_a_float32_table_are_written_as_their_float64_values(
 
 def left_over(values):
     """Which values the vectorized path leaves to the `%` line."""
-    ax = np.abs(values)
-    _, fallback = reprtext._fast_slots(values, ax, (ax >= 1e-4) & (ax < 2.0**51), 1)
+    _, fallback = reprtext._fast_slots(values, 1)
     return np.isin(np.arange(values.size), fallback)
 
 
@@ -254,4 +253,32 @@ def test_a_damped_solve_through_1e_4_writes_each_value_as_its_repr(tmp_path):
     last_large = np.flatnonzero(np.abs(table[:, 1:]).max(axis=1) >= 1e-4)[-1]
     assert _TIME_BLOCK + 100 < last_large < 2 * _TIME_BLOCK - 100
     assert [c for row in cells for c in row if repr(float(c)) != c] == []
-    assert "\n".join(lines[1:]) + "\n" == percent_rows(table)
+    assert ("\n".join(lines[1:]) + "\n").encode("ascii") == percent_rows(table)
+
+
+@pytest.mark.parametrize(
+    "chunk, cols",
+    [(12, 3), (10, 3), (3, 3), (4, 7), (1000, 3)],
+    ids=["whole-rows", "rows-and-a-rest", "one-row", "row-wider-than-a-chunk", "all-at-once"],
+)
+def test_the_row_writer_writes_its_blocks_in_chunks_of_whole_rows(monkeypatch, chunk, cols):
+    # Blocks of 5, 0, 1, 9 and 4 rows, each handed over as two arrays side by
+    # side, one of them a transposed view: the stream gets the `%` line of
+    # the whole table, a chunk of chunk // cols rows (at least one) at a time.
+    monkeypatch.setattr(reprtext, "_CHUNK_VALUES", chunk)
+    sizes = []
+    formatter = reprtext.repr_rows
+    monkeypatch.setattr(reprtext, "repr_rows", lambda table: sizes.append(len(table)) or formatter(table))
+    table = np.random.default_rng(cols).uniform(-3.0, 3.0, (19, cols))
+    stream = io.BytesIO()
+    writer = reprtext.RowWriter(stream, cols)
+    start = 0
+    for rows in (5, 0, 1, 9, 4):
+        block = table[start : start + rows]
+        writer.write(block[:, :1], block[:, 1:].T.copy().T)
+        start += rows
+    writer.flush()
+    writer.flush()
+    assert stream.getvalue() == percent_rows(table)
+    per_chunk = max(chunk // cols, 1)
+    assert sizes == [per_chunk] * (19 // per_chunk) + [19 % per_chunk] * (19 % per_chunk > 0)
