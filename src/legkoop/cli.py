@@ -118,14 +118,14 @@ class _ReferenceRun:
 
     When this process may use a second CPU and `os.fork` exists, a forked
     child computes the values while the caller goes on.  It sends one
-    pickled message through a pipe: `(values, seconds)`, or the exception
-    it raised, which `values()` raises again.  Otherwise `values()` makes
-    the same call in this process: on one CPU a child would only take turns
-    with the solve.  `seconds` is the time the call took where it ran,
-    without any wait.
+    pickled message through a pipe, `(values, seconds)` or the exception it
+    raised, and exits; `values()`, the pipe's one reader, returns the values
+    or raises that exception.  Otherwise `values()` makes the same call in
+    this process: on one CPU a child would only take turns with the solve.
+    `seconds` is the time the call took where it ran, without any wait.
 
     Use it as a context manager: leaving the block reaps the child on every
-    path, killing it first if it has not sent its result.
+    path, killing it first if it has neither ended nor sent its result.
     """
 
     def __init__(self, spec: SystemSpec, times: np.ndarray, rk_step: float):
@@ -173,33 +173,27 @@ class _ReferenceRun:
         os.close(write_end)
         self._pid, self._pipe = pid, read_end
 
-    def _receive(self) -> None:
-        """Read the child's message and reap the child."""
-        try:
-            with open(self._pipe, "rb", closefd=False) as pipe:
-                self._result = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            self._result = RuntimeError("the RK4 reference process ended without a result")
-        finally:
-            self.close()
-
     def ready(self) -> bool:
-        """Whether `values()` would return without waiting for RK4 work.
-        Never blocks; in-process it is always true, because nothing runs
-        beside the caller."""
-        if self._pipe is not None:
-            import select  # here, so that `import legkoop.cli` does not load it
-
-            if not select.select([self._pipe], [], [], 0)[0]:
-                return False
-            self._receive()
-        return True
+        """Whether `values()` would return without waiting for RK4 work: in
+        this process, once the message is read, or once the child has ended
+        (it is reaped here).  A message larger than the pipe holds keeps the
+        child in its write until `values()` reads it.  Never blocks."""
+        if self._pipe is None:
+            return True
+        if self._pid is not None and os.waitpid(self._pid, os.WNOHANG)[0]:
+            self._pid = None
+        return self._pid is None
 
     def values(self) -> np.ndarray:
         """The reference values, waiting for them if need be; raises what
         the reference raised."""
         if self._pipe is not None:
-            self._receive()
+            with open(self._pipe, "rb") as pipe:
+                self._pipe = None
+                try:
+                    self._result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    self._result = RuntimeError("the RK4 reference process ended without a result")
         elif self._result is None:
             self._result = self._run()
         if isinstance(self._result, BaseException):
@@ -208,17 +202,18 @@ class _ReferenceRun:
         return values
 
     def close(self) -> None:
-        """Reap the child, killing it first if it has not sent its result."""
-        if self._pid is None:
-            return
-        pid, self._pid = self._pid, None
-        os.close(self._pipe)
-        self._pipe = None
-        if self._result is None:
-            import signal  # here, so that `import legkoop.cli` does not load it
+        """Close the pipe if it is still open and reap the child, killing it
+        first if it has neither ended nor sent its result."""
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            if self._result is None:
+                import signal  # here, so that `import legkoop.cli` does not load it
 
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @contextmanager
@@ -547,10 +542,11 @@ def run_sweep(
     # observable values, as many as MAX_OUTPUT_VALUES holds.
     waiting: list[tuple[dict, np.ndarray]] = []
     most_waiting = MAX_OUTPUT_VALUES // (len(names) * times.size)
-    try:
-        # Every order shares the grid, so it shares one reference, which
-        # runs while the orders are solved.
-        with _ReferenceRun(spec, times, rk_step) as reference:
+    # Every order shares the grid, so it shares one reference, which runs
+    # while the orders are solved.  The block is left, and an ended child
+    # reaped, once the CSV and the table are written.
+    with _ReferenceRun(spec, times, rk_step) as reference:
+        try:
             for order in orders:
                 started = time.perf_counter()
                 row = {"order": order, "errors": None, "resid": None}
@@ -569,42 +565,43 @@ def run_sweep(
                 if reference.ready() or len(waiting) >= most_waiting:
                     _settle_errors(waiting, reference.values())
             _settle_errors(waiting, reference.values())
-    except NonFiniteError as exc:
-        # Each order's own failures are caught above: this is the reference's.
-        print(f"numeric failure in RK4 reference: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        except NonFiniteError as exc:
+            # Each order's own failures are caught above: this is the reference's.
+            print(f"numeric failure in RK4 reference: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
-    header = (
-        ["order", "n", "status"]
-        + [f"max_err_{name}" for name in names]
-        + ["eigenresidual", "wall_time_s"]
-    )
-    csv_lines = [",".join(header)]
-    table = [header]
-    for row in rows:
-        errors, resid, wall = row["errors"], row["resid"], row["wall"]
-        order, n, status = str(row["order"]), str(row["n"]), row["status"]
-        if errors is None:
-            csv_cells, table_cells = [""] * (len(names) + 1), ["-"] * (len(names) + 1)
-        else:
-            csv_cells = [repr(x) for x in errors + [resid]]
-            table_cells = [f"{x:.3e}" for x in errors] + [f"{resid:.1e}"]
-        csv_lines.append(",".join([order, n, status.replace(",", ";")] + csv_cells + [repr(wall)]))
-        table.append([order, n, status] + table_cells + [f"{wall:.2f}"])
+        header = (
+            ["order", "n", "status"]
+            + [f"max_err_{name}" for name in names]
+            + ["eigenresidual", "wall_time_s"]
+        )
+        csv_lines = [",".join(header)]
+        table = [header]
+        for row in rows:
+            errors, resid, wall = row["errors"], row["resid"], row["wall"]
+            order, n, status = str(row["order"]), str(row["n"]), row["status"]
+            if errors is None:
+                csv_cells, table_cells = [""] * (len(names) + 1), ["-"] * (len(names) + 1)
+            else:
+                csv_cells = [repr(x) for x in errors + [resid]]
+                table_cells = [f"{x:.3e}" for x in errors] + [f"{resid:.1e}"]
+            csv_cells = [order, n, status.replace(",", ";")] + csv_cells + [repr(wall)]
+            csv_lines.append(",".join(csv_cells))
+            table.append([order, n, status] + table_cells + [f"{wall:.2f}"])
 
-    csv_path = Path(out_dir) / f"{spec.name}_sweep.csv"
-    try:
-        with _atomic_output(csv_path) as out:
-            out.write(("\n".join(csv_lines) + "\n").encode("utf-8"))
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+        csv_path = Path(out_dir) / f"{spec.name}_sweep.csv"
+        try:
+            with _atomic_output(csv_path) as out:
+                out.write(("\n".join(csv_lines) + "\n").encode("utf-8"))
+        except OSError as exc:
+            print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+            return EXIT_IO
 
-    widths = [max(len(line[i]) for line in table) for i in range(len(header))]
-    for line in table:
-        print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+        widths = [max(len(line[i]) for line in table) for i in range(len(header))]
+        for line in table:
+            print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
+        print(f"wrote {csv_path}")
+        return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import errno
 import itertools
 import json
+import math
 import os
 import pickle
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -1260,6 +1262,68 @@ def test_without_a_second_process_the_reference_runs_in_this_one(tmp_path, monke
     assert outputs(tmp_path / "here") == outputs(tmp_path / "forked")
 
 
+def _sweep_rows_without_wall_time(out_dir):
+    lines = (out_dir / "duffing_sweep.csv").read_text(encoding="utf-8").splitlines()
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def _soft_descriptor_limit():
+    soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    return math.inf if soft == resource.RLIM_INFINITY else soft
+
+
+@pytest.mark.skipif(_soft_descriptor_limit() < 1200, reason="fewer than 1200 descriptors allowed")
+def test_a_sweep_whose_reference_pipe_is_above_descriptor_1023_works(tmp_path):
+    # select() refuses descriptors >= 1024, which the reference's pipe gets
+    # once more than a thousand are open.
+    config = write_config(tmp_path, DUFFING)
+    args = ["sweep", "--config", config, "--orders", "1..4", "--rk-step", "1e-2"]
+    assert main(args + ["--out-dir", str(tmp_path / "few")]) == 0
+    opened = []
+    try:
+        while True:
+            read_end, write_end = os.pipe()
+            if read_end >= 1024:
+                # Freed for the sweep's own pipe, the lowest numbers free.
+                os.close(read_end)
+                os.close(write_end)
+                break
+            opened += [read_end, write_end]
+        assert main(args + ["--out-dir", str(tmp_path / "many")]) == 0
+    finally:
+        for fd in opened:
+            os.close(fd)
+    assert _sweep_rows_without_wall_time(tmp_path / "many") == _sweep_rows_without_wall_time(
+        tmp_path / "few"
+    )
+
+
+@needs_a_second_cpu
+def test_a_reference_message_larger_than_the_pipe_buffer(tmp_path, monkeypatch):
+    # 2 observables at 5000 times: about 80 kB of values, more than a pipe
+    # holds (64 KiB on Linux), so the child stays in its write until
+    # `values()` reads, and is not ready before.
+    config = write_config(tmp_path, {**DUFFING, "num_steps": 5000})
+    args = ["sweep", "--config", config, "--orders", "1..4", "--rk-step", "1e-2"]
+    answers = []
+    ready = cli._ReferenceRun.ready
+
+    def noting_ready(self):
+        answers.append(ready(self))
+        return answers[-1]
+
+    monkeypatch.setattr(cli._ReferenceRun, "ready", noting_ready)
+    assert main(args + ["--out-dir", str(tmp_path / "forked")]) == 0
+    assert answers == [False] * 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(args + ["--out-dir", str(tmp_path / "here")]) == 0
+    assert _sweep_rows_without_wall_time(tmp_path / "forked") == _sweep_rows_without_wall_time(
+        tmp_path / "here"
+    )
+
+
 @pytest.mark.parametrize("way", [None, "no fork"], ids=["forked", "no fork"])
 def test_reference_timing_is_the_reference_run_not_the_wait(tmp_path, monkeypatch, way):
     # The reference takes 0.4 s and the solve 0.25 s besides: a forked
@@ -1440,7 +1504,7 @@ def test_importing_the_cli_loads_no_process_pool():
     # multiprocessing nor concurrent.futures adds to the import.
     assert _loaded_by_importing_the_cli("multiprocessing") == "[]"
     assert _loaded_by_importing_the_cli("concurrent") == "[]"
-    # `ready` imports select when it is first called.
+    # `ready` polls the child with os.waitpid: no command loads select.
     assert _loaded_by_importing_the_cli("select") == "[]"
 
 
