@@ -310,13 +310,12 @@ def _solve_spec(
     timings["propagate"] = time.perf_counter() - mark
 
     names = model.observable_names
-    header = ["t", *names]
+    header = spec.observables.csv_header(reference is not None)
     reference_values = errors = None
     if reference is not None:
         reference_values = reference.values()
         errors = np.empty_like(reference_values)
         timings["reference"] = reference.seconds
-        header += [f"{name}_ref" for name in names] + [f"{name}_err" for name in names]
 
     kept = np.empty((n_obs, times.size)) if keep_values else None
     first_exit: Optional[float] = None
@@ -429,8 +428,10 @@ def _rk4_budget_exceeded(spec: SystemSpec, rk_step: float) -> bool:
     """Whether the RK4 reference would do more work than MAX_RK4_STEPS steps
     on a 3-term field; if so, says why on stderr."""
     intervals = spec.num_steps - 1
-    full_steps, remainder = segment_steps(spec.t_final / intervals, rk_step)
-    steps = intervals * (full_steps + (remainder > 0))
+    steps = spec.t_final / rk_step  # inf when the count overflows a float
+    if math.isfinite(steps):
+        full_steps, remainder = segment_steps(spec.t_final / intervals, rk_step)
+        steps = intervals * (full_steps + (remainder > 0))
     terms = sum(len(comp.terms) for comp in spec.vf.components)
     if steps * max(terms, 1) <= 3 * MAX_RK4_STEPS:
         return False

@@ -98,6 +98,12 @@ class ObservableSet:
     def __len__(self) -> int:
         return len(self.names)
 
+    def csv_header(self, reference: bool) -> list[str]:
+        """A trajectory CSV's header cells: `t`, each name and, with a
+        reference, each `<name>_ref`, then each `<name>_err`."""
+        suffixes = ("_ref", "_err") if reference else ()
+        return ["t", *self.names, *(name + end for end in suffixes for name in self.names)]
+
     @classmethod
     def identity(cls, states: Sequence[str]) -> "ObservableSet":
         """One coordinate observable per state variable."""
@@ -150,7 +156,8 @@ def _utf8(path: str, name: str) -> bytes:
 
 
 def _check_csv_names(path: str, names: Sequence[str]) -> None:
-    # Each name is written raw as one cell of a CSV header.
+    # Each name is written raw as one cell of a CSV header, whose cells must differ.
+    seen = set()
     for name in names:
         _utf8(path, name)
         if not name or any(ch in name for ch in ',"\r\n'):
@@ -158,6 +165,9 @@ def _check_csv_names(path: str, names: Sequence[str]) -> None:
                 f"{path}: name {name!r} must be nonempty and contain no comma, "
                 "double quote or line break"
             )
+        if name in seen:
+            raise ValidationError(f"{path}: name {name!r} is used more than once")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -197,8 +207,6 @@ class SystemSpec:
         m = len(self.states)
         if not 1 <= m <= MAX_DIMENSION:
             raise ValidationError(f"states: dimension {m} outside 1..{MAX_DIMENSION}")
-        if len(set(self.states)) != m:
-            raise ValidationError("states: names must be unique")
         _check_csv_names("states", self.states)
         if self.vf.m != m:
             raise ValidationError(f"dynamics: dimension {self.vf.m}, expected {m}")
@@ -245,10 +253,8 @@ class SystemSpec:
                     f"initial_state: {tuple(self.initial_state)} outside the domain box"
                 )
         names, polys = self.observables.names, self.observables.polys
-        for name in names:
-            if names.count(name) > 1:
-                raise ValidationError(f"observables: name {name!r} is used more than once")
-        _check_csv_names("observables", names)
+        # The header with a reference, so that every command refuses the same names.
+        _check_csv_names("observables", self.observables.csv_header(reference=True))
         for name, poly in zip(names, polys):
             if poly.m != m:
                 raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")

@@ -63,14 +63,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for t in self.terms:
-            mono = "*".join(f"x{k}^{e}" for k, e in enumerate(t.exp) if e)
-            parts.append(f"{t.coef:g}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
 
 
 def _grade_key(exp: Exponents) -> tuple:

@@ -523,6 +523,29 @@ def test_a_state_or_observable_name_that_breaks_the_csv_is_refused(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["solve"], ["solve", "--reference"], ["sweep", "--orders", "1..2"]]
+)
+@pytest.mark.parametrize(
+    "names, repeated",
+    [(["t", "t_ref"], "t"), (["q", "t"], "t"), (["g", "g_ref"], "g_ref"),
+     (["g_err", "g"], "g_err")],
+)
+def test_an_observable_name_that_repeats_a_header_cell_is_refused(
+    tmp_path, capsys, refused_rk4, command, names, repeated
+):
+    # The trajectory header is t, each name, each <name>_ref, each <name>_err:
+    # every command refuses a name that would repeat one of its cells.
+    observables = [{"name": name, "terms": [{"coef": 1.0, "exp": [1, 0]}]} for name in names]
+    config = write_config(tmp_path, {**DUFFING, "observables": observables})
+    out = tmp_path / "out"
+    assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: observables: name {repeated!r} is used more than once\n"
+    assert not out.exists()
+    assert refused_rk4() == []
+
+
 @pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1..2"]])
 @pytest.mark.parametrize("field", ["name", "states", "observables"])
 def test_a_name_that_is_not_utf8_text_is_refused(tmp_path, capsys, command, field):
@@ -1038,6 +1061,22 @@ def test_rk4_budget_counts_the_steps_the_reference_takes(
     assert f"takes {steps:.3g} steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1..3"]])
+@pytest.mark.parametrize("t_final, step", [(10.0, "1e-320"), (1e308, None)])
+def test_an_rk4_step_count_beyond_the_float_range_is_refused(
+    tmp_path, capsys, refused_rk4, command, t_final, step
+):
+    # t_final / --rk-step overflows to inf: refused as over the budget.
+    config = write_config(tmp_path, {**DUFFING, "t_final": t_final})
+    out = tmp_path / "out"
+    argv = command + ["--config", config, "--out-dir", str(out)]
+    assert main(argv + (["--rk-step", step] if step else [])) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "takes inf steps" in err and "--rk-step" in err
+    assert not out.exists()
+    assert refused_rk4() == []
+
+
 def test_solve_without_reference_ignores_the_step_budget(tmp_path, refused_rk4):
     config = write_config(tmp_path, {**DUFFING, "t_final": 1e5})
     assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
@@ -1526,6 +1565,66 @@ def test_importing_the_cli_loads_no_monomial_or_quadrature_reference():
         f"for n in {names!r} if hasattr(sys.modules[m], n)]"
     )
     assert found == "[]"
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+
+# Observable names drawn with repeats, the time column's `t`, and names that
+# are another's `<name>_ref` or `<name>_err`.
+_FUZZ_NAMES = ["g", "g", "g_ref", "g_err", "t", "h"]
+
+
+def _fuzz_polynomial(rng, m, max_degree):
+    terms = []
+    for _ in range(rng.integers(0, 4)):
+        exp = [0] * m
+        for _ in range(rng.integers(0, max_degree + 1)):
+            exp[rng.integers(m)] += 1
+        terms.append({"coef": float(rng.normal()), "exp": exp})
+    return terms
+
+
+def _fuzz_config(rng):
+    """A random config: m <= 3, order <= 6, up to 3 terms of degree <= 3 per
+    component, Gaussian coefficients."""
+    m = int(rng.integers(1, 4))
+    order = int(rng.integers(0, 7))
+    doc = {
+        "name": "fuzz",
+        "states": [f"x{k}" for k in range(m)],
+        "dynamics": [{"terms": _fuzz_polynomial(rng, m, 3)} for _ in range(m)],
+        "initial_state": [float(x) for x in rng.uniform(-0.5, 0.5, m)],
+        "order": order,
+        "t_final": 1e305 if rng.random() < 0.1 else float(rng.uniform(0.1, 2.0)),
+        "num_steps": int(rng.integers(2, 40)),
+    }
+    if rng.random() < 0.7:
+        doc["observables"] = [
+            {"name": str(name), "terms": _fuzz_polynomial(rng, m, min(order, 3))}
+            for name in rng.choice(_FUZZ_NAMES, size=rng.integers(1, 4))
+        ]
+    return doc
+
+
+def test_random_configs_exit_cleanly_through_every_command(tmp_path):
+    # Every run exits 0, 2, 3 or 4 without raising; a failed run leaves no
+    # output directory, and a solved trajectory's header cells are distinct.
+    rng = np.random.default_rng(20211)
+    runs = itertools.count()
+    for _ in range(120):
+        doc = _fuzz_config(rng)
+        config = write_config(tmp_path, doc)
+        rk_step = "1e-2" if rng.random() < 0.8 else "1e-320"
+        for command in (["solve"], ["solve", "--reference", "--rk-step", rk_step],
+                        ["sweep", "--orders", "0..4", "--rk-step", rk_step]):
+            out = tmp_path / f"out{next(runs)}"
+            code = main(command + ["--config", config, "--out-dir", str(out)])
+            assert code in (0, 2, 3, 4), (command, doc)
+            assert code == 0 or not out.exists(), (command, doc)
+            if code == 0 and command[0] == "solve":
+                header = (out / "fuzz_trajectory.csv").read_text().split("\n", 1)[0].split(",")
+                assert len(set(header)) == len(header), (command, doc)
 
 
 # ---------------------------------------------------------------------------

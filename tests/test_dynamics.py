@@ -1,6 +1,7 @@
 """System definitions, JSON config parsing, and domain rescaling."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -312,6 +313,34 @@ def test_spec_constructor_validates_directly():
             num_steps=1,
             observables=ObservableSet.identity(("q", "p")),
         )
+
+
+def test_many_observable_names_validate_in_linear_time():
+    # Each name is checked once, against a set of the names before it.
+    names = tuple(f"g{i}" for i in range(30_000))
+    observables = ObservableSet(names, tuple(variable(2, i % 2) for i in range(len(names))))
+    started = time.perf_counter()
+    spec = SystemSpec(
+        name="many",
+        states=("q", "p"),
+        vf=duffing_vector_field(1.0, 1.0, 1.0, 0.001),
+        domain_center=(0.0, 0.0),
+        domain_half_width=(1.0, 1.0),
+        initial_state=(1.0, 0.0),
+        order=3,
+        t_final=1.0,
+        num_steps=2,
+        observables=observables,
+    )
+    assert time.perf_counter() - started < 5.0
+    assert spec.unit_observables.names == names
+
+
+def test_a_repeated_state_name_is_named():
+    with pytest.raises(ValidationError, match=r"^states: name 'q' is used more than once$"):
+        parse_system_config(config(states=["p", "q", "q"], initial_state=[0.0, 0.0, 0.0],
+                                   dynamics=[{"terms": []}] * 3,
+                                   domain={"center": [0.0] * 3, "half_width": [1.0] * 3}))
 
 
 def test_identity_observables_resolve_to_coordinates():
