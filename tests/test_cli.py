@@ -1623,7 +1623,8 @@ def test_random_configs_exit_cleanly_through_every_command(tmp_path):
             assert code in (0, 2, 3, 4), (command, doc)
             assert code == 0 or not out.exists(), (command, doc)
             if code == 0 and command[0] == "solve":
-                header = (out / "fuzz_trajectory.csv").read_text().split("\n", 1)[0].split(",")
+                csv_text = (out / "fuzz_trajectory.csv").read_text(encoding="utf-8")
+                header = csv_text.split("\n", 1)[0].split(",")
                 assert len(set(header)) == len(header), (command, doc)
 
 
