@@ -17,9 +17,8 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -86,8 +85,6 @@ class SolveResult:
     first_box_exit: Optional[float]
     observable_errors: Optional[dict]
     timings: dict
-    # Each observable (rows) at each time (columns), if asked for.
-    observable_values: Optional[np.ndarray] = None
 
 
 def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np.ndarray:
@@ -237,32 +234,19 @@ def _atomic_output(path: Path):
         raise
 
 
-def _solve_spec(
-    spec: SystemSpec,
-    *,
-    reference: Optional[_ReferenceRun] = None,
-    open_csv: Optional[Callable[[], BinaryIO]] = None,
-    keep_values: bool = False,
-) -> SolveResult:
-    """Solve `spec`, one block of output times at a time.
+def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, Iterator]:
+    """Solve `spec` on the evenly spaced grid `times`, one block of times at a time.
 
-    `reference`, if given, gives the reference values of the observables on
-    the solve's time grid, which the errors compare against.  `open_csv`, if
-    given, is called once the first block is computed and the reference
-    values are in, and the rows of the trajectory CSV are written to the
-    binary stream it returns, a `RowWriter` chunk at a time, as the blocks
-    are computed; the caller closes it.  No block is kept: the solve holds
-    the time grid, one block, one chunk of rows, with a reference the
-    reference values and their errors, and with `keep_values` the
-    observables' values at every time, returned as `observable_values`.
-
-    `timings["propagate"]` sums propagation and the box-exit check over the
-    blocks, `timings["reference"]` the reference's own run (`seconds`) and
-    the errors, and `timings["total"]` spans the whole solve, CSV writing
-    and any wait for the reference included.
+    Returns the result and an iterator of `(block, rows)`: `block` a slice
+    of `times`, and `rows` each observable (rows) at those times (columns),
+    in a buffer the next block overwrites.  The first block is computed
+    before this returns, so the grid is checked and exp guarded against
+    overflow before the caller waits for anything or writes any output.
+    As the caller pulls the blocks, the iterator checks each for an exit
+    from the unit box, which sets `result.first_box_exit`, and adds that
+    check and the later blocks' propagation to `timings["propagate"]`.
     """
     timings: dict = {}
-    started = time.perf_counter()
 
     mark = time.perf_counter()
     basis = build_basis(spec.order, len(spec.states))
@@ -283,15 +267,7 @@ def _solve_spec(
     mark = time.perf_counter()
     eigenvalues, eigenblocks, diagnostics = eigendecompose(K)
     timings["eigen"] = time.perf_counter() - mark
-    model = KoopmanModel(
-        basis=basis,
-        K=K,
-        H=H,
-        observable_names=tuple(spec.observables.names),
-        eigenvalues=eigenvalues,
-        blocks=eigenblocks,
-        diagnostics=diagnostics,
-    )
+    model = KoopmanModel(basis, K, H, eigenvalues, eigenblocks, diagnostics)
 
     mark = time.perf_counter()
     y0 = tuple(
@@ -300,73 +276,29 @@ def _solve_spec(
     )
     h0 = evaluate_basis(basis, y0)
     phi0 = initial_eigenfunctions(eigenblocks, h0)
-    times = np.linspace(0.0, spec.t_final, spec.num_steps)
     n_obs = H.shape[0]
     all_H = H if state_H is None else np.vstack((H, state_H))
     blocks = _evaluate_rows(all_H, eigenblocks, phi0, times)
-    # The first block validates the grid and guards exp against overflow
-    # before the solve waits for the reference or any output exists.
-    blocks = itertools.chain([next(blocks)], blocks)
+    # The first block checks the grid and guards exp against overflow.
+    block, values, n_modes = next(blocks)
     timings["propagate"] = time.perf_counter() - mark
+    result = SolveResult(spec, model, n_modes, None, None, timings)
 
-    names = model.observable_names
-    header = spec.observables.csv_header(reference is not None)
-    reference_values = errors = None
-    if reference is not None:
-        reference_values = reference.values()
-        errors = np.empty_like(reference_values)
-        timings["reference"] = reference.seconds
-
-    kept = np.empty((n_obs, times.size)) if keep_values else None
-    first_exit: Optional[float] = None
-    rows = None
-    if open_csv:
-        out = open_csv()
-        out.write((",".join(header) + "\n").encode("utf-8"))
-        rows = RowWriter(out, len(header))
-    # `mark` is reset after each block, so the next block's propagation,
-    # which runs as the loop asks for it, is counted too.
-    mark = time.perf_counter()
-    for block, values, n_modes in blocks:
-        if first_exit is None and state_H is not None:
-            outside = np.abs(values[n_obs:]).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
-            if outside.any():
-                first_exit = float(times[block][np.argmax(outside)])
-        timings["propagate"] += time.perf_counter() - mark
-        if kept is not None:
-            kept[:, block] = values[:n_obs]
-        columns = [times[block, None], values[:n_obs].T]
-        if errors is not None:
+    def checked_blocks(block: slice, values: np.ndarray) -> Iterator:
+        # `mark` is reset after each block, so that the caller's work on a
+        # block is not counted.
+        mark = time.perf_counter()
+        while block is not None:
+            if result.first_box_exit is None and state_H is not None:
+                outside = np.abs(values[n_obs:]).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
+                if outside.any():
+                    result.first_box_exit = float(times[block][np.argmax(outside)])
+            timings["propagate"] += time.perf_counter() - mark
+            yield block, values[:n_obs]
             mark = time.perf_counter()
-            np.abs(values[:n_obs] - reference_values[:, block], out=errors[:, block])
-            columns += [reference_values[:, block].T, errors[:, block].T]
-            timings["reference"] += time.perf_counter() - mark
-        if rows is not None:
-            # Each value as its repr: the shortest decimal that round-trips.
-            rows.write(*columns)
-        mark = time.perf_counter()
-    if rows is not None:
-        rows.flush()
+            block, values, _ = next(blocks, (None, None, None))
 
-    observable_errors = None
-    if errors is not None:
-        mark = time.perf_counter()
-        observable_errors = {
-            name: {"max": float(diff.max()), "rms": float(np.sqrt(np.mean(diff**2)))}
-            for name, diff in zip(names, errors)
-        }
-        timings["reference"] += time.perf_counter() - mark
-
-    timings["total"] = time.perf_counter() - started
-    return SolveResult(
-        spec=spec,
-        model=model,
-        n_modes_propagated=n_modes,
-        first_box_exit=first_exit,
-        observable_errors=observable_errors,
-        timings=timings,
-        observable_values=kept,
-    )
+    return result, checked_blocks(block, values)
 
 
 def _summary_json(result: SolveResult) -> dict:
@@ -451,7 +383,13 @@ def run_solve(
     rk_step: float = DEFAULT_RK_STEP,
     out_dir="out",
 ) -> int:
-    """Solve one configured system; write trajectory CSV and summary JSON."""
+    """Solve one configured system; write trajectory CSV and summary JSON.
+
+    The summary's `timings["propagate"]` sums propagation and the box-exit
+    check over the blocks, `timings["reference"]` the reference's own run
+    (`seconds`) and the errors, and `timings["total"]` spans the whole
+    solve, CSV writing and any wait for the reference included.
+    """
     spec = _load_spec(config_path)
     if isinstance(spec, int):
         return spec
@@ -460,17 +398,43 @@ def run_solve(
     out = Path(out_dir)
     csv_path = out / f"{spec.name}_trajectory.csv"
     json_path = out / f"{spec.name}_summary.json"
+    times = np.linspace(0.0, spec.t_final, spec.num_steps)
     try:
         # Both files are committed together when the block exits: a failure
         # in either leaves neither (see `_atomic_output`).
         with ExitStack() as outputs:
-            rk4_reference = None
             if reference:
                 # Started first, to run while K is assembled and solved.
-                times = np.linspace(0.0, spec.t_final, spec.num_steps)
                 rk4_reference = outputs.enter_context(_ReferenceRun(spec, times, rk_step))
-            open_csv = partial(outputs.enter_context, _atomic_output(csv_path))
-            result = _solve_spec(spec, reference=rk4_reference, open_csv=open_csv)
+            started = time.perf_counter()
+            result, blocks = _solve_spec(spec, times=times)
+            timings = result.timings
+            if reference:
+                reference_values = rk4_reference.values()
+                errors = np.empty_like(reference_values)
+                timings["reference"] = rk4_reference.seconds
+            header = spec.observables.csv_header(reference)
+            csv = outputs.enter_context(_atomic_output(csv_path))
+            csv.write((",".join(header) + "\n").encode("utf-8"))
+            rows = RowWriter(csv, len(header))
+            for block, values in blocks:
+                columns = [times[block, None], values.T]
+                if reference:
+                    mark = time.perf_counter()
+                    np.abs(values - reference_values[:, block], out=errors[:, block])
+                    columns += [reference_values[:, block].T, errors[:, block].T]
+                    timings["reference"] += time.perf_counter() - mark
+                # Each value as its repr: the shortest decimal that round-trips.
+                rows.write(*columns)
+            rows.flush()
+            if reference:
+                mark = time.perf_counter()
+                result.observable_errors = {
+                    name: {"max": float(diff.max()), "rms": float(np.sqrt(np.mean(diff**2)))}
+                    for name, diff in zip(spec.observables.names, errors)
+                }
+                timings["reference"] += time.perf_counter() - mark
+            timings["total"] = time.perf_counter() - started
             summary = outputs.enter_context(_atomic_output(json_path))
             summary.write((json.dumps(_summary_json(result), indent=2) + "\n").encode("utf-8"))
     except NearDefectiveError as exc:
@@ -552,14 +516,16 @@ def run_sweep(
                 started = time.perf_counter()
                 row = {"order": order, "errors": None, "resid": None}
                 try:
-                    order_spec = replace(spec, order=order)
-                    result = _solve_spec(order_spec, keep_values=True)
+                    result, blocks = _solve_spec(replace(spec, order=order), times=times)
+                    values = np.empty((len(names), times.size))
+                    for block, block_values in blocks:
+                        values[:, block] = block_values
                 except (ValidationError, NearDefectiveError, NonFiniteError, OverflowError) as exc:
                     row.update(n=math.comb(order + m, m), status=f"failed: {exc}")
                 else:
                     row.update(n=result.model.basis.n, status="ok",
                                resid=result.model.diagnostics.eigenresidual)
-                    waiting.append((row, result.observable_values))
+                    waiting.append((row, values))
                     del result  # the values wait for the reference, not the model
                 row["wall"] = time.perf_counter() - started
                 rows.append(row)

@@ -20,13 +20,14 @@ X^-1 L(x0) (`initial_eigenfunctions`) and H X, one block at a time.
 
 `_evaluate_rows` walks the time grid in blocks of `_TIME_BLOCK` times and
 yields each block's values: `propagate` gathers them into a `Trajectory`,
-and the CLI writes each block out and drops it.  A mode whose columns of
-H X are all zeros adds exact zeros and is skipped.  Each real mode and
-each conjugate pair gives one complex coefficient per row, grouped by
-distinct exponent d (`_grouped_coefficients`), so each distinct
-exponential is computed and multiplied once, in real arithmetic: the first
-block's E = exp(d t) is held as one real table [Re E; Im E], and a block's
-values are one real matrix product with it.  The grid must be evenly
+`solve` writes each block out, and `sweep` keeps the observables' rows.
+A mode whose columns of H X are all zeros adds exact zeros and is
+skipped.  Each real mode and each conjugate pair gives one complex
+coefficient per row, grouped by distinct exponent d
+(`_grouped_coefficients`), so each distinct exponential is computed and
+multiplied once, in real arithmetic: the first block's E = exp(d t) is
+held as one real table [Re E; Im E], and a block's values are one real
+matrix product with it.  The grid must be evenly
 spaced: every later block scales the grouped coefficients by
 exp(d (t_s - t_0)) at its first time t_s, within a few
 eps (1 + |lambda| max|t|) of exp(lambda t) (see `_evaluate_rows`).
@@ -303,7 +304,6 @@ class KoopmanModel:
     basis: BasisSet
     K: np.ndarray
     H: np.ndarray
-    observable_names: tuple[str, ...]
     eigenvalues: np.ndarray
     blocks: tuple[EigenBlock, ...]
     diagnostics: ModelDiagnostics
@@ -318,7 +318,6 @@ def build_model(basis: BasisSet, vf: VectorField, observables: ObservableSet) ->
         basis=basis,
         K=K,
         H=H,
-        observable_names=tuple(observables.names),
         eigenvalues=eigenvalues,
         blocks=blocks,
         diagnostics=diagnostics,

@@ -25,7 +25,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "canonicalize",
-    "constant",
     "variable",
     "poly_add",
     "poly_scale",
@@ -103,11 +102,6 @@ def canonicalize(terms: Iterable[TermLike], m: int) -> Polynomial:
             raise ValueError(f"like terms sum to non-finite coefficient {c!r}")
     kept.sort(key=lambda item: _grade_key(item[0]))
     return Polynomial(m, tuple(Monomial(c, e) for e, c in kept))
-
-
-def constant(m: int, value: float) -> Polynomial:
-    """The constant polynomial ``value`` in m variables."""
-    return canonicalize([(value, (0,) * m)], m)
 
 
 def variable(m: int, k: int) -> Polynomial:

@@ -23,7 +23,7 @@ import legkoop.cli as cli
 import legkoop.refinteg as refinteg
 import legkoop.reprtext as reprtext
 from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER, build_basis, evaluate_basis
-from legkoop.cli import _reference_values, _solve_spec, main
+from legkoop.cli import _reference_values, main
 from legkoop.dynamics import (
     MAX_NAME_BYTES,
     MAX_NUM_STEPS,
@@ -842,17 +842,43 @@ def test_sweep_failed_rows_have_empty_cells_and_ok_rows_keep_their_format(tmp_pa
         assert csv_row[:5] == [str(order), n, status, "", ""]
         assert table_row[:5] == [str(order), n, status, "-", "-"]
 
-    spec = parse_system_config(json.dumps({**doc, "order": 3}))
-    times = np.linspace(0.0, spec.t_final, spec.num_steps)
-    with cli._ReferenceRun(spec, times, 1e-2) as reference:
-        result = _solve_spec(spec, reference=reference)
-    err = result.observable_errors["q3"]["max"]
-    resid = result.model.diagnostics.eigenresidual
+    # The top order's error and residual as `solve` reports them.
+    solved = tmp_path / "solved"
+    assert main(["solve", "--config", write_config(tmp_path, {**doc, "order": 3}, "order3.json"),
+                 "--reference", "--rk-step", "1e-2", "--out-dir", str(solved)]) == 0
+    summary = json.loads((solved / "duffing_summary.json").read_text())
+    err = summary["observable_errors"]["q3"]["max"]
+    resid = summary["eigenresidual"]
     assert csv_rows[2][:5] == ["3", "10", "ok", repr(err), repr(resid)]
     assert table_rows[2][:5] == ["3", "10", "ok", f"{err:.3e}", f"{resid:.1e}"]
     for csv_row, table_row in zip(csv_rows, table_rows):
         assert float(csv_row[5]) >= 0
         assert re.fullmatch(r"\d+\.\d\d", table_row[5])
+
+
+def test_a_sweep_order_failing_in_a_later_block_is_that_orders_failed_row(
+    tmp_path, monkeypatch
+):
+    stream = cli._evaluate_rows
+
+    def failing_at_order_2(H, *args):
+        blocks = stream(H, *args)
+        yield next(blocks)
+        if H.shape[1] == 6:  # the basis of order 2 in two states
+            raise NonFiniteError("propagation produced non-finite values")
+        yield from blocks
+
+    monkeypatch.setattr(cli, "_evaluate_rows", failing_at_order_2)
+    config = write_config(tmp_path, {**DUFFING, "num_steps": 2 * _TIME_BLOCK + 1})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--orders", "1..3", "--rk-step", "1e-2",
+                 "--out-dir", str(out)]) == 0
+    rows = [line.split(",")[:3] for line in (out / "duffing_sweep.csv").read_text().splitlines()]
+    assert rows[1:] == [
+        ["1", "3", "ok"],
+        ["2", "6", "failed: propagation produced non-finite values"],
+        ["3", "10", "ok"],
+    ]
 
 
 def test_sweep_rejects_duplicate_observable_names(tmp_path, capsys):
