@@ -32,8 +32,9 @@ slot by the `%` line, right-aligned: zeros, subnormals, inf and nan; |x| <
 1e-4, which `repr` writes in scientific notation, or |x| >= 2^51; powers
 of two, whose lower neighbour is nearer; values where x 10^k is an
 integer, where a tie or a bound could be the answer; and the few that
-would drop more than four digits.  Small blocks and blocks holding a repr
-too long for its slot go through the `%` line whole.
+would drop more than four digits.  A 24-byte repr (negative, 17 digits, a
+3-digit exponent) leaves its sign in front of its slot.  Small blocks go
+through the `%` line whole.
 """
 
 from __future__ import annotations
@@ -118,21 +119,23 @@ def repr_rows(table: np.ndarray) -> memoryview:
     if values.size < _MIN_VALUES or sys.byteorder != "little":
         return _percent_rows(values, rows, cols)
     (slots, length), fallback = _fast_slots(values, cols)
-    if fallback.size:
-        # Each left-over value's repr, right-aligned in its slot; a negative
-        # one with 17 digits and a 3-digit exponent takes 24 bytes, too many.
-        text = ("%24r" * fallback.size) % tuple(values[fallback].tolist())
-        if text[::_SLOT].strip():
-            return _percent_rows(values, rows, cols)
-        length[fallback] = [len(r) + 1 for r in text.split()]
-        text = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
-        slots[fallback, :-1] = text[:, 1:]
+    # Each left-over value's repr, right-aligned in its slot.
+    text = ("%24r" * fallback.size) % tuple(values[fallback].tolist())
+    text = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
+    length[fallback] = _SLOT + 1 - (text != ord(" ")).argmax(axis=1)
+    slots[fallback, :-1] = text[:, 1:]
+    # A negative repr with 17 digits and a 3-digit exponent takes all 24
+    # bytes, one more than the slot holds before its separator: the slot
+    # keeps the rest, and its sign goes in the byte in front of the slot.
+    full = fallback[text[:, 0] == ord("-")]
     # Slot i goes to bytes end[i] .. end[i] + 23 of `out`, its text right after
     # that of slot i - 1, which is written later: numpy assigns in index order.
     end = np.cumsum(length, out=length)
     out = np.empty(end[-1] + _SLOT, np.uint8)
     at = np.ndarray((end[-1] + 1,), f"V{_SLOT}", out, strides=(1,))
     at[end[::-1]] = slots.view(f"V{_SLOT}").ravel()[::-1]
+    # No slot reaches back to byte end[i] - 1 of a 25-byte value.
+    out[end[full] - 1] = ord("-")
     del slots, end, length, at
     return memoryview(out)[_SLOT:]
 

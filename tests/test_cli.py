@@ -72,6 +72,10 @@ WIDE = {
 }
 
 
+# The tree `legkoop` is imported from, for the CLI run in a fresh process.
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
 def write_config(tmp_path, doc, name="system.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -217,12 +221,13 @@ def eager_solve(spec, rk_step=None, edit=None):
             name: {"max": float(d.max()), "rms": float(np.sqrt(np.mean(d**2)))}
             for name, d in zip(names, diff)
         }
-    lines = [",".join(header)]
-    lines += [",".join(repr(float(col[k])) for col in columns) for k in range(times.size)]
+    # `%r` of a float is its repr.
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    body = line * times.size % tuple(np.column_stack(columns).ravel().tolist())
     result = cli.SolveResult(spec, model, trajectory.n_modes_propagated, first_exit, errors, {})
     summary = cli._summary_json(result)
     del summary["timings"]
-    return ("\n".join(lines) + "\n").encode("utf-8"), json.loads(json.dumps(summary))
+    return (",".join(header) + "\n" + body).encode("utf-8"), json.loads(json.dumps(summary))
 
 
 def solve_outputs(tmp_path, doc, rk_step=None):
@@ -260,6 +265,64 @@ def test_streamed_solve_matches_the_eager_oracle(tmp_path, doc, rows, rk_step):
     doc = {**doc, "num_steps": rows(reprtext._CHUNK_VALUES // columns)}
     csv, summary = solve_outputs(tmp_path, doc, rk_step)
     assert (csv, summary) == eager_solve(parse_system_config(json.dumps(doc)), rk_step)
+
+
+# q' = p, p' = -q from (0.5, 0): q = 0.5 cos t, p = -0.5 sin t.
+TWO_STATE = {
+    "name": "two_state",
+    "states": ["q", "p"],
+    "dynamics": [
+        {"terms": [{"coef": 1.0, "exp": [0, 1]}]},
+        {"terms": [{"coef": -1.0, "exp": [1, 0]}]},
+    ],
+    "initial_state": [0.5, 0.0],
+    "order": 3,
+    "t_final": 200.0,
+    "num_steps": 200_000,
+}
+
+# q'' = -q - q': both states fall below 1e-4 for good near t = 17, so the
+# CSV mixes values the vectorized formatter writes with values it leaves to
+# repr.
+DAMPED = {
+    **TWO_STATE,
+    "name": "damped",
+    "dynamics": [
+        {"terms": [{"coef": 1.0, "exp": [0, 1]}]},
+        {"terms": [{"coef": -1.0, "exp": [1, 0]}, {"coef": -1.0, "exp": [0, 1]}]},
+    ],
+    "order": 1,
+    "t_final": 40.0,
+}
+
+
+def _two_state_solution(t):
+    return 0.5 * np.cos(t), -0.5 * np.sin(t)
+
+
+def _damped_solution(t):
+    w = math.sqrt(0.75)
+    decay = np.exp(-t / 2)
+    return decay * (0.5 * np.cos(w * t) + 0.25 / w * np.sin(w * t)), -0.5 / w * decay * np.sin(w * t)
+
+
+@pytest.mark.parametrize(
+    "doc, solution", [(TWO_STATE, _two_state_solution), (DAMPED, _damped_solution)],
+    ids=["two-state", "damped"],
+)
+def test_a_solve_at_200000_times_writes_the_repr_of_the_exact_solution(tmp_path, doc, solution):
+    # Every block after the first is propagated from the first block's
+    # exponentials, and every chunk of the CSV is formatted on its own.
+    csv, summary = solve_outputs(tmp_path, doc)
+    assert (csv, summary) == eager_solve(parse_system_config(json.dumps(doc)))
+    assert summary["max_imag"] == 0.0
+    assert csv.count(b"\n") == 200_001
+    cells = csv.split(b"\n", 1)[1].replace(b"\n", b",").split(b",")[:-1]
+    t, q, p = np.array(cells, dtype=float).reshape(-1, 3).T
+    q_exact, p_exact = solution(t)
+    assert max(np.abs(q - q_exact).max(), np.abs(p - p_exact).max()) <= 1e-12
+    small = np.maximum(np.abs(q), np.abs(p)) < 1e-4
+    assert small.any() == (doc is DAMPED)
 
 
 def test_the_long_solve_formats_its_rows_in_chunks_of_6144_values(tmp_path, monkeypatch):
@@ -1332,6 +1395,50 @@ def _sweep_rows_without_wall_time(out_dir):
     return [line.rsplit(",", 1)[0] for line in lines]
 
 
+# Runs `legkoop.cli.main` on its arguments after the first, which names a
+# file: the CLI's pid goes there first, then the pid of the process where
+# the RK4 reference runs.
+_CLI_NOTING_THE_REFERENCE_PID = """
+import os, sys
+import legkoop.cli as cli
+
+def noting_pid(*args, reference_values=cli._reference_values):
+    with open(sys.argv[1], "a", encoding="utf-8") as notes:
+        notes.write(f"{os.getpid()}\\n")
+    return reference_values(*args)
+
+with open(sys.argv[1], "w", encoding="utf-8") as notes:
+    notes.write(f"{os.getpid()}\\n")
+cli._reference_values = noting_pid
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@needs_a_second_cpu
+def test_a_sweep_pinned_to_one_cpu_runs_the_reference_in_process_with_the_same_csv(tmp_path):
+    # The pinned child starts with an affinity mask of one CPU, as under
+    # `taskset -c 0`.  The timeout fails the test, instead of hanging it, if
+    # a reference process never ends.
+    config = write_config(tmp_path, DUFFING)
+    cpu = min(os.sched_getaffinity(0))
+    runs = {}
+    for name, pin in [("free", None), ("pinned", lambda: os.sched_setaffinity(0, {cpu}))]:
+        log = tmp_path / f"{name}.pids"
+        args = ["sweep", "--config", config, "--orders", "1..12", "--rk-step", "1e-2",
+                "--out-dir", str(tmp_path / name)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_NOTING_THE_REFERENCE_PID, str(log), *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC},
+            preexec_fn=pin, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = _noted_calls(log), _sweep_rows_without_wall_time(tmp_path / name)
+    (cli_pid, reference_pid), rows = runs["free"]
+    assert reference_pid != cli_pid and len(rows) == 13
+    (cli_pid, reference_pid), pinned_rows = runs["pinned"]
+    assert reference_pid == cli_pid and pinned_rows == rows
+
+
 def _soft_descriptor_limit():
     soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
     return math.inf if soft == resource.RLIM_INFINITY else soft
@@ -1545,10 +1652,9 @@ def test_sweep_ignores_the_config_order(tmp_path, order):
 
 def _after_importing_the_cli(expression):
     # The printed value of `expression` after a fresh `import sys, legkoop.cli`.
-    src = str(Path(cli.__file__).resolve().parents[1])
     code = f"import sys, legkoop.cli; print({expression})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": _SRC}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 

@@ -38,8 +38,7 @@ def test_random_bit_patterns_of_both_signs():
     rng = np.random.default_rng(20260601)
     n = 100_000
     anywhere = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
-    # Most blocks of those hold a negative value whose 24-character repr
-    # sends the block to the `%` line, so also draw exponents where the
+    # Most of those are left to repr, so also draw exponents where the
     # vectorized path works (about 1e-4 to 2^51), and a few beyond.
     sign = rng.integers(0, 2, 3 * n)
     exponent = rng.integers(1000, 1080, 3 * n)
@@ -87,7 +86,7 @@ def special_values():
 def test_special_values_in_blocks_of_ordinary_ones(cols):
     # Each special value sits in a block of ordinary ones above the cutoff,
     # so the vectorized path writes the block and leaves the special ones to
-    # repr (or, for a 24-character repr, the whole block to the `%` line).
+    # repr.
     rng = np.random.default_rng(3)
     specials = special_values()
     for start in range(0, specials.size, 128):
@@ -98,16 +97,22 @@ def test_special_values_in_blocks_of_ordinary_ones(cols):
         assert repr_rows(table) == percent_rows(table)
 
 
-def test_a_24_character_repr_sends_its_block_to_the_percent_line(monkeypatch):
+@pytest.mark.parametrize(
+    "rows", [[], [1000], [0, 1000, 2047], list(range(0, 2048, 7))],
+    ids=["none", "one", "first-middle-last", "every-7th"],
+)
+def test_24_character_reprs_are_written_in_place(monkeypatch, rows):
+    # A negative value with 17 digits and a 3-digit exponent has a 24-byte
+    # repr, one byte more than its slot holds; no row goes to the `%` line.
     calls = []
     percent = reprtext._percent_rows
     monkeypatch.setattr(reprtext, "_percent_rows", lambda *a: calls.append(a) or percent(*a))
-    table = np.linspace(0.001, 1.0, 3 * 1024).reshape(-1, 3)
-    text = repr_rows(table)
-    assert calls == [] and text == percent_rows(table)
-    table[5, 1] = -1.2345678901234567e-100
-    assert len(repr(float(table[5, 1]))) == 24
-    assert repr_rows(table) == percent_rows(table) and len(calls) == 1
+    long = -1.2345678901234567e-100
+    assert len(repr(long)) == 24
+    table = np.linspace(0.001, 1.0, 2048 * 3).reshape(-1, 3)
+    for row in rows:
+        table[row, row % 3] = long
+    assert repr_rows(table) == percent_rows(table) and calls == []
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5])
