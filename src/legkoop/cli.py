@@ -22,8 +22,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .basis import MAX_ORDER, build_basis, evaluate_basis
-from .dynamics import MAX_OUTPUT_VALUES, ObservableSet, SystemSpec, parse_system_config
+from .basis import MAX_ORDER, BasisSet, build_basis, evaluate_basis, jacobi_matrix
+from .dynamics import MAX_OUTPUT_VALUES, SystemSpec, parse_system_config
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 
 # propagate and propagate_observables are not called here (solve streams
@@ -234,6 +234,20 @@ def _atomic_output(path: Path):
         raise
 
 
+def _box_rows(basis: BasisSet) -> np.ndarray:
+    """H of the m states y_k (order >= 1), equal bit for bit to
+    `observable_matrix` on the identity observables.
+
+    y_k = sqrt2 J[0, 1] N_1(y_k), and sqrt2 N_0 = 1 on each other axis, so
+    row k has one entry, 2^(m/2) J[0, 1], at column 1 + k: the degree-1
+    function of axis k in graded order.
+    """
+    m = basis.m
+    rows = np.zeros((m, basis.n))
+    rows[np.arange(m), 1 + np.arange(m)] = 2.0 ** (m / 2) * jacobi_matrix(2)[0, 1]
+    return rows
+
+
 def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, Iterator]:
     """Solve `spec` on the evenly spaced grid `times`, one block of times at a time.
 
@@ -258,10 +272,7 @@ def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, It
     # Track the (rescaled) state itself to flag departure from the unit box,
     # where the Galerkin projection stops being optimal.  Its rows ride along
     # in the observables' propagation pass.
-    state_H = None
-    if spec.order >= 1:
-        box_observables = ObservableSet.identity(tuple(f"y{k}" for k in range(basis.m)))
-        state_H = observable_matrix(basis, box_observables)
+    state_H = _box_rows(basis) if spec.order >= 1 else None
     timings["assemble"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
@@ -304,13 +315,14 @@ def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, It
 def _summary_json(result: SolveResult) -> dict:
     """Everything the summary JSON reports about one solve."""
     model = result.model
+    eigenvalues = model.eigenvalues
     return {
         "system": result.spec.name,
         "m": model.basis.m,
         "c": model.basis.c,
         "n": model.basis.n,
         "n_blocks": model.diagnostics.n_blocks,
-        "eigenvalues": [[float(v.real), float(v.imag)] for v in model.eigenvalues],
+        "eigenvalues": np.column_stack((eigenvalues.real, eigenvalues.imag)).tolist(),
         "eigenresidual": model.diagnostics.eigenresidual,
         "eigencondition": model.diagnostics.eigencondition,
         "skewness": model.diagnostics.skewness,
@@ -321,6 +333,26 @@ def _summary_json(result: SolveResult) -> dict:
         "first_box_exit_time": result.first_box_exit,
         "timings": result.timings,
     }
+
+
+def _summary_text(summary: dict) -> str:
+    """`json.dumps(summary, indent=2) + "\n"`, the eigenvalue pairs written by
+    one format string.
+
+    `indent` sends `json.dumps` to its pure-Python encoder, which makes
+    several Python calls per value; the 2n eigenvalue floats go through one
+    `%` operation instead.  The eigen layer refuses non-finite eigenvalues,
+    so each one's `%r` is the repr json writes.  A basis has n >= 1
+    functions, so the list is never empty.
+    """
+    pairs = summary["eigenvalues"]
+    text = json.dumps({**summary, "eigenvalues": None}, indent=2)
+    pair = "\n    [\n      %r,\n      %r\n    ]"
+    listed = "[" + ",".join([pair] * len(pairs)) % tuple(itertools.chain(*pairs)) + "\n  ]"
+    # json escapes line breaks inside strings, so a line break, two spaces
+    # and a quote open a top-level key: the first match is the key's line.
+    key = '\n  "eigenvalues": '
+    return text.replace(key + "null", key + listed, 1) + "\n"
 
 
 def _load_spec(config_path, orders: Sequence[int] = ()) -> SystemSpec | int:
@@ -436,7 +468,7 @@ def run_solve(
                 timings["reference"] += time.perf_counter() - mark
             timings["total"] = time.perf_counter() - started
             summary = outputs.enter_context(_atomic_output(json_path))
-            summary.write((json.dumps(_summary_json(result), indent=2) + "\n").encode("utf-8"))
+            summary.write(_summary_text(_summary_json(result)).encode("utf-8"))
     except NearDefectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_DEFECTIVE

@@ -140,7 +140,9 @@ def rescale_to_unit_box(
     components = []
     for j, comp in enumerate(vf.components):
         shifted = affine_substitute(comp, center, widths)
-        components.append(poly_scale(shifted, 1.0 / widths[j]))
+        factor = 1.0 / widths[j]
+        # Scaling by exactly 1.0 would rebuild the same polynomial.
+        components.append(shifted if factor == 1.0 else poly_scale(shifted, factor))
     return VectorField(vf.m, tuple(components))
 
 

@@ -211,7 +211,13 @@ def affine_substitute(
 ) -> Polynomial:
     """Substitute x_k = center_k + half_width_k * y_k and expand.
 
-    Returns the polynomial in the new variable y, canonicalized.
+    Returns the polynomial in the new variable y, canonicalized.  Each
+    term's factor (center_k + half_width_k y_k)^e is expanded by the
+    binomial theorem, weight comb(e, j) c^(e-j) h^j on y_k^j.  An axis with
+    e = 0 (weight 1.0) is left as it is, and weights that are exactly 0.0
+    (a zero center, or underflow) are dropped: `canonicalize` would drop
+    their products.  An axis whose weights are all 0.0 keeps one, so that
+    an overflowed coefficient still meets it and is refused.
     """
     centers = tuple(float(v) for v in center)
     widths = tuple(float(v) for v in half_width)
@@ -221,13 +227,17 @@ def affine_substitute(
         raise ValueError("half_width entries must be positive")
     out: list[tuple[float, Exponents]] = []
     for t in p.terms:
-        expansion: list[tuple[float, Exponents]] = [(t.coef, ())]
-        for c_k, h_k, e in zip(centers, widths, t.exp):
+        expansion: list[tuple[float, Exponents]] = [(t.coef, t.exp)]
+        for k, e in enumerate(t.exp):
+            if not e:
+                continue
+            c_k, h_k = centers[k], widths[k]
             binomial = [math.comb(e, j) * c_k ** (e - j) * h_k**j for j in range(e + 1)]
+            weights = [(j, w) for j, w in enumerate(binomial) if w != 0.0] or [(0, 0.0)]
             expansion = [
-                (coef * w, exps + (j,))
+                (coef * w, exps[:k] + (j,) + exps[k + 1 :])
                 for coef, exps in expansion
-                for j, w in enumerate(binomial)
+                for j, w in weights
             ]
         out.extend(expansion)
     return canonicalize(out, p.m)

@@ -22,7 +22,7 @@ from legkoop import invariants
 import legkoop.cli as cli
 import legkoop.refinteg as refinteg
 import legkoop.reprtext as reprtext
-from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER, build_basis, evaluate_basis
+from legkoop.basis import MAX_BASIS_SIZE, MAX_DIMENSION, MAX_ORDER, build_basis, evaluate_basis
 from legkoop.cli import _reference_values, main
 from legkoop.dynamics import (
     MAX_NAME_BYTES,
@@ -491,6 +491,76 @@ def test_summary_reports_blocks_and_propagated_modes(tmp_path, order, modes):
     assert len(summary["eigenvalues"]) == summary["n"]
 
 
+# The benchmark's 4-D field: two oscillators with damping and quadratic coupling.
+QUAD4 = {
+    "name": "quad4",
+    "states": ["x1", "v1", "x2", "v2"],
+    "dynamics": [
+        {"terms": [{"coef": 1.0, "exp": [0, 1, 0, 0]}]},
+        {"terms": [{"coef": -1.0, "exp": [1, 0, 0, 0]}, {"coef": -0.02, "exp": [0, 1, 0, 0]},
+                   {"coef": 0.1, "exp": [1, 0, 1, 0]}]},
+        {"terms": [{"coef": 1.0, "exp": [0, 0, 0, 1]}]},
+        {"terms": [{"coef": -2.0, "exp": [0, 0, 1, 0]}, {"coef": -0.02, "exp": [0, 0, 0, 1]},
+                   {"coef": 0.1, "exp": [2, 0, 0, 0]}]},
+    ],
+    "initial_state": [0.3, 0.1, -0.2, 0.2],
+    "order": 5,
+    "t_final": 5.0,
+    "num_steps": 100,
+}
+
+
+@pytest.mark.parametrize("doc, flags", [
+    (DUFFING, []),
+    (QUAD4, []),
+    # observable_errors set, one of its keys the name of a top-level key
+    ({**DUFFING, "observables": [
+        {"name": "eigenvalues", "terms": [{"coef": 1.0, "exp": [2, 0]}]},
+        {"name": "q", "terms": [{"coef": 1.0, "exp": [1, 0]}]},
+    ]}, ["--reference", "--rk-step", "1e-3"]),
+    # first_box_exit_time set: x(t) = 0.5 exp(t)
+    ({"name": "growth", "states": ["x"], "dynamics": [{"terms": [{"coef": 1.0, "exp": [1]}]}],
+      "initial_state": [0.5], "order": 3, "t_final": 2.0, "num_steps": 50}, []),
+    # a name with non-ASCII text, quotes, a line break and the key's own text
+    ({**DUFFING, "name": '\u00e9\u4e2d "eigenvalues": null\n  "eigenvalues": null,'}, []),
+], ids=["duffing", "quad4", "reference", "box-exit", "name"])
+def test_the_summary_is_json_dumps_with_indent_2(tmp_path, monkeypatch, doc, flags):
+    summaries = []
+    summary_json = cli._summary_json
+
+    def noting_summary(result):
+        summaries.append(summary_json(result))
+        return summaries[-1]
+
+    monkeypatch.setattr(cli, "_summary_json", noting_summary)
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)] + flags) == 0
+    [summary] = summaries
+    written = (out / f"{doc['name']}_summary.json").read_bytes()
+    assert written == (json.dumps(summary, indent=2) + "\n").encode("utf-8")
+    assert len(summary["eigenvalues"]) == summary["n"]
+    assert (summary["observable_errors"] is None) == ("--reference" not in flags)
+    assert (summary["first_box_exit_time"] is None) == (doc["name"] != "growth")
+
+
+def test_box_rows_are_the_identity_observables_bit_for_bit():
+    cases = 0
+    for m in range(1, MAX_DIMENSION + 1):
+        for c in range(1, MAX_ORDER + 1):
+            if math.comb(c + m, m) > MAX_BASIS_SIZE:
+                break
+            basis = build_basis(c, m)
+            identity = ObservableSet.identity(tuple(f"y{k}" for k in range(m)))
+            expected = observable_matrix(basis, identity)
+            rows = cli._box_rows(basis)
+            assert rows.shape == expected.shape and rows.dtype == expected.dtype
+            # tobytes compares sign bits too: -0.0 differs from 0.0.
+            assert rows.tobytes() == expected.tobytes(), (c, m)
+            cases += 1
+    assert cases == 63
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
 def test_json_nested_too_deep_is_a_config_error(tmp_path, capsys, command):
     path = tmp_path / "deep.json"
@@ -802,6 +872,28 @@ def test_coefficients_beyond_the_float_range_are_config_errors(tmp_path, capsys,
     assert main(["solve", "--config", config, "--reference", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error: ") and "\n" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    # the center's square, 1e400, overflows
+    _x_field([{"coef": 1.0, "exp": [2]}], initial_state=[1e200],
+             domain={"center": [1e200], "half_width": [1e200]}),
+    # x' = 1e300 x y^2: 1e300 * 1e100 overflows, then meets only weights
+    # that underflow to 0.0 (1e-200 ** 2)
+    {"name": "xy", "states": ["x", "y"],
+     "dynamics": [{"terms": [{"coef": 1e300, "exp": [1, 2]}]},
+                  {"terms": [{"coef": 1.0, "exp": [1, 0]}]}],
+     "domain": {"center": [0.0, 0.0], "half_width": [1e100, 1e-200]},
+     "initial_state": [0.0, 0.0], "order": 3, "t_final": 1.0, "num_steps": 5},
+])
+def test_an_overflowing_rescale_is_a_one_line_domain_error(tmp_path, capsys, doc):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: domain: rescaling to the unit box fails: ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1741,7 +1833,8 @@ def _fuzz_config(rng):
 
 def test_random_configs_exit_cleanly_through_every_command(tmp_path):
     # Every run exits 0, 2, 3 or 4 without raising; a failed run leaves no
-    # output directory, and a solved trajectory's header cells are distinct.
+    # output directory, a solved trajectory's header cells are distinct and
+    # its summary is laid out as `json.dumps(..., indent=2)` lays it out.
     rng = np.random.default_rng(20211)
     runs = itertools.count()
     for _ in range(120):
@@ -1758,6 +1851,8 @@ def test_random_configs_exit_cleanly_through_every_command(tmp_path):
                 csv_text = (out / "fuzz_trajectory.csv").read_text(encoding="utf-8")
                 header = csv_text.split("\n", 1)[0].split(",")
                 assert len(set(header)) == len(header), (command, doc)
+                text = (out / "fuzz_summary.json").read_text(encoding="utf-8")
+                assert text == json.dumps(json.loads(text), indent=2) + "\n", (command, doc)
 
 
 # ---------------------------------------------------------------------------

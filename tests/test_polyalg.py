@@ -18,6 +18,7 @@ from legkoop.polyalg import (
     poly_scale,
     variable,
 )
+from legkoop.dynamics import VectorField, rescale_to_unit_box
 from legkoop.invariants import gauss_legendre_inner_product, legendre_coefficients
 
 
@@ -295,6 +296,88 @@ def test_affine_substitute_consistent_with_evaluate():
         y = rng.uniform(-1.0, 1.0, size=m)
         direct = evaluate(p, center + half_width * y)
         assert abs(evaluate(sub, y) - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+def _affine_substitute_oracle(p, center, half_width):
+    # The full binomial expansion: every axis, every weight, zeros included.
+    out = []
+    for t in p.terms:
+        expansion = [(t.coef, ())]
+        for c_k, h_k, e in zip(center, half_width, t.exp):
+            binomial = [math.comb(e, j) * c_k ** (e - j) * h_k**j for j in range(e + 1)]
+            expansion = [
+                (coef * w, exps + (j,))
+                for coef, exps in expansion
+                for j, w in enumerate(binomial)
+            ]
+        out.extend(expansion)
+    return canonicalize(out, p.m)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _random_polynomial(rng, m):
+    # Most terms have exponent-0 axes; some coefficients are near the
+    # bottom of the float range, so that their products underflow.
+    terms = []
+    for _ in range(int(rng.integers(1, 7))):
+        exp = tuple(int(e) if rng.random() < 0.5 else 0 for e in rng.integers(0, 5, size=m))
+        terms.append((float(rng.normal()) * 10.0 ** float(rng.choice([0, -150, -300])), exp))
+    return canonicalize(terms, m)
+
+
+def _random_box(rng, m):
+    # Zero and nonzero centers, unit and non-unit widths, some so small
+    # that their powers underflow.
+    center = [0.0 if rng.random() < 0.4 else float(rng.normal()) for _ in range(m)]
+    center = tuple(c * 10.0 ** float(rng.choice([0, -120])) for c in center)
+    half_width = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.1, 3.0)) for _ in range(m)]
+    half_width = tuple(h * 10.0 ** float(rng.choice([0, 0, -60, -90])) for h in half_width)
+    return center, half_width
+
+
+def test_affine_substitute_matches_the_full_expansion():
+    rng = np.random.default_rng(2021)
+    for _ in range(400):
+        m = int(rng.integers(1, 5))
+        p, (center, half_width) = _random_polynomial(rng, m), _random_box(rng, m)
+        expected = _affine_substitute_oracle(p, center, half_width)
+        assert affine_substitute(p, center, half_width) == expected, (p, center, half_width)
+
+
+@pytest.mark.parametrize("p, center, half_width", [
+    # y0 y1^2 with coefficient 1e300 * 1e100 = inf times weights that are
+    # all 0.0 (1e-200 ** 2 underflows): the full expansion makes inf * 0.0 = nan.
+    (P([(1e300, (1, 2))]), (0.0, 0.0), (1e100, 1e-200)),
+    # the center's power overflows
+    (P([(1.0, (2, 0))]), (1e200, 0.0), (1.0, 1.0)),
+    # the product of the coefficient and a weight overflows
+    (P([(1e308, (1, 0))]), (0.0, 0.0), (2.0, 1.0)),
+    # like terms that sum to inf
+    (P([(1e308, (1, 0)), (1e308, (0, 0))]), (1.0, 0.0), (1.0, 1.0)),
+])
+def test_affine_substitute_refuses_what_the_full_expansion_refuses(p, center, half_width):
+    expected = _outcome(_affine_substitute_oracle, p, center, half_width)
+    assert expected in (ValueError, OverflowError)
+    assert _outcome(affine_substitute, p, center, half_width) is expected
+
+
+def test_rescale_to_unit_box_matches_the_full_expansion():
+    rng = np.random.default_rng(2022)
+    for _ in range(200):
+        m = int(rng.integers(1, 5))
+        vf = VectorField(m, tuple(_random_polynomial(rng, m) for _ in range(m)))
+        center, half_width = _random_box(rng, m)
+        expected = tuple(
+            poly_scale(_affine_substitute_oracle(p, center, half_width), 1.0 / half_width[j])
+            for j, p in enumerate(vf.components)
+        )
+        assert rescale_to_unit_box(vf, center, half_width).components == expected
 
 
 def test_evaluate_simple():
