@@ -16,19 +16,22 @@ import pickle
 import sys
 import time
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import refinteg
 from .basis import MAX_ORDER, BasisSet, build_basis, evaluate_basis, jacobi_matrix
 from .dynamics import MAX_OUTPUT_VALUES, SystemSpec, parse_system_config
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 
-# propagate and propagate_observables are not called here (solve streams
-# the blocks of _evaluate_rows); perfbench/tracing.py swaps them by name on
-# this module, so they stay importable.
+# perfbench/tracing.py swaps parse_system_config, build_basis,
+# assemble_koopman, observable_matrix, eigendecompose, propagate,
+# propagate_observables, rk4_integrate and evaluate by name on this module,
+# so each stays importable from it.  propagate and propagate_observables
+# are not called here: solve streams the blocks of _evaluate_rows.
 from .koopman import (  # noqa: F401
     KoopmanModel,
     _evaluate_rows,
@@ -87,9 +90,12 @@ class SolveResult:
     timings: dict
 
 
-def _reference_values(spec: SystemSpec, times: np.ndarray, rk_step: float) -> np.ndarray:
-    """Each observable (rows) at each time (columns) along the RK4 reference."""
-    states = rk4_integrate(spec.vf, spec.initial_state, times, rk_step)
+def _reference_values(
+    spec: SystemSpec, times: np.ndarray, rk_step: float, run=None
+) -> np.ndarray:
+    """Each observable (rows) at each time (columns) along the RK4 reference;
+    `run` is the field's RK4 stepper, if it is built already."""
+    states = rk4_integrate(spec.vf, spec.initial_state, times, rk_step, run=run)
     return np.array([evaluate(g, states) for g in spec.observables.polys])
 
 
@@ -111,22 +117,28 @@ def _picklable(exc: BaseException) -> BaseException:
 
 
 class _ReferenceRun:
-    """`_reference_values(spec, times, rk_step)`, computed beside the solve.
+    """`_reference_values(spec, times, rk_step, run)`, computed beside the solve.
 
-    When this process may use a second CPU and `os.fork` exists, a forked
-    child computes the values while the caller goes on.  It sends one
-    pickled message through a pipe, `(values, seconds)` or the exception it
-    raised, and exits; `values()`, the pipe's one reader, returns the values
-    or raises that exception.  Otherwise `values()` makes the same call in
+    The RK4 stepper `run` is compiled here first, so that a forked child
+    only runs it: compiled in the child, it would cost the child the
+    compile and its copy-on-write faults.  When this process may use a
+    second CPU and `os.fork` exists, a forked child computes the values
+    while the caller goes on.  It sends one pickled message through a
+    pipe, `(values, seconds)` or the exception it raised, and exits;
+    `values()`, the pipe's one reader, returns the values or raises that
+    exception.  Otherwise `values()` makes the same call in
     this process: on one CPU a child would only take turns with the solve.
-    `seconds` is the time the call took where it ran, without any wait.
+    `seconds` is the time the call took where it ran, without any wait, plus
+    the compile.
 
     Use it as a context manager: leaving the block reaps the child on every
     path, killing it first if it has neither ended nor sent its result.
     """
 
     def __init__(self, spec: SystemSpec, times: np.ndarray, rk_step: float):
-        self._args = (spec, times, rk_step)
+        started = time.perf_counter()
+        self._args = (spec, times, rk_step, refinteg._rk4_runner(spec.vf))
+        self._compile_s = time.perf_counter() - started
         # (values, seconds) once they are in, or the exception the child sent.
         self._result = None
         self.seconds: Optional[float] = None
@@ -195,7 +207,8 @@ class _ReferenceRun:
             self._result = self._run()
         if isinstance(self._result, BaseException):
             raise self._result
-        values, self.seconds = self._result
+        values, seconds = self._result
+        self.seconds = seconds + self._compile_s
         return values
 
     def close(self) -> None:
@@ -248,18 +261,28 @@ def _box_rows(basis: BasisSet) -> np.ndarray:
     return rows
 
 
-def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, Iterator]:
-    """Solve `spec` on the evenly spaced grid `times`, one block of times at a time.
+@dataclass(frozen=True, eq=False)
+class _Assembly:
+    """The basis, `K` and the rows of `H` at one order C, for every order
+    c <= C: order c takes the first n_c basis rows, the leading n_c x n_c
+    block of `K` and the first n_c columns of `H`.
 
-    Returns the result and an iterator of `(block, rows)`: `block` a slice
-    of `times`, and `rows` each observable (rows) at those times (columns),
-    in a buffer the next block overwrites.  The first block is computed
-    before this returns, so the grid is checked and exp guarded against
-    overflow before the caller waits for anything or writes any output.
-    As the caller pulls the blocks, the iterator checks each for an exit
-    from the unit box, which sets `result.first_box_exit`, and adds that
-    check and the later blocks' propagation to `timings["propagate"]`.
+    These equal the assembly at order c bit for bit: the basis rows run by
+    total degree, and each entry of `K` and `H` is an exact projection, so
+    a larger order only appends rows and columns (tests/test_cli.py
+    checks every c <= C on random fields).  `rows` holds the observables'
+    rows of `H`, then, at C >= 1, the box rows (`_box_rows`).  `timings`
+    has the "basis" and "assemble" times.
     """
+
+    basis: BasisSet
+    K: np.ndarray
+    rows: np.ndarray
+    timings: dict
+
+
+def _assemble(spec: SystemSpec) -> _Assembly:
+    """The basis, `K` and the rows of `H` of `spec` at its order."""
     timings: dict = {}
 
     mark = time.perf_counter()
@@ -268,17 +291,54 @@ def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, It
 
     mark = time.perf_counter()
     K = assemble_koopman(basis, spec.unit_vf)
-    H = observable_matrix(basis, spec.unit_observables)
+    rows = observable_matrix(basis, spec.unit_observables)
     # Track the (rescaled) state itself to flag departure from the unit box,
     # where the Galerkin projection stops being optimal.  Its rows ride along
     # in the observables' propagation pass.
-    state_H = _box_rows(basis) if spec.order >= 1 else None
+    if spec.order >= 1:
+        rows = np.vstack((rows, _box_rows(basis)))
+        rows.flags.writeable = False
     timings["assemble"] = time.perf_counter() - mark
+    return _Assembly(basis, K, rows, timings)
+
+
+def _solve_spec(
+    spec: SystemSpec, *, times: np.ndarray, assembly: _Assembly
+) -> tuple[SolveResult, Iterator]:
+    """Solve `spec` on the evenly spaced grid `times`, one block of times at a time.
+
+    `assembly` is `_assemble` of this spec at an order C >= spec.order (a
+    sweep assembles once, at its top order), and the solve uses its leading
+    blocks.  `timings` starts from the assembly's.  Returns the result and
+    an iterator of `(block, rows)`: `block` a slice of `times`, and `rows`
+    each observable (rows) at those times (columns), in a buffer the next
+    block overwrites.  The first block is computed before this returns, so
+    the grid is checked and exp guarded against overflow before the caller
+    waits for anything or writes any output.  As the caller pulls the
+    blocks, the iterator checks each for an exit from the unit box, which
+    sets `result.first_box_exit`, and adds that check and the later blocks'
+    propagation to `timings["propagate"]`.
+    """
+    timings = dict(assembly.timings)
+    m = assembly.basis.m
+    n = math.comb(spec.order + m, m)
+    n_obs = len(spec.observables)
+    basis = BasisSet(spec.order, m, assembly.basis.orders[:n])
+    # A copy, laid out as a fresh assembly: the eigen layer's sums then
+    # round the same way.
+    K = np.ascontiguousarray(assembly.K[:n, :n])
+    K.flags.writeable = False
+    # The observables' rows, then the box rows at order >= 1.
+    box_exit = spec.order >= 1
+    rows = assembly.rows[: n_obs + m if box_exit else n_obs, :n]
 
     mark = time.perf_counter()
+    # A sweep's top-order K may overflow where a lower order's block does not.
+    if not np.isfinite(K).all():
+        raise NonFiniteError("K contains non-finite entries")
     eigenvalues, eigenblocks, diagnostics = eigendecompose(K)
     timings["eigen"] = time.perf_counter() - mark
-    model = KoopmanModel(basis, K, H, eigenvalues, eigenblocks, diagnostics)
+    model = KoopmanModel(basis, K, rows[:n_obs], eigenvalues, eigenblocks, diagnostics)
 
     mark = time.perf_counter()
     y0 = tuple(
@@ -287,9 +347,7 @@ def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, It
     )
     h0 = evaluate_basis(basis, y0)
     phi0 = initial_eigenfunctions(eigenblocks, h0)
-    n_obs = H.shape[0]
-    all_H = H if state_H is None else np.vstack((H, state_H))
-    blocks = _evaluate_rows(all_H, eigenblocks, phi0, times)
+    blocks = _evaluate_rows(rows, eigenblocks, phi0, times)
     # The first block checks the grid and guards exp against overflow.
     block, values, n_modes = next(blocks)
     timings["propagate"] = time.perf_counter() - mark
@@ -300,7 +358,7 @@ def _solve_spec(spec: SystemSpec, *, times: np.ndarray) -> tuple[SolveResult, It
         # block is not counted.
         mark = time.perf_counter()
         while block is not None:
-            if result.first_box_exit is None and state_H is not None:
+            if result.first_box_exit is None and box_exit:
                 outside = np.abs(values[n_obs:]).max(axis=0) > 1.0 + _BOX_EXIT_SLACK
                 if outside.any():
                     result.first_box_exit = float(times[block][np.argmax(outside)])
@@ -439,7 +497,7 @@ def run_solve(
                 # Started first, to run while K is assembled and solved.
                 rk4_reference = outputs.enter_context(_ReferenceRun(spec, times, rk_step))
             started = time.perf_counter()
-            result, blocks = _solve_spec(spec, times=times)
+            result, blocks = _solve_spec(spec, times=times, assembly=_assemble(spec))
             timings = result.timings
             if reference:
                 reference_values = rk4_reference.values()
@@ -520,7 +578,13 @@ def run_sweep(
     rk_step: float = DEFAULT_RK_STEP,
     out_dir="out",
 ) -> int:
-    """Solve at several orders against a single RK4 reference."""
+    """Solve at several orders against a single RK4 reference.
+
+    The basis, `K` and `H` are assembled once, at the largest order that
+    validates, and each order solves on their leading blocks (`_Assembly`).
+    A row's wall time is its own order's work, from its eigendecomposition
+    to its errors; the shared assembly is in none of them.
+    """
     orders = list(orders)
     if not orders:
         print("error: no orders requested", file=sys.stderr)
@@ -530,6 +594,15 @@ def run_sweep(
         return spec
     if _rk4_budget_exceeded(spec, rk_step):
         return EXIT_CONFIG
+
+    # Each order's spec, or the ValidationError that refuses it.
+    checked = []
+    for order in orders:
+        try:
+            checked.append(spec.with_order(order))
+        except ValidationError as exc:
+            checked.append(exc)
+    top = max((c for c in checked if isinstance(c, SystemSpec)), key=lambda c: c.order)
 
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     names = spec.observables.names
@@ -543,12 +616,15 @@ def run_sweep(
     # while the orders are solved.  The block is left, and an ended child
     # reaped, once the CSV and the table are written.
     with _ReferenceRun(spec, times, rk_step) as reference:
+        assembly = _assemble(top)
         try:
-            for order in orders:
+            for order, order_spec in zip(orders, checked):
                 started = time.perf_counter()
                 row = {"order": order, "errors": None, "resid": None}
                 try:
-                    result, blocks = _solve_spec(replace(spec, order=order), times=times)
+                    if isinstance(order_spec, ValidationError):
+                        raise order_spec
+                    result, blocks = _solve_spec(order_spec, times=times, assembly=assembly)
                     values = np.empty((len(names), times.size))
                     for block, block_values in blocks:
                         values[:, block] = block_values

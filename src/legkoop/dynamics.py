@@ -9,6 +9,7 @@ above the basis order, ...) raise `ValidationError`.  Missing or
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
@@ -217,13 +218,7 @@ class SystemSpec:
                 raise ValidationError(f"{field}: expected length {m}")
         if any(not h > 0 for h in self.domain_half_width):
             raise ValidationError("domain.half_width: entries must be positive")
-        if not 0 <= self.order <= MAX_ORDER:
-            raise ValidationError(f"order: {self.order} outside 0..{MAX_ORDER}")
-        n = math.comb(self.order + m, m)
-        if n > MAX_BASIS_SIZE:
-            raise ValidationError(
-                f"order: {self.order} in {m} variables gives basis size {n} > {MAX_BASIS_SIZE}"
-            )
+        self._check_order()
         if self.vf.max_degree > MAX_POLY_DEGREE:
             raise ValidationError(
                 f"dynamics: degree {self.vf.max_degree} exceeds {MAX_POLY_DEGREE}"
@@ -260,11 +255,7 @@ class SystemSpec:
         for name, poly in zip(names, polys):
             if poly.m != m:
                 raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")
-            if poly.total_degree > self.order:
-                raise ValidationError(
-                    f"observables.{name}: degree {poly.total_degree} "
-                    f"exceeds order {self.order}"
-                )
+        self._check_observable_degrees()
         center, half_width = self.domain_center, self.domain_half_width
         try:
             unit_vf = rescale_to_unit_box(self.vf, center, half_width)
@@ -274,6 +265,35 @@ class SystemSpec:
         # Frozen: set the derived fields the way the dataclass __init__ does.
         object.__setattr__(self, "unit_vf", unit_vf)
         object.__setattr__(self, "unit_observables", ObservableSet(names, unit_polys))
+
+    def _check_order(self) -> None:
+        m = len(self.states)
+        if not 0 <= self.order <= MAX_ORDER:
+            raise ValidationError(f"order: {self.order} outside 0..{MAX_ORDER}")
+        n = math.comb(self.order + m, m)
+        if n > MAX_BASIS_SIZE:
+            raise ValidationError(
+                f"order: {self.order} in {m} variables gives basis size {n} > {MAX_BASIS_SIZE}"
+            )
+
+    def _check_observable_degrees(self) -> None:
+        for name, poly in zip(self.observables.names, self.observables.polys):
+            if poly.total_degree > self.order:
+                raise ValidationError(
+                    f"observables.{name}: degree {poly.total_degree} "
+                    f"exceeds order {self.order}"
+                )
+
+    def with_order(self, order: int) -> "SystemSpec":
+        """`dataclasses.replace(self, order=order)`, field for field, or the
+        ValidationError it raises.  Only the checks that read the order run
+        again (its range, the basis size, each observable's degree); the
+        field and the observables are not rescaled again."""
+        spec = copy.copy(self)
+        object.__setattr__(spec, "order", order)
+        spec._check_order()
+        spec._check_observable_degrees()
+        return spec
 
 
 _TOP_LEVEL_KEYS = {

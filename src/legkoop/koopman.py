@@ -119,7 +119,10 @@ def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
     """Galerkin projection of the flow derivative onto the basis.
 
     Row i holds the expansion of dL_i/dt, so K acts from the left:
-    dL/dt = K L.
+    dL/dt = K L.  An entry beyond the float range comes out inf, or nan
+    where infinities of both signs meet, without a warning: the leading
+    blocks of lower orders may still be finite, and `eigendecompose`
+    refuses a K that is not.
     """
     if vf.m != basis.m:
         raise ValueError(f"vector field dimension {vf.m} != basis dimension {basis.m}")
@@ -130,12 +133,13 @@ def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
     D = derivative_matrix(size)
     orders = np.ascontiguousarray(basis.orders.T)
     K = np.zeros((basis.n, basis.n))
-    for j, fj in enumerate(vf.components):
-        for term in fj.terms:
-            factors = [
-                D @ powers[e] if a == j else powers[e] for a, e in enumerate(term.exp)
-            ]
-            K += term.coef * _tensor_entries(factors, orders, orders)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, fj in enumerate(vf.components):
+            for term in fj.terms:
+                factors = [
+                    D @ powers[e] if a == j else powers[e] for a, e in enumerate(term.exp)
+                ]
+                K += term.coef * _tensor_entries(factors, orders, orders)
     K.flags.writeable = False
     return K
 
@@ -289,10 +293,12 @@ def skewness_diagnostic(K: np.ndarray) -> float:
 
     A perfectly skew-symmetric K would preserve basis orthonormality along
     the flow; truncation and boundary flux make some deviation normal, so
-    this is reported, never asserted against a bound.
+    this is reported, never asserted against a bound.  Where the norms
+    overflow, it reads nan or inf, without a warning.
     """
     K = np.asarray(K, dtype=float)
-    return float(np.linalg.norm(K + K.T) / max(1.0, np.linalg.norm(K)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(K + K.T) / max(1.0, np.linalg.norm(K)))
 
 
 @dataclass(frozen=True, eq=False)

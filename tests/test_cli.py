@@ -29,18 +29,20 @@ from legkoop.dynamics import (
     MAX_NUM_STEPS,
     MAX_OUTPUT_VALUES,
     ObservableSet,
+    VectorField,
     parse_system_config,
 )
 from legkoop.errors import NonFiniteError
 from legkoop.koopman import (
     _TIME_BLOCK,
+    assemble_koopman,
     build_model,
     eigendecompose,
     initial_eigenfunctions,
     observable_matrix,
     propagate_observables,
 )
-from legkoop.polyalg import evaluate
+from legkoop.polyalg import canonicalize, evaluate
 from legkoop.refinteg import rk4_integrate
 
 DUFFING = {
@@ -561,6 +563,72 @@ def test_box_rows_are_the_identity_observables_bit_for_bit():
     assert cases == 63
 
 
+def _same_bits(a, b):
+    # tobytes compares sign bits too: -0.0 differs from 0.0.
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _nesting_polynomial(rng, m, degree):
+    # 1-4 terms, each of a random total degree 0..degree.
+    exps = [rng.multinomial(rng.integers(0, degree + 1), [1 / m] * m)
+            for _ in range(rng.integers(1, 5))]
+    return canonicalize([(float(rng.normal()), tuple(int(e) for e in exp)) for exp in exps], m)
+
+
+def test_each_order_is_the_leading_block_of_a_higher_order_bit_for_bit():
+    # A sweep assembles once, at its top order C, and solves each order
+    # c <= C on the leading blocks: the basis rows, K, H, the box rows and
+    # the basis at a point must equal those of order c, sign bits included.
+    # Seeded random fields of degree <= 3, with observables of degree <= 3.
+    top = {1: MAX_ORDER, 2: 10, 3: 7, 4: 5}
+    cases = 0
+    for seed in range(24):
+        rng = np.random.default_rng(700 + seed)
+        m = seed % 4 + 1
+        vf = VectorField(m, tuple(_nesting_polynomial(rng, m, 3) for _ in range(m)))
+        observables = [
+            ObservableSet(("g",), (_nesting_polynomial(rng, m, degree),)) for degree in range(4)
+        ]
+        point = rng.uniform(-1.0, 1.0, size=m)
+        big = build_basis(top[m], m)
+        K = assemble_koopman(big, vf)
+        H = [observable_matrix(big, g) for g in observables]
+        box = cli._box_rows(big)
+        values = evaluate_basis(big, point)
+        for c in range(top[m] + 1):
+            basis = build_basis(c, m)
+            n = basis.n
+            assert _same_bits(big.orders[:n], basis.orders), (seed, c)
+            assert _same_bits(K[:n, :n], assemble_koopman(basis, vf)), (seed, c)
+            for g, rows in zip(observables, H):
+                if g.polys[0].total_degree <= c:
+                    assert _same_bits(rows[:, :n], observable_matrix(basis, g)), (seed, c)
+            if c >= 1:
+                assert _same_bits(box[:, :n], cli._box_rows(basis)), (seed, c)
+            assert _same_bits(values[:n], evaluate_basis(basis, point)), (seed, c)
+            cases += 1
+    assert cases == 6 * (13 + 11 + 8 + 6)
+
+
+def test_a_sweep_row_is_the_row_of_that_order_swept_alone(tmp_path):
+    # The sweep over 0..6 solves every order on the blocks of one assembly
+    # at order 6; swept alone, an order is assembled at its own size.
+    doc = {**DUFFING, "domain": {"center": [0.1, 0.0], "half_width": [1.5, 1.2]},
+           "observables": [{"name": "q2", "terms": [{"coef": 1.0, "exp": [2, 0]},
+                                                    {"coef": -0.5, "exp": [0, 1]}]}]}
+    config = write_config(tmp_path, doc)
+    args = ["sweep", "--config", config, "--rk-step", "1e-2"]
+    assert main(args + ["--orders", "0..6", "--out-dir", str(tmp_path / "all")]) == 0
+    rows = _sweep_rows_without_wall_time(tmp_path / "all")
+    # Orders 0 and 1 cannot carry the degree-2 observable.
+    assert [row.split(",")[2] == "ok" for row in rows[1:]] == [False] * 2 + [True] * 5
+    for order in range(2, 7):
+        out = tmp_path / f"order{order}"
+        assert main(args + ["--orders", str(order), "--out-dir", str(out)]) == 0
+        assert _sweep_rows_without_wall_time(out) == [rows[0], rows[1 + order]]
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
 def test_json_nested_too_deep_is_a_config_error(tmp_path, capsys, command):
     path = tmp_path / "deep.json"
@@ -789,6 +857,47 @@ def test_solve_overflow_exit_code(tmp_path, capsys):
         assert "> 700.0; exp would overflow" in err
         # The growth is printed in scientific notation, never as 300 digits.
         assert err.count("\n") == 1 and len(err) <= 100
+
+
+# K's entries at order 3 overflow the float range: 1e308 times the
+# projection of d/dx x^3 onto the basis.
+OVERFLOWING_K = {
+    "name": "big",
+    "states": ["x"],
+    "dynamics": [{"terms": [{"coef": 1e308, "exp": [3]}]}],
+    "initial_state": [0.0],
+    "order": 3,
+    "t_final": 1.0,
+    "num_steps": 5,
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--reference"]])
+def test_an_overflowing_K_is_a_numeric_failure(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, OVERFLOWING_K)
+    assert main(["solve", "--config", config, "--out-dir", str(out)] + flags) == 4
+    assert capsys.readouterr().err == "numeric failure: K contains non-finite entries\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_final", [1.0, 1e-306], ids=["exp overflows", "tiny t_final"])
+def test_a_sweep_fails_the_orders_whose_K_overflows_and_runs_the_rest(tmp_path, capsys, t_final):
+    # The sweep assembles once, at order 4, where K holds infinities; the
+    # blocks of orders 1 and 2 are finite.  Over a short enough time order 1
+    # solves.
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**OVERFLOWING_K, "t_final": t_final, "num_steps": 2})
+    assert main(["sweep", "--config", config, "--orders", "0..4", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in (out / "big_sweep.csv").read_text().splitlines()[1:]]
+    status = {row[0]: row[2] for row in rows}
+    assert list(status) == ["0", "1", "2", "3", "4"]
+    assert status["3"] == status["4"] == "failed: K contains non-finite entries"
+    if t_final == 1.0:
+        assert all(status[order].startswith("failed: Re(lambda)*t reaches ") for order in "12")
+    else:
+        assert status["1"] == "ok"
 
 
 def test_solve_box_exit_warning(tmp_path, capsys):
@@ -1485,6 +1594,34 @@ def test_without_a_second_process_the_reference_runs_in_this_one(tmp_path, monke
 def _sweep_rows_without_wall_time(out_dir):
     lines = (out_dir / "duffing_sweep.csv").read_text(encoding="utf-8").splitlines()
     return [line.rsplit(",", 1)[0] for line in lines]
+
+
+@needs_a_second_cpu
+@pytest.mark.parametrize("command", [["solve", "--reference"], ["sweep", "--orders", "1..4"]])
+def test_the_rk4_stepper_is_compiled_once_before_the_fork(tmp_path, monkeypatch, command):
+    # The parent compiles it; the forked child, where the reference runs,
+    # only runs it.
+    compiles, references = tmp_path / "compiles", tmp_path / "references"
+    runner = refinteg._rk4_runner
+
+    def noting_compile(vf):
+        with compiles.open("a", encoding="utf-8") as notes:
+            notes.write(f"{os.getpid()}\n")
+        return runner(vf)
+
+    def noting_reference(*args):
+        with references.open("a", encoding="utf-8") as notes:
+            notes.write(f"{os.getpid()}\n")
+        return _reference_values(*args)
+
+    monkeypatch.setattr(refinteg, "_rk4_runner", noting_compile)
+    monkeypatch.setattr(cli, "_reference_values", noting_reference)
+    config = write_config(tmp_path, DUFFING)
+    assert main(command + ["--config", config, "--rk-step", "1e-2",
+                           "--out-dir", str(tmp_path / "out")]) == 0
+    assert _noted_calls(compiles) == [str(os.getpid())]
+    [child] = _noted_calls(references)
+    assert child != str(os.getpid())
 
 
 # Runs `legkoop.cli.main` on its arguments after the first, which names a

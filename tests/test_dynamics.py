@@ -1,11 +1,13 @@
 """System definitions, JSON config parsing, and domain rescaling."""
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
+from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER
 from legkoop.dynamics import (
     MAX_NUM_STEPS,
     MAX_OUTPUT_VALUES,
@@ -357,3 +359,68 @@ def test_observable_pairing_checks():
     with pytest.raises(ValueError):
         ObservableSet((), ())
 
+
+
+def _with_order_outcome(spec, order, derive):
+    # The spec's fields, or the message of the ValidationError refusing it.
+    try:
+        derived = derive(spec, order)
+    except ValidationError as exc:
+        return str(exc)
+    return {f.name: getattr(derived, f.name) for f in dataclasses.fields(SystemSpec)}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # Duffing on a shifted box, so the rescale changes every coefficient.
+        json.loads(config(domain={"center": [0.1, -0.2], "half_width": [2.0, 1.5]})),
+        # A degree-3 observable: orders 0..2 are refused.
+        json.loads(config(observables=[
+            {"name": "q3", "terms": [{"coef": 1.0, "exp": [3, 0]}]},
+            {"name": "p", "terms": [{"coef": 2.0, "exp": [0, 1]}]},
+        ])),
+        # m = 6: from order 8 on the basis exceeds MAX_BASIS_SIZE.
+        {
+            "name": "six",
+            "states": [f"x{k}" for k in range(6)],
+            "dynamics": [
+                {"terms": [{"coef": -1.0, "exp": [int(j == k) for j in range(6)]}]}
+                for k in range(6)
+            ],
+            "initial_state": [0.1] * 6,
+            "order": 2,
+            "t_final": 1.0,
+            "num_steps": 10,
+        },
+    ],
+)
+def test_with_order_is_replace_with_only_the_order_checks(doc):
+    spec = parse_system_config(json.dumps(doc))
+    refused = set()
+    for order in range(-1, MAX_ORDER + 2):
+        expected = _with_order_outcome(spec, order, lambda s, c: dataclasses.replace(s, order=c))
+        assert _with_order_outcome(spec, order, SystemSpec.with_order) == expected, order
+        if isinstance(expected, str):
+            refused.add(expected.split(" ", 1)[0])
+        else:
+            assert expected["order"] == order
+    assert "order:" in refused
+    if doc["name"] == "six":
+        assert any(
+            _with_order_outcome(spec, c, SystemSpec.with_order).endswith(f"> {MAX_BASIS_SIZE}")
+            for c in range(8, MAX_ORDER + 1)
+        )
+    if isinstance(doc.get("observables"), list):
+        assert "observables.q3:" in refused
+
+
+def test_with_order_does_not_rescale_again(monkeypatch):
+    spec = parse_system_config(config(domain={"center": [0.1, -0.2], "half_width": [2.0, 1.5]}))
+
+    def refuse(*args):
+        raise AssertionError("rescaled again")
+
+    monkeypatch.setattr("legkoop.dynamics.rescale_to_unit_box", refuse)
+    monkeypatch.setattr("legkoop.dynamics.affine_substitute", refuse)
+    assert spec.with_order(7).unit_vf is spec.unit_vf

@@ -217,6 +217,36 @@ def test_rk4_bit_identical_to_plain_loop_on_random_fields():
     assert any(t.coef < 0 for vf in fields for comp in vf.components for t in comp.terms)
 
 
+def test_rk4_bit_identical_to_plain_loop_on_a_6d_field_of_120_terms():
+    # 20 terms of degree <= 3 per component: 120 coefficients bound as
+    # locals of the generated code, and exponents 2 and 3 as float powers.
+    rng = np.random.default_rng(66)
+    components = []
+    for _ in range(6):
+        exps = set()
+        while len(exps) < 20:
+            exps.add(tuple(int(e) for e in rng.multinomial(rng.integers(0, 4), [1 / 6] * 6)))
+        components.append(canonicalize([(float(rng.normal()), e) for e in sorted(exps)], 6))
+    vf = VectorField(6, tuple(components))
+    assert sum(len(comp.terms) for comp in vf.components) == 120
+    assert any(e >= 2 for comp in vf.components for t in comp.terms for e in t.exp)
+    x0 = rng.uniform(-0.3, 0.3, size=6)
+    assert _assert_matches_oracle(vf, x0, np.array([0.05, 0.1, 0.25]), 2.5e-3)
+
+
+def test_an_exponent_64_overflow_raises_where_the_oracle_does():
+    # x ** 64.0 raises OverflowError past |x| = 2^16 on its way to the blow-up
+    # of dx/dt = x^64, on the same step as the oracle's integer power.
+    vf = VectorField(2, (
+        canonicalize([(1.0, (0, 64))], 2),
+        canonicalize([(0.5, (0, 64)), (-1.0, (1, 0))], 2),
+    ))
+    times = np.linspace(0.0, 0.5, 6)
+    expected = _outcome(lambda: _oracle_states(vf, (0.0, 1.05), times, 1e-3))
+    assert expected.startswith("state diverged before t = ")
+    assert _assert_matches_oracle(vf, (0.0, 1.05), times, 1e-3) is False
+
+
 def test_blow_up_raises_at_the_oracles_target_time():
     vf = VectorField(1, (canonicalize([(1.0, (5,))], 1),))  # dx/dt = x^5
     times = np.linspace(0.0, 1.0, 11)
