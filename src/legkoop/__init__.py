@@ -4,9 +4,12 @@ The flow map is represented by a finite Koopman matrix: project the
 generator onto an orthonormal multivariate Legendre basis, diagonalize
 it once per decoupled block, then evaluate observables at any time
 analytically from the eigenvalues.  The basis is its graded set of
-multi-indices; the Legendre three-term recurrence supplies the operators
-and point values.  See :mod:`legkoop.koopman` for the pipeline entry
-points, :mod:`legkoop.cli` for the command-line interface, and
+multi-indices and the domain box; the Legendre three-term recurrence
+supplies the operators and point values, and the change of variables onto
+the unit box happens in those operators, so the field, the observables
+and the initial state stay in the config's coordinates.  See
+:mod:`legkoop.koopman` for the pipeline entry points, :mod:`legkoop.cli`
+for the command-line interface, and
 :mod:`legkoop.invariants` for the monomial and quadrature references the
 tests and `legkoop validate` check the solver against.
 """
@@ -18,7 +21,6 @@ from .dynamics import (
     VectorField,
     duffing_vector_field,
     parse_system_config,
-    rescale_to_unit_box,
 )
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 from .koopman import (
@@ -38,14 +40,12 @@ from .koopman import (
 from .polyalg import (
     Monomial,
     Polynomial,
-    affine_substitute,
     box_inner_product,
     canonicalize,
     evaluate,
     partial_derivative,
     poly_add,
     poly_mul,
-    poly_scale,
 )
 from .refinteg import rk4_integrate
 
@@ -58,11 +58,9 @@ __all__ = [
     "Polynomial",
     "canonicalize",
     "poly_add",
-    "poly_scale",
     "poly_mul",
     "partial_derivative",
     "box_inner_product",
-    "affine_substitute",
     "evaluate",
     # basis
     "BasisSet",
@@ -73,7 +71,6 @@ __all__ = [
     "ObservableSet",
     "SystemSpec",
     "duffing_vector_field",
-    "rescale_to_unit_box",
     "parse_system_config",
     # Koopman pipeline
     "EigenBlock",

@@ -1,15 +1,18 @@
-"""Orthonormal multivariate Legendre basis on the unit box.
+"""Orthonormal multivariate Legendre basis on a domain box.
 
-Basis function i is the tensor product prod_a N_{p_a}(x_a) of normalized
-univariate Legendre polynomials, where (p_1, ..., p_m) is row i of a graded
-set of multi-indices.  That set is the whole basis: `BasisSet` holds the
-multi-indices and nothing else.
+The box is center_a +- half_width_a on each axis a, and y_a = (x_a -
+center_a) / half_width_a maps it onto the unit box [-1, 1]^m, where the
+Legendre polynomials are orthonormal.  Basis function i is the tensor
+product prod_a N_{p_a}(y_a) of normalized univariate Legendre
+polynomials, where (p_1, ..., p_m) is row i of a graded set of
+multi-indices.  `BasisSet` holds those multi-indices and the box.
 
 The normalized three-term recurrence gives everything the solver needs:
 the univariate operators in coefficient space, `jacobi_matrix`
-(multiplication by x) and `derivative_matrix` (d/dx), from which the
-Koopman matrix is assembled, and `evaluate_basis`, which runs the
-recurrence at a point.
+(multiplication by y) and `derivative_matrix` (d/dy), from which the
+Koopman matrix is assembled (`legkoop.koopman` builds multiplication by
+x_a = center_a + half_width_a y_a from them), and `evaluate_basis`, which
+runs the recurrence at a point.
 
 The monomial expansion of the basis, the independent reference the tests
 and `legkoop validate` check the solver against, is in `legkoop.invariants`.
@@ -54,12 +57,15 @@ class BasisSet:
     `orders` is a read-only integer array of shape (n, m): row i gives the
     univariate order of each factor in basis function i.  Rows are sorted
     by total degree; within one degree they run lexicographically
-    descending, e.g. (2,0), (1,1), (0,2).
+    descending, e.g. (2,0), (1,1), (0,2).  `center` and `half_width` give
+    the domain box, one entry per axis.
     """
 
     c: int
     m: int
     orders: np.ndarray
+    center: tuple[float, ...]
+    half_width: tuple[float, ...]
 
     @property
     def n(self) -> int:
@@ -77,20 +83,35 @@ def _compositions(total: int, m: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def build_basis(c: int, m: int) -> BasisSet:
-    """The basis of all multi-indices of total degree <= c in m variables."""
+def build_basis(
+    c: int,
+    m: int,
+    center: Sequence[float] | None = None,
+    half_width: Sequence[float] | None = None,
+) -> BasisSet:
+    """The basis of all multi-indices of total degree <= c in m variables on
+    the box center +- half_width, by default the unit box.  A box without m
+    entries, or with a half width that is not positive, raises ValueError."""
     if not 1 <= m <= MAX_DIMENSION:
         raise ValueError(f"dimension {m} outside supported range 1..{MAX_DIMENSION}")
     if not 0 <= c <= MAX_ORDER:
         raise ValueError(f"order {c} outside supported range 0..{MAX_ORDER}")
     if math.comb(c + m, m) > MAX_BASIS_SIZE:
         raise ValueError(f"basis size {math.comb(c + m, m)} exceeds {MAX_BASIS_SIZE}")
+    center = (0.0,) * m if center is None else tuple(float(v) for v in center)
+    half_width = (1.0,) * m if half_width is None else tuple(float(v) for v in half_width)
+    if len(center) != m or len(half_width) != m:
+        raise ValueError(
+            f"box has {len(center)} centers and {len(half_width)} half widths, expected {m}"
+        )
+    if any(not h > 0 for h in half_width):
+        raise ValueError(f"box half widths {half_width} must be positive")
     rows: list[tuple[int, ...]] = []
     for degree in range(c + 1):
         rows.extend(_compositions(degree, m))
     orders = np.array(rows, dtype=int).reshape(len(rows), m)
     orders.flags.writeable = False
-    return BasisSet(c=c, m=m, orders=orders)
+    return BasisSet(c=c, m=m, orders=orders, center=center, half_width=half_width)
 
 
 def _recurrence_coefficients(size: int) -> np.ndarray:
@@ -137,14 +158,15 @@ def _legendre_values(c: int, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate_basis(basis: BasisSet, x: Sequence[float]) -> np.ndarray:
-    """Values of all n basis functions at the point x.
+    """Values of all n basis functions at the point x of the box.
 
-    Each factor N_p(x_a) comes from the recurrence, so no monomial
-    expansion (and none of its cancellation) is involved.  A complex x
-    raises ValueError.
+    x is mapped to y = (x - center) / half_width, and each factor N_p(y_a)
+    comes from the recurrence, so no monomial expansion (and none of its
+    cancellation) is involved.  A complex x raises ValueError.
     """
     xa = real_array(x, "x")
     if xa.shape != (basis.m,):
         raise ValueError(f"point has shape {xa.shape}, expected ({basis.m},)")
-    values = _legendre_values(basis.c, xa)
+    y = (xa - basis.center) / basis.half_width
+    values = _legendre_values(basis.c, y)
     return np.prod(values[basis.orders, np.arange(basis.m)], axis=1)

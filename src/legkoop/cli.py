@@ -16,7 +16,7 @@ import pickle
 import sys
 import time
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -286,15 +286,15 @@ def _assemble(spec: SystemSpec) -> _Assembly:
     timings: dict = {}
 
     mark = time.perf_counter()
-    basis = build_basis(spec.order, len(spec.states))
+    basis = build_basis(spec.order, len(spec.states), spec.domain_center, spec.domain_half_width)
     timings["basis"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
-    K = assemble_koopman(basis, spec.unit_vf)
-    rows = observable_matrix(basis, spec.unit_observables)
-    # Track the (rescaled) state itself to flag departure from the unit box,
-    # where the Galerkin projection stops being optimal.  Its rows ride along
-    # in the observables' propagation pass.
+    K = assemble_koopman(basis, spec.vf)
+    rows = observable_matrix(basis, spec.observables)
+    # Track the state in unit-box coordinates y to flag departure from the
+    # box, where the Galerkin projection stops being optimal.  Its rows ride
+    # along in the observables' propagation pass.
     if spec.order >= 1:
         rows = np.vstack((rows, _box_rows(basis)))
         rows.flags.writeable = False
@@ -323,7 +323,7 @@ def _solve_spec(
     m = assembly.basis.m
     n = math.comb(spec.order + m, m)
     n_obs = len(spec.observables)
-    basis = BasisSet(spec.order, m, assembly.basis.orders[:n])
+    basis = replace(assembly.basis, c=spec.order, orders=assembly.basis.orders[:n])
     # A copy, laid out as a fresh assembly: the eigen layer's sums then
     # round the same way.
     K = np.ascontiguousarray(assembly.K[:n, :n])
@@ -333,19 +333,12 @@ def _solve_spec(
     rows = assembly.rows[: n_obs + m if box_exit else n_obs, :n]
 
     mark = time.perf_counter()
-    # A sweep's top-order K may overflow where a lower order's block does not.
-    if not np.isfinite(K).all():
-        raise NonFiniteError("K contains non-finite entries")
     eigenvalues, eigenblocks, diagnostics = eigendecompose(K)
     timings["eigen"] = time.perf_counter() - mark
     model = KoopmanModel(basis, K, rows[:n_obs], eigenvalues, eigenblocks, diagnostics)
 
     mark = time.perf_counter()
-    y0 = tuple(
-        (x - c) / h
-        for x, c, h in zip(spec.initial_state, spec.domain_center, spec.domain_half_width)
-    )
-    h0 = evaluate_basis(basis, y0)
+    h0 = evaluate_basis(basis, spec.initial_state)
     phi0 = initial_eigenfunctions(eigenblocks, h0)
     blocks = _evaluate_rows(rows, eigenblocks, phi0, times)
     # The first block checks the grid and guards exp against overflow.

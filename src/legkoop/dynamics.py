@@ -10,21 +10,16 @@ above the basis order, ...) raise `ValidationError`.  Missing or
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .basis import MAX_BASIS_SIZE, MAX_DIMENSION, MAX_ORDER
 from .errors import SchemaError, ValidationError
-from .polyalg import (
-    Polynomial,
-    affine_substitute,
-    canonicalize,
-    poly_scale,
-    variable,
-)
+from .polyalg import Polynomial, canonicalize, variable
 
 __all__ = [
     "MAX_POLY_DEGREE",
@@ -35,7 +30,6 @@ __all__ = [
     "ObservableSet",
     "SystemSpec",
     "duffing_vector_field",
-    "rescale_to_unit_box",
     "parse_system_config",
 ]
 
@@ -129,22 +123,22 @@ def duffing_vector_field(
     return VectorField(2, (dq, dp))
 
 
-def rescale_to_unit_box(
-    vf: VectorField, center: Sequence[float], half_width: Sequence[float]
-) -> VectorField:
-    """Change coordinates to y = (x - center) / half_width.
-
-    The returned field g satisfies dy/dt = g(y) whenever dx/dt = f(x):
-    g_j(y) = f_j(center + half_width * y) / half_width_j.
-    """
-    widths = tuple(float(h) for h in half_width)
-    components = []
-    for j, comp in enumerate(vf.components):
-        shifted = affine_substitute(comp, center, widths)
-        factor = 1.0 / widths[j]
-        # Scaling by exactly 1.0 would rebuild the same polynomial.
-        components.append(shifted if factor == 1.0 else poly_scale(shifted, factor))
-    return VectorField(vf.m, tuple(components))
+def _unit_box_bound(p: Polynomial, center: Sequence[float], half_width: Sequence[float]) -> float:
+    # sum over terms of |coef| prod_a (|c_a| + h_a)^e_a, multiplied in axis
+    # order: it bounds every coefficient of p in y = (x - c) / h, whose
+    # binomial weights on axis a sum to (|c_a| + h_a)^e_a.  inf or nan where
+    # it leaves the float range.
+    total = 0.0
+    for t in p.terms:
+        value = abs(t.coef)
+        for c, h, e in zip(center, half_width, t.exp):
+            if e:
+                try:
+                    value *= (abs(c) + h) ** e
+                except OverflowError:
+                    return math.inf
+        total += value
+    return total
 
 
 def _utf8(path: str, name: str) -> bytes:
@@ -177,8 +171,13 @@ def _check_csv_names(path: str, names: Sequence[str]) -> None:
 class SystemSpec:
     """A fully validated solver problem statement.
 
-    `unit_vf` and `unit_observables` are derived: the field and the
-    observables rescaled to the unit box, where the solver works.
+    The field, the observables and the initial state are in the config's
+    coordinates x.  The solver works on the unit box in y = (x - center) /
+    half_width, and the basis does that change of variables
+    (`legkoop.basis.build_basis`).  A field component or observable whose
+    coefficients in y could leave the float range is refused here: its sum
+    of |coef| prod_a (|center_a| + half_width_a)^e_a, divided by
+    half_width_j for field component j, must be finite.
     """
 
     name: str
@@ -191,8 +190,6 @@ class SystemSpec:
     t_final: float
     num_steps: int
     observables: ObservableSet
-    unit_vf: VectorField = field(init=False)
-    unit_observables: ObservableSet = field(init=False)
 
     def __post_init__(self):
         # The name makes the output file names inside --out-dir.
@@ -256,15 +253,18 @@ class SystemSpec:
             if poly.m != m:
                 raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")
         self._check_observable_degrees()
+        # Field component j's coefficients in y are divided by half_width[j].
         center, half_width = self.domain_center, self.domain_half_width
-        try:
-            unit_vf = rescale_to_unit_box(self.vf, center, half_width)
-            unit_polys = tuple(affine_substitute(p, center, half_width) for p in polys)
-        except (ValueError, OverflowError) as exc:  # a coefficient overflows there
-            raise ValidationError(f"domain: rescaling to the unit box fails: {exc}") from None
-        # Frozen: set the derived fields the way the dataclass __init__ does.
-        object.__setattr__(self, "unit_vf", unit_vf)
-        object.__setattr__(self, "unit_observables", ObservableSet(names, unit_polys))
+        scaled = itertools.chain(
+            zip(self.vf.components, half_width), zip(polys, itertools.repeat(1.0))
+        )
+        for k, (poly, width) in enumerate(scaled):
+            if not math.isfinite(_unit_box_bound(poly, center, half_width) / width):
+                path = f"dynamics[{k}]" if k < m else f"observables.{names[k - m]}"
+                raise ValidationError(
+                    f"domain: rescaling to the unit box fails: {path} reaches coefficients "
+                    "beyond the float range"
+                )
 
     def _check_order(self) -> None:
         m = len(self.states)
@@ -288,7 +288,7 @@ class SystemSpec:
         """`dataclasses.replace(self, order=order)`, field for field, or the
         ValidationError it raises.  Only the checks that read the order run
         again (its range, the basis size, each observable's degree); the
-        field and the observables are not rescaled again."""
+        names and the unit-box bound are not checked again."""
         spec = copy.copy(self)
         object.__setattr__(spec, "order", order)
         spec._check_order()

@@ -33,17 +33,21 @@ exp(d (t_s - t_0)) at its first time t_s, within a few
 eps (1 + |lambda| max|t|) of exp(lambda t) (see `_evaluate_rows`).
 
 K and H are assembled in coefficient space, without expanding any basis
-function into monomials.  Per axis, multiplication by x is the tridiagonal
-Jacobi matrix J and d/dx is the derivative matrix D of the normalized
-Legendre recurrence (`legkoop.basis`), so for each term coef * x^e of f_j
+function into monomials.  The basis lives on the unit box in y_a = (x_a -
+c_a) / h_a, the field, the observables and the initial state in x.  Per
+axis, multiplication by y is the tridiagonal Jacobi matrix J and d/dy is
+the derivative matrix D of the normalized Legendre recurrence
+(`legkoop.basis`), so multiplication by x_a is A_a = c_a I + h_a J, and
+dL_i/dt = sum_j dL_i/dy_j f_j / h_j.  For each term coef * x^e of f_j
 
-    <dL_i/dx_j * x^e, L_k> = prod_a M_a[i_a, k_a],   M_a = J^{e_a}, M_j = D J^{e_j}
+    <dL_i/dy_j * x^e / h_j, L_k> = prod_a M_a[i_a, k_a],
+    M_a = A_a^{e_a},   M_j = D A_j^{e_j} / h_j
 
 with i_a, k_a the per-axis orders of L_i and L_k.  Built at size
 c + deg f + 1 the operators truncate nothing, so the projection is exact
 and entries that vanish by structure (parity, degree) come out as exact
-zeros.  `legkoop.invariants` holds the independent monomial reference the
-tests check this against.
+zeros.  On the unit box A_a = J bit for bit.  `legkoop.invariants` holds
+the independent monomial reference the tests check this against.
 """
 
 from __future__ import annotations
@@ -92,13 +96,19 @@ EXP_OVERFLOW_LIMIT = 700.0
 _TIME_BLOCK = 1024
 
 
-def _jacobi_powers(size: int, max_power: int) -> list[np.ndarray]:
-    # J^0..J^max_power; products of exact zeros stay exact zeros.
+def _axis_powers(basis: BasisSet, size: int, max_power: int) -> list[list[np.ndarray]]:
+    # Per axis a, A_a^0..A_a^max_power with A_a = c_a I + h_a J, multiplication
+    # by x_a; products of exact zeros stay exact zeros.
     J = jacobi_matrix(size)
-    powers = [np.eye(size)]
-    for _ in range(max_power):
-        powers.append(powers[-1] @ J)
-    return powers
+    axes = []
+    for center, half_width in zip(basis.center, basis.half_width):
+        A = half_width * J
+        A.flat[:: size + 1] += center
+        powers = [np.eye(size)]
+        for _ in range(max_power):
+            powers.append(powers[-1] @ A)
+        axes.append(powers)
+    return axes
 
 
 def _tensor_entries(
@@ -119,17 +129,18 @@ def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
     """Galerkin projection of the flow derivative onto the basis.
 
     Row i holds the expansion of dL_i/dt, so K acts from the left:
-    dL/dt = K L.  An entry beyond the float range comes out inf, or nan
-    where infinities of both signs meet, without a warning: the leading
-    blocks of lower orders may still be finite, and `eigendecompose`
-    refuses a K that is not.
+    dL/dt = K L.  `vf` is given in the coordinates x of the basis's box.
+    An entry beyond the float range comes out inf, or nan where
+    infinities of both signs meet, without a warning: the leading blocks
+    of lower orders may still be finite, and `eigendecompose` refuses a K
+    that is not.
     """
     if vf.m != basis.m:
         raise ValueError(f"vector field dimension {vf.m} != basis dimension {basis.m}")
     if vf.max_degree > MAX_POLY_DEGREE:
         raise ValueError(f"vector field degree {vf.max_degree} exceeds {MAX_POLY_DEGREE}")
     size = basis.c + vf.max_degree + 1
-    powers = _jacobi_powers(size, vf.max_degree)
+    powers = _axis_powers(basis, size, vf.max_degree)
     D = derivative_matrix(size)
     orders = np.ascontiguousarray(basis.orders.T)
     K = np.zeros((basis.n, basis.n))
@@ -137,9 +148,10 @@ def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
         for j, fj in enumerate(vf.components):
             for term in fj.terms:
                 factors = [
-                    D @ powers[e] if a == j else powers[e] for a, e in enumerate(term.exp)
+                    D @ powers[a][e] if a == j else powers[a][e] for a, e in enumerate(term.exp)
                 ]
-                K += term.coef * _tensor_entries(factors, orders, orders)
+                coef = term.coef / basis.half_width[j]
+                K += coef * _tensor_entries(factors, orders, orders)
     K.flags.writeable = False
     return K
 
@@ -147,7 +159,8 @@ def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
 def observable_matrix(basis: BasisSet, observables: ObservableSet) -> np.ndarray:
     """Project each observable onto the basis: H[i, k] = <g_i, L_k>.
 
-    The projection reproduces g_i exactly only when deg g_i <= c, so higher
+    `observables` are given in the coordinates x of the basis's box.  The
+    projection reproduces g_i exactly only when deg g_i <= c, so higher
     degrees are rejected instead of silently truncated.
     """
     for name, poly in zip(observables.names, observables.polys):
@@ -159,16 +172,16 @@ def observable_matrix(basis: BasisSet, observables: ObservableSet) -> np.ndarray
             raise ValidationError(
                 f"observable '{name}' has degree {poly.total_degree} > order {basis.c}"
             )
-    # x^e = x^e * (sqrt(2) N_0) per axis, so <x^e, N_q> = sqrt(2) (J^e)[0, q].
+    # x^e = x^e * (sqrt(2) N_0) per axis, so <x^e, N_q> = sqrt(2) (A^e)[0, q].
     max_degree = max(poly.total_degree for poly in observables.polys)
-    powers = _jacobi_powers(basis.c + max_degree + 1, max_degree)
+    powers = _axis_powers(basis, basis.c + max_degree + 1, max_degree)
     origin = np.zeros((basis.m, 1), dtype=int)
     orders = np.ascontiguousarray(basis.orders.T)
     scale = 2.0 ** (basis.m / 2)
     H = np.zeros((len(observables), basis.n))
     for i, g in enumerate(observables.polys):
         for term in g.terms:
-            factors = [powers[e] for e in term.exp]
+            factors = [powers[a][e] for a, e in enumerate(term.exp)]
             H[i] += term.coef * scale * _tensor_entries(factors, origin, orders)[0]
     H.flags.writeable = False
     return H
@@ -231,6 +244,7 @@ def eigendecompose(K: np.ndarray) -> tuple[np.ndarray, tuple[EigenBlock, ...], M
     pre-scaling); all after it is real arithmetic on the block (Golub & Van
     Loan, Matrix Computations, 4th ed., 7.4), and no n x n V is formed.
     Eigenvalues sort by descending real, then imaginary part, over all blocks.
+    A K with a non-finite entry raises NonFiniteError.
 
     `eigenresidual` is max |K v - lambda v| over unit eigenvectors, from the
     real K_b X - X Lambda_b with 2 x 2 rotation-scaling blocks in Lambda_b.
@@ -242,7 +256,7 @@ def eigendecompose(K: np.ndarray) -> tuple[np.ndarray, tuple[EigenBlock, ...], M
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
     if not np.isfinite(K).all():
-        raise ValueError("K contains non-finite entries")
+        raise NonFiniteError("K contains non-finite entries")
     skewness = skewness_diagnostic(K)  # first: its n x n sum is the largest array here
     blocks, singular, residual = [], [], 0.0
     for rows in _sparsity_components(K):
@@ -293,12 +307,17 @@ def skewness_diagnostic(K: np.ndarray) -> float:
 
     A perfectly skew-symmetric K would preserve basis orthonormality along
     the flow; truncation and boundary flux make some deviation normal, so
-    this is reported, never asserted against a bound.  Where the norms
-    overflow, it reads nan or inf, without a warning.
+    this is reported, never asserted against a bound.  The norms are taken
+    of S = K / 2^k, with 2^k above max|K| (k >= 0), as
+    ||S + S^T||_F / max(2^-k, ||S||_F): a power of two scales exactly, so
+    the value is the plain formula's wherever that one is finite, and it is
+    finite for every finite K.
     """
     K = np.asarray(K, dtype=float)
+    k = max(0, math.frexp(float(np.abs(K).max(initial=0.0)))[1])
+    S = np.ldexp(K, -k)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(K + K.T) / max(1.0, np.linalg.norm(K)))
+        return float(np.linalg.norm(S + S.T) / max(math.ldexp(1.0, -k), np.linalg.norm(S)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -27,11 +27,9 @@ __all__ = [
     "canonicalize",
     "variable",
     "poly_add",
-    "poly_scale",
     "poly_mul",
     "partial_derivative",
     "box_inner_product",
-    "affine_substitute",
     "evaluate",
 ]
 
@@ -123,11 +121,6 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return canonicalize(list(a.terms) + list(b.terms), a.m)
 
 
-def poly_scale(p: Polynomial, factor: float) -> Polynomial:
-    """factor * p."""
-    return canonicalize([(t.coef * factor, t.exp) for t in p.terms], p.m)
-
-
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b: coefficients multiply, exponents add componentwise."""
     _check_same_dimension(a, b)
@@ -204,43 +197,6 @@ def box_inner_product(a: Polynomial, b: Polynomial) -> float:
             parts.append(q1)
             parts.append(q2)
     return math.fsum(parts)
-
-
-def affine_substitute(
-    p: Polynomial, center: Sequence[float], half_width: Sequence[float]
-) -> Polynomial:
-    """Substitute x_k = center_k + half_width_k * y_k and expand.
-
-    Returns the polynomial in the new variable y, canonicalized.  Each
-    term's factor (center_k + half_width_k y_k)^e is expanded by the
-    binomial theorem, weight comb(e, j) c^(e-j) h^j on y_k^j.  An axis with
-    e = 0 (weight 1.0) is left as it is, and weights that are exactly 0.0
-    (a zero center, or underflow) are dropped: `canonicalize` would drop
-    their products.  An axis whose weights are all 0.0 keeps one, so that
-    an overflowed coefficient still meets it and is refused.
-    """
-    centers = tuple(float(v) for v in center)
-    widths = tuple(float(v) for v in half_width)
-    if len(centers) != p.m or len(widths) != p.m:
-        raise ValueError(f"affine vectors must have length {p.m}")
-    if any(not h > 0 for h in widths):
-        raise ValueError("half_width entries must be positive")
-    out: list[tuple[float, Exponents]] = []
-    for t in p.terms:
-        expansion: list[tuple[float, Exponents]] = [(t.coef, t.exp)]
-        for k, e in enumerate(t.exp):
-            if not e:
-                continue
-            c_k, h_k = centers[k], widths[k]
-            binomial = [math.comb(e, j) * c_k ** (e - j) * h_k**j for j in range(e + 1)]
-            weights = [(j, w) for j, w in enumerate(binomial) if w != 0.0] or [(0, 0.0)]
-            expansion = [
-                (coef * w, exps[:k] + (j,) + exps[k + 1 :])
-                for coef, exps in expansion
-                for j, w in weights
-            ]
-        out.extend(expansion)
-    return canonicalize(out, p.m)
 
 
 def real_array(x, name: str) -> np.ndarray:

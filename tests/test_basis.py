@@ -74,6 +74,18 @@ def test_enumeration_range_validation():
         build_basis(9, 5)
 
 
+def test_build_basis_defaults_to_the_unit_box_and_refuses_a_box_that_does_not_fit():
+    basis = build_basis(3, 2)
+    assert (basis.center, basis.half_width) == ((0.0, 0.0), (1.0, 1.0))
+    misfits = [((0.0,), (1.0, 1.0)), ((0.0, 0.0), (1.0,)), ((0.0,) * 3, (1.0,) * 3)]
+    for center, half_width in misfits:
+        with pytest.raises(ValueError, match="expected 2$"):
+            build_basis(3, 2, center, half_width)
+    for half_width in [(1.0, 0.0), (-1.0, 1.0), (1.0, -0.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="must be positive$"):
+            build_basis(3, 2, (0.0, 0.0), half_width)
+
+
 def test_build_basis_allocates_no_n_by_n_array():
     # n = 1820: an n x n float array would take 26 MB.
     tracemalloc.start()
@@ -257,6 +269,21 @@ def test_evaluate_basis_matches_legval(c, m):
         expected = np.prod(per_axis[basis.orders, np.arange(m)], axis=1)
         worst = max(worst, float(np.abs(evaluate_basis(basis, x) - expected).max()))
     assert worst <= 1e-14
+
+
+def test_evaluate_basis_on_a_box_is_the_recurrence_at_y_bit_for_bit():
+    # x is mapped to y = (x - center) / half_width in float arithmetic, axis by
+    # axis, and the unit box's recurrence runs at y.
+    rng = np.random.default_rng(11)
+    for m in range(1, 5):
+        center = tuple(float(v) for v in rng.uniform(-2.0, 2.0, m))
+        half_width = tuple(float(v) for v in rng.uniform(0.1, 3.0, m))
+        basis, unit = build_basis(5, m, center, half_width), build_basis(5, m)
+        for _ in range(20):
+            x = [c + h * u for c, h, u in zip(center, half_width, rng.uniform(-1.0, 1.0, m))]
+            y = [(xa - c) / h for xa, c, h in zip(x, center, half_width)]
+            # tobytes compares sign bits too: -0.0 differs from 0.0.
+            assert evaluate_basis(basis, x).tobytes() == evaluate_basis(unit, y).tobytes()
 
 
 def test_jacobi_matrix_multiplies_by_x():

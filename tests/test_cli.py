@@ -198,11 +198,12 @@ def eager_solve(spec, rk_step=None, edit=None):
     in one pass, the box-exit check over every state at once and the errors
     over every time at once.  `edit`, if given, changes the observable
     values in place first."""
-    basis = build_basis(spec.order, len(spec.states))
-    model = build_model(basis, spec.unit_vf, spec.unit_observables)
-    state_H = observable_matrix(basis, ObservableSet.identity(spec.states))
-    box = zip(spec.initial_state, spec.domain_center, spec.domain_half_width)
-    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, [(x - c) / h for x, c, h in box]))
+    m = len(spec.states)
+    basis = build_basis(spec.order, m, spec.domain_center, spec.domain_half_width)
+    model = build_model(basis, spec.vf, spec.observables)
+    # The box-exit rows track y = (x - center) / half_width: the states on the unit box.
+    state_H = observable_matrix(build_basis(spec.order, m), ObservableSet.identity(spec.states))
+    phi0 = initial_eigenfunctions(model.blocks, evaluate_basis(basis, spec.initial_state))
     times = np.linspace(0.0, spec.t_final, spec.num_steps)
     n_obs = len(model.H)
     trajectory = propagate_observables(np.vstack((model.H, state_H)), model.blocks, phi0, times)
@@ -580,7 +581,8 @@ def test_each_order_is_the_leading_block_of_a_higher_order_bit_for_bit():
     # A sweep assembles once, at its top order C, and solves each order
     # c <= C on the leading blocks: the basis rows, K, H, the box rows and
     # the basis at a point must equal those of order c, sign bits included.
-    # Seeded random fields of degree <= 3, with observables of degree <= 3.
+    # Seeded random fields of degree <= 3, with observables of degree <= 3,
+    # half of them on a shifted box.
     top = {1: MAX_ORDER, 2: 10, 3: 7, 4: 5}
     cases = 0
     for seed in range(24):
@@ -590,14 +592,17 @@ def test_each_order_is_the_leading_block_of_a_higher_order_bit_for_bit():
         observables = [
             ObservableSet(("g",), (_nesting_polynomial(rng, m, degree),)) for degree in range(4)
         ]
-        point = rng.uniform(-1.0, 1.0, size=m)
-        big = build_basis(top[m], m)
+        center, half_width = np.zeros(m), np.ones(m)
+        if seed % 8 >= 4:
+            center, half_width = rng.uniform(-1.0, 1.0, m), rng.uniform(0.5, 3.0, m)
+        point = center + half_width * rng.uniform(-1.0, 1.0, size=m)
+        big = build_basis(top[m], m, center, half_width)
         K = assemble_koopman(big, vf)
         H = [observable_matrix(big, g) for g in observables]
         box = cli._box_rows(big)
         values = evaluate_basis(big, point)
         for c in range(top[m] + 1):
-            basis = build_basis(c, m)
+            basis = build_basis(c, m, center, half_width)
             n = basis.n
             assert _same_bits(big.orders[:n], basis.orders), (seed, c)
             assert _same_bits(K[:n, :n], assemble_koopman(basis, vf)), (seed, c)
@@ -879,6 +884,20 @@ def test_an_overflowing_K_is_a_numeric_failure(tmp_path, capsys, flags):
     assert main(["solve", "--config", config, "--out-dir", str(out)] + flags) == 4
     assert capsys.readouterr().err == "numeric failure: K contains non-finite entries\n"
     assert not out.exists()
+
+
+def test_a_summary_whose_K_norm_overflows_is_strict_json(tmp_path):
+    # K's Frobenius norm overflows at order 2, though K is finite; the
+    # summary holds no NaN or Infinity, which strict JSON parsers refuse.
+    doc = {**OVERFLOWING_K, "order": 2, "t_final": 1e-306, "num_steps": 2}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out-dir", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    summary = json.loads((out / "big_summary.json").read_text(), parse_constant=refuse)
+    assert summary["skewness"] == pytest.approx(1.815, abs=1e-3)
 
 
 @pytest.mark.parametrize("t_final", [1.0, 1e-306], ids=["exp overflows", "tiny t_final"])

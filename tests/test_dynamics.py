@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER
+from legkoop.basis import MAX_BASIS_SIZE, MAX_ORDER, build_basis, evaluate_basis
 from legkoop.dynamics import (
     MAX_NUM_STEPS,
     MAX_OUTPUT_VALUES,
@@ -16,10 +16,10 @@ from legkoop.dynamics import (
     VectorField,
     duffing_vector_field,
     parse_system_config,
-    rescale_to_unit_box,
 )
 from legkoop.errors import SchemaError, ValidationError
-from legkoop.polyalg import canonicalize, evaluate, variable
+from legkoop.koopman import assemble_koopman
+from legkoop.polyalg import canonicalize, variable
 
 DUFFING_CONFIG = {
     "name": "duffing",
@@ -82,49 +82,49 @@ def test_vector_field_dimension_checks():
 
 
 # ---------------------------------------------------------------------------
-# rescaling
+# rescaling: the basis carries the box, and assembly changes variables to
+# y = (x - center) / half_width, where g_j(y) = f_j(center + half_width y) / half_width_j
 
 def test_rescale_identity_box_is_noop():
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.001)
-    g = rescale_to_unit_box(vf, (0.0, 0.0), (1.0, 1.0))
-    assert g.components == vf.components
+    # The config's explicit unit box is the default box, and a point of it
+    # is its own y.
+    spec = parse_system_config(config())
+    basis = build_basis(3, 2, spec.domain_center, spec.domain_half_width)
+    unit = build_basis(3, 2)
+    assert (basis.center, basis.half_width) == (unit.center, unit.half_width)
+    assert assemble_koopman(basis, spec.vf).tobytes() == assemble_koopman(unit, spec.vf).tobytes()
+    x = (0.3, -0.7)
+    assert evaluate_basis(basis, x).tobytes() == evaluate_basis(unit, x).tobytes()
 
 
 def test_rescale_symmetric_linear_system_cancels():
     vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
-    g = rescale_to_unit_box(vf, (0.0, 0.0), (2.0, 2.0))
-    assert as_dict(g.components[0]) == pytest.approx({(0, 1): 1.0})
-    assert as_dict(g.components[1]) == pytest.approx({(1, 0): -1.0})
+    K = assemble_koopman(build_basis(3, 2, (0.0, 0.0), (2.0, 2.0)), vf)
+    np.testing.assert_allclose(K, assemble_koopman(build_basis(3, 2), vf), rtol=0, atol=1e-14)
 
 
 def test_rescale_cubic_term_picks_up_width_ratio():
-    # f2 = -q^3 with widths (2,1): g2(y) = -(2 y1)^3 / 1 = -8 y1^3.
-    f = (
-        canonicalize([(1.0, (0, 1))], 2),
-        canonicalize([(-1.0, (3, 0))], 2),
-    )
-    g = rescale_to_unit_box(VectorField(2, f), (0.0, 0.0), (2.0, 1.0))
-    assert as_dict(g.components[1]) == pytest.approx({(3, 0): -8.0})
+    # f = (p, -q^3) with widths (2, 1): g = (p / 2, -(2 q)^3) = (0.5 p, -8 q^3).
+    f = VectorField(2, (canonicalize([(1.0, (0, 1))], 2), canonicalize([(-1.0, (3, 0))], 2)))
+    g = VectorField(2, (canonicalize([(0.5, (0, 1))], 2), canonicalize([(-8.0, (3, 0))], 2)))
+    K = assemble_koopman(build_basis(3, 2, (0.0, 0.0), (2.0, 1.0)), f)
+    np.testing.assert_allclose(K, assemble_koopman(build_basis(3, 2), g), rtol=0, atol=1e-13)
 
 
 def test_rescale_rejects_bad_half_width():
-    vf = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        rescale_to_unit_box(vf, (0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match="must be positive"):
+        build_basis(3, 2, (0.0, 0.0), (1.0, 0.0))
 
 
 def test_rescale_round_trip_at_random_points():
+    # The basis on the box at x = center + half_width y is the unit basis at y.
     rng = np.random.default_rng(5)
-    vf = duffing_vector_field(1.0, 1.3, 0.8, 0.2)
-    center = (0.3, -0.2)
-    half_width = (1.5, 2.5)
-    g = rescale_to_unit_box(vf, center, half_width)
+    center, half_width = (0.3, -0.2), (1.5, 2.5)
+    basis, unit = build_basis(4, 2, center, half_width), build_basis(4, 2)
     for _ in range(50):
         y = rng.uniform(-1.0, 1.0, size=2)
         x = np.array(center) + np.array(half_width) * y
-        for j in range(2):
-            expected = evaluate(vf.components[j], x) / half_width[j]
-            assert evaluate(g.components[j], y) == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_allclose(evaluate_basis(basis, x), evaluate_basis(unit, y), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_many_observable_names_validate_in_linear_time():
         observables=observables,
     )
     assert time.perf_counter() - started < 5.0
-    assert spec.unit_observables.names == names
+    assert spec.observables.names == names
 
 
 def test_a_repeated_state_name_is_named():
@@ -415,12 +415,30 @@ def test_with_order_is_replace_with_only_the_order_checks(doc):
         assert "observables.q3:" in refused
 
 
+def test_a_field_component_is_bounded_after_division_by_its_half_width():
+    # In y, dp/dt = 1e308 q on half widths (1, 0.5) becomes 2e308 y0: beyond
+    # the float range.  The same polynomial as an observable stays 1e308 y0.
+    box = {"center": [0.0, 0.0], "half_width": [1.0, 0.5]}
+    dynamics = [{"terms": [{"coef": 1.0, "exp": [0, 1]}]},
+                {"terms": [{"coef": 1e308, "exp": [1, 0]}]}]
+    with pytest.raises(ValidationError, match=(
+        r"^domain: rescaling to the unit box fails: dynamics\[1\] reaches coefficients "
+        "beyond the float range$"
+    )):
+        parse_system_config(config(dynamics=dynamics, domain=box, initial_state=[0.0, 0.0]))
+    observables = [{"name": "g", "terms": [{"coef": 1e308, "exp": [1, 0]}]}]
+    spec = parse_system_config(
+        config(domain=box, initial_state=[0.0, 0.0], observables=observables)
+    )
+    assert spec.observables.names == ("g",)
+
+
 def test_with_order_does_not_rescale_again(monkeypatch):
+    # The unit-box bound on the field and the observables is not checked again.
     spec = parse_system_config(config(domain={"center": [0.1, -0.2], "half_width": [2.0, 1.5]}))
 
     def refuse(*args):
         raise AssertionError("rescaled again")
 
-    monkeypatch.setattr("legkoop.dynamics.rescale_to_unit_box", refuse)
-    monkeypatch.setattr("legkoop.dynamics.affine_substitute", refuse)
-    assert spec.with_order(7).unit_vf is spec.unit_vf
+    monkeypatch.setattr("legkoop.dynamics._unit_box_bound", refuse)
+    assert spec.with_order(7).vf is spec.vf

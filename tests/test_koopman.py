@@ -472,7 +472,7 @@ def test_real_form_matches_the_complex_eigendecomposition():
 def test_eigendecompose_input_validation():
     with pytest.raises(ValueError):
         eigendecompose(np.ones((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError, match="^K contains non-finite entries$"):
         eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
@@ -989,6 +989,40 @@ def test_skewness_of_identity_is_two():
     assert skewness_diagnostic(np.eye(2)) == pytest.approx(2.0)
 
 
+def test_skewness_is_the_plain_formula_bit_for_bit():
+    # Wherever ||K + K^T|| / max(1, ||K||) is finite, the power-of-two
+    # scaling changes no bit of it, near the top of the float range too:
+    # each K is also taken scaled to max|K| = 4e153.
+    rng = np.random.default_rng(31)
+    large = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 61))
+        K = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, n))
+        K[rng.random((n, n)) < 0.3] = 0.0
+        cases = [K]
+        if K.any():
+            cases.append(K * (4e153 / np.abs(K).max()))
+        for K in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = float(np.linalg.norm(K + K.T) / max(1.0, np.linalg.norm(K)))
+            if math.isfinite(plain):
+                assert skewness_diagnostic(K) == plain
+                large += np.abs(K).max() > 1e150
+    assert large >= 50
+    for c in range(11):
+        K = assemble_koopman(build_basis(c, 2), DUFFING)
+        plain = float(np.linalg.norm(K + K.T) / max(1.0, np.linalg.norm(K)))
+        assert skewness_diagnostic(K) == plain
+
+
+def test_skewness_of_a_K_whose_norm_overflows_is_finite():
+    # ||K||_F overflows above about 1e154; the skewness stays 2 for a
+    # diagonal K and 0 for a skew-symmetric one.
+    big = np.diag([1e308, -1e308, 1e200])
+    assert skewness_diagnostic(big) == pytest.approx(2.0)
+    assert skewness_diagnostic(np.array([[0.0, 1e308], [-1e308, 0.0]])) == 0.0
+
+
 def test_duffing_skewness_is_finite_nonzero():
     basis = build_basis(3, 2)
     K = assemble_koopman(basis, DUFFING)
@@ -1024,6 +1058,65 @@ def test_operator_assembly_matches_monomial_reference(m, c):
     H = observable_matrix(basis, observables)
     H_ref = np.array([[box_inner_product(g, f) for f in funcs] for g in observables.polys])
     assert np.abs(H - H_ref).max() <= 1e-12
+
+
+def _affine_substitute_oracle(p, center, half_width):
+    # p(center + half_width y) in y: the full binomial expansion, every axis,
+    # every weight, zeros included.
+    out = []
+    for t in p.terms:
+        expansion = [(t.coef, ())]
+        for c_k, h_k, e in zip(center, half_width, t.exp):
+            binomial = [math.comb(e, j) * c_k ** (e - j) * h_k**j for j in range(e + 1)]
+            expansion = [
+                (coef * w, exps + (j,))
+                for coef, exps in expansion
+                for j, w in enumerate(binomial)
+            ]
+        out.extend(expansion)
+    return canonicalize(out, p.m)
+
+
+def _quadrature(a, b):
+    # Gauss-Legendre quadrature of <a, b> on the unit box, exact for their degrees.
+    return gauss_legendre_inner_product(a, b, (a.total_degree + b.total_degree) // 2 + 1)
+
+
+def test_assembly_on_a_shifted_box_matches_quadrature_of_the_expanded_polynomials():
+    # On the box center +- half_width, K and H are the unit-box projections of
+    # g_j(y) = f_j(center + half_width y) / half_width_j and of each
+    # observable at center + half_width y, expanded binomially.
+    rng = np.random.default_rng(2029)
+    worst = 0.0
+    for m in (1, 2, 3):
+        for c in range(1, 5):
+            center = tuple(float(v) for v in rng.uniform(-1.0, 1.0, m))
+            half_width = tuple(float(v) for v in rng.uniform(0.5, 3.0, m))
+            vf = VectorField(m, tuple(random_poly(rng, m, 3, 3) for _ in range(m)))
+            observables = ObservableSet(
+                ("g0", "g1"), tuple(random_poly(rng, m, c, 3) for _ in range(2))
+            )
+            basis = build_basis(c, m, center, half_width)
+            unit = build_basis(c, m)
+            expanded = VectorField(m, tuple(
+                canonicalize(
+                    [(t.coef / half_width[j], t.exp)
+                     for t in _affine_substitute_oracle(f, center, half_width).terms],
+                    m,
+                )
+                for j, f in enumerate(vf.components)
+            ))
+            funcs = [basis_as_polynomial(unit, k) for k in range(unit.n)]
+            derivatives = [total_derivative(unit, i, expanded) for i in range(unit.n)]
+            g = [_affine_substitute_oracle(p, center, half_width) for p in observables.polys]
+            K_ref = np.array([[_quadrature(d, f) for f in funcs] for d in derivatives])
+            H_ref = np.array([[_quadrature(gi, f) for f in funcs] for gi in g])
+            worst = max(
+                worst,
+                np.abs(assemble_koopman(basis, vf) - K_ref).max(),
+                np.abs(observable_matrix(basis, observables) - H_ref).max(),
+            )
+    assert worst <= 1e-12
 
 
 def test_assembly_equals_the_two_dimensional_gather_bit_for_bit():

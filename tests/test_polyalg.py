@@ -8,17 +8,14 @@ import pytest
 from legkoop.polyalg import (
     Monomial,
     Polynomial,
-    affine_substitute,
     box_inner_product,
     canonicalize,
     evaluate,
     partial_derivative,
     poly_add,
     poly_mul,
-    poly_scale,
     variable,
 )
-from legkoop.dynamics import VectorField, rescale_to_unit_box
 from legkoop.invariants import gauss_legendre_inner_product, legendre_coefficients
 
 
@@ -92,7 +89,7 @@ def test_canonicalize_idempotent_on_random_term_lists():
 def test_add_simple_and_cancelling():
     q, p = variable(2, 0), variable(2, 1)
     assert as_dict(poly_add(q, p)) == {(1, 0): 1.0, (0, 1): 1.0}
-    assert poly_add(q, poly_scale(q, -1.0)).is_zero
+    assert poly_add(q, P([(-1.0, (1, 0))])).is_zero
 
 
 def test_add_basis_style_constants():
@@ -255,130 +252,7 @@ def test_box_inner_product_matches_quadrature_on_random_polynomials():
 
 
 # ---------------------------------------------------------------------------
-# affine substitution and evaluation
-
-def test_affine_substitute_identity():
-    p = P([(2.0, (1, 1)), (1.0, (3, 0))])
-    assert affine_substitute(p, (0.0, 0.0), (1.0, 1.0)) == p
-
-
-def test_affine_substitute_pure_scaling():
-    p = P([(1.0, (2, 0))])
-    assert as_dict(affine_substitute(p, (0.0, 0.0), (2.0, 1.0))) == {(2, 0): 4.0}
-
-
-def test_affine_substitute_binomial_shift():
-    p = P([(1.0, (2, 0))])
-    shifted = affine_substitute(p, (1.0, 0.0), (1.0, 1.0))
-    assert as_dict(shifted) == {(0, 0): 1.0, (1, 0): 2.0, (2, 0): 1.0}
-
-
-def test_affine_substitute_rejects_bad_half_width():
-    p = variable(2, 0)
-    with pytest.raises(ValueError):
-        affine_substitute(p, (0.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        affine_substitute(p, (0.0,), (1.0, 1.0))
-
-
-def test_affine_substitute_consistent_with_evaluate():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        m = int(rng.integers(1, 4))
-        terms = [
-            (float(rng.normal()), tuple(int(e) for e in rng.integers(0, 4, size=m)))
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        p = canonicalize(terms, m)
-        center = rng.uniform(-1.0, 1.0, size=m)
-        half_width = rng.uniform(0.5, 2.0, size=m)
-        sub = affine_substitute(p, center, half_width)
-        y = rng.uniform(-1.0, 1.0, size=m)
-        direct = evaluate(p, center + half_width * y)
-        assert abs(evaluate(sub, y) - direct) <= 1e-12 * max(1.0, abs(direct))
-
-
-def _affine_substitute_oracle(p, center, half_width):
-    # The full binomial expansion: every axis, every weight, zeros included.
-    out = []
-    for t in p.terms:
-        expansion = [(t.coef, ())]
-        for c_k, h_k, e in zip(center, half_width, t.exp):
-            binomial = [math.comb(e, j) * c_k ** (e - j) * h_k**j for j in range(e + 1)]
-            expansion = [
-                (coef * w, exps + (j,))
-                for coef, exps in expansion
-                for j, w in enumerate(binomial)
-            ]
-        out.extend(expansion)
-    return canonicalize(out, p.m)
-
-
-def _outcome(function, *args):
-    try:
-        return function(*args)
-    except (ValueError, OverflowError) as exc:
-        return type(exc)
-
-
-def _random_polynomial(rng, m):
-    # Most terms have exponent-0 axes; some coefficients are near the
-    # bottom of the float range, so that their products underflow.
-    terms = []
-    for _ in range(int(rng.integers(1, 7))):
-        exp = tuple(int(e) if rng.random() < 0.5 else 0 for e in rng.integers(0, 5, size=m))
-        terms.append((float(rng.normal()) * 10.0 ** float(rng.choice([0, -150, -300])), exp))
-    return canonicalize(terms, m)
-
-
-def _random_box(rng, m):
-    # Zero and nonzero centers, unit and non-unit widths, some so small
-    # that their powers underflow.
-    center = [0.0 if rng.random() < 0.4 else float(rng.normal()) for _ in range(m)]
-    center = tuple(c * 10.0 ** float(rng.choice([0, -120])) for c in center)
-    half_width = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.1, 3.0)) for _ in range(m)]
-    half_width = tuple(h * 10.0 ** float(rng.choice([0, 0, -60, -90])) for h in half_width)
-    return center, half_width
-
-
-def test_affine_substitute_matches_the_full_expansion():
-    rng = np.random.default_rng(2021)
-    for _ in range(400):
-        m = int(rng.integers(1, 5))
-        p, (center, half_width) = _random_polynomial(rng, m), _random_box(rng, m)
-        expected = _affine_substitute_oracle(p, center, half_width)
-        assert affine_substitute(p, center, half_width) == expected, (p, center, half_width)
-
-
-@pytest.mark.parametrize("p, center, half_width", [
-    # y0 y1^2 with coefficient 1e300 * 1e100 = inf times weights that are
-    # all 0.0 (1e-200 ** 2 underflows): the full expansion makes inf * 0.0 = nan.
-    (P([(1e300, (1, 2))]), (0.0, 0.0), (1e100, 1e-200)),
-    # the center's power overflows
-    (P([(1.0, (2, 0))]), (1e200, 0.0), (1.0, 1.0)),
-    # the product of the coefficient and a weight overflows
-    (P([(1e308, (1, 0))]), (0.0, 0.0), (2.0, 1.0)),
-    # like terms that sum to inf
-    (P([(1e308, (1, 0)), (1e308, (0, 0))]), (1.0, 0.0), (1.0, 1.0)),
-])
-def test_affine_substitute_refuses_what_the_full_expansion_refuses(p, center, half_width):
-    expected = _outcome(_affine_substitute_oracle, p, center, half_width)
-    assert expected in (ValueError, OverflowError)
-    assert _outcome(affine_substitute, p, center, half_width) is expected
-
-
-def test_rescale_to_unit_box_matches_the_full_expansion():
-    rng = np.random.default_rng(2022)
-    for _ in range(200):
-        m = int(rng.integers(1, 5))
-        vf = VectorField(m, tuple(_random_polynomial(rng, m) for _ in range(m)))
-        center, half_width = _random_box(rng, m)
-        expected = tuple(
-            poly_scale(_affine_substitute_oracle(p, center, half_width), 1.0 / half_width[j])
-            for j, p in enumerate(vf.components)
-        )
-        assert rescale_to_unit_box(vf, center, half_width).components == expected
-
+# evaluation
 
 def test_evaluate_simple():
     qp = P([(1.0, (1, 1))])
