@@ -11,7 +11,10 @@ and the initial state stay in the config's coordinates.  See
 :mod:`legkoop.koopman` for the pipeline entry points, :mod:`legkoop.cli`
 for the command-line interface, and
 :mod:`legkoop.invariants` for the monomial and quadrature references the
-tests and `legkoop validate` check the solver against.
+tests and `legkoop validate` check the solver against.  Of
+:mod:`legkoop.polyalg`, the root exports what a field or observable is
+written in (`Polynomial`, `Monomial`, `canonicalize`, `evaluate`); the
+references' algebra (`poly_mul`, `box_inner_product`) stays there.
 """
 
 from .basis import BasisSet, build_basis, evaluate_basis
@@ -37,16 +40,7 @@ from .koopman import (
     propagate_observables,
     skewness_diagnostic,
 )
-from .polyalg import (
-    Monomial,
-    Polynomial,
-    box_inner_product,
-    canonicalize,
-    evaluate,
-    partial_derivative,
-    poly_add,
-    poly_mul,
-)
+from .polyalg import Monomial, Polynomial, canonicalize, evaluate
 from .refinteg import rk4_integrate
 
 __version__ = "0.1.0"
@@ -57,10 +51,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "canonicalize",
-    "poly_add",
-    "poly_mul",
-    "partial_derivative",
-    "box_inner_product",
     "evaluate",
     # basis
     "BasisSet",

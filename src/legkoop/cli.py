@@ -749,23 +749,26 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve one system and write its artifacts")
-    solve.add_argument("--config", required=True, help="JSON system description")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON system description")
+    common.add_argument("--rk-step", type=_step_argument, default=DEFAULT_RK_STEP)
+    common.add_argument("--out-dir", default="out")
+
+    solve = sub.add_parser(
+        "solve", parents=[common], help="solve one system and write its artifacts"
+    )
     solve.add_argument(
         "--reference",
         action="store_true",
         help="also integrate with RK4 and report per-observable errors",
     )
-    solve.add_argument("--rk-step", type=_step_argument, default=DEFAULT_RK_STEP)
-    solve.add_argument("--out-dir", default="out")
 
-    sweep = sub.add_parser("sweep", help="solve at several orders against one RK4 reference")
-    sweep.add_argument("--config", required=True, help="JSON system description")
+    sweep = sub.add_parser(
+        "sweep", parents=[common], help="solve at several orders against one RK4 reference"
+    )
     sweep.add_argument(
         "--orders", required=True, type=_orders_argument, help="range 'A..B' or list '1,3,5'"
     )
-    sweep.add_argument("--rk-step", type=_step_argument, default=DEFAULT_RK_STEP)
-    sweep.add_argument("--out-dir", default="out")
 
     sub.add_parser("validate", help="run the cross-module invariant suite")
 

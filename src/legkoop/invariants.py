@@ -5,7 +5,9 @@ monomial route is kept here as the independent reference the tests and
 `legkoop validate` check it against: the coefficient tables from numpy's
 `leg2poly` (`legendre_coefficients`, `normalize_legendre`), the basis
 expanded into monomials (`monomial_matrix`, `basis_as_polynomial`), dL_i/dt
-as a polynomial (`total_derivative`), and tensor-product Gauss-Legendre
+as a polynomial (`total_derivative`, which differentiates the monomials
+itself and multiplies with `polyalg.poly_mul`), the closed-form box
+integrals of `polyalg.box_inner_product`, and tensor-product Gauss-Legendre
 quadrature on numpy's `leggauss` nodes (Golub & Welsch, Math. Comp. 23,
 1969), each polynomial evaluated on the whole grid in one call.
 `import legkoop.cli` loads neither this module nor numpy.polynomial.
@@ -27,16 +29,7 @@ from numpy.polynomial.legendre import leg2poly, leggauss
 from .basis import BasisSet, build_basis, evaluate_basis
 from .dynamics import ObservableSet, VectorField, duffing_vector_field
 from .koopman import assemble_koopman, build_model, initial_eigenfunctions, propagate
-from .polyalg import (
-    Monomial,
-    Polynomial,
-    box_inner_product,
-    canonicalize,
-    evaluate,
-    partial_derivative,
-    poly_add,
-    poly_mul,
-)
+from .polyalg import Monomial, Polynomial, box_inner_product, canonicalize, evaluate, poly_mul
 from .refinteg import rk4_integrate
 
 __all__ = [
@@ -45,7 +38,6 @@ __all__ = [
     "monomial_matrix",
     "basis_as_polynomial",
     "total_derivative",
-    "gauss_legendre_nodes",
     "gauss_legendre_inner_product",
     "GOLDEN_INDICES",
     "GOLDEN_LPC_ROWS",
@@ -116,26 +108,31 @@ def basis_as_polynomial(basis: BasisSet, i: int) -> Polynomial:
 
 
 def total_derivative(basis: BasisSet, i: int, vf: VectorField) -> Polynomial:
-    """d/dt of basis function i along the flow: sum_j dL_i/dx_j * f_j."""
+    """d/dt of basis function i along the flow: sum_j dL_i/dx_j * f_j.
+
+    Each dL_i/dx_j is taken term by term (coef * e_j, exponent e_j - 1) and
+    multiplied by f_j with `poly_mul`; one `canonicalize` then sums the
+    products of every j, in order of j.
+    """
     if vf.m != basis.m:
         raise ValueError(f"vector field dimension {vf.m} != basis dimension {basis.m}")
     li = basis_as_polynomial(basis, i)
-    total = canonicalize([], basis.m)
+    products = []
     for j, fj in enumerate(vf.components):
-        total = poly_add(total, poly_mul(partial_derivative(li, j), fj))
-    return total
+        dli = canonicalize(
+            [
+                (t.coef * t.exp[j], t.exp[:j] + (t.exp[j] - 1,) + t.exp[j + 1 :])
+                for t in li.terms
+                if t.exp[j]
+            ],
+            basis.m,
+        )
+        products.extend(poly_mul(dli, fj).terms)
+    return canonicalize(products, basis.m)
 
 
 # ---------------------------------------------------------------------------
 # quadrature reference
-
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending, exactly symmetric about 0) and weights of n-point
-    Gauss-Legendre quadrature on [-1, 1], from numpy's `leggauss`."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    return leggauss(n)
-
 
 def gauss_legendre_inner_product(a: Polynomial, b: Polynomial, nodes_per_dim: int) -> float:
     """Tensor-product quadrature of the box inner product <a, b>.
@@ -152,7 +149,7 @@ def gauss_legendre_inner_product(a: Polynomial, b: Polynomial, nodes_per_dim: in
             f"{nodes_per_dim} nodes per dimension cannot integrate degree "
             f"{a.total_degree + b.total_degree}; need >= {required}"
         )
-    nodes, weights = gauss_legendre_nodes(nodes_per_dim)
+    nodes, weights = leggauss(nodes_per_dim)
     # The node indices of every grid point, one point per column.
     grid = np.indices((nodes_per_dim,) * a.m).reshape(a.m, -1)
     points, w = nodes[grid], np.prod(weights[grid], axis=0)

@@ -64,7 +64,9 @@ from .errors import NearDefectiveError, NonFiniteError, ValidationError
 from .polyalg import real_array
 
 # Not called here: perfbench/tracing.py swaps these names on this module to
-# count calls, and test_instrumentation_restores_library_names reads them.
+# count calls, and test_instrumentation_restores_library_names reads them, so
+# both stay importable here.  Their callers are the monomial reference in
+# legkoop.invariants and the tests.
 from .polyalg import box_inner_product, poly_mul  # noqa: F401
 
 __all__ = [

@@ -11,6 +11,12 @@ bit-identical results.
 All values are immutable; every operation returns a fresh polynomial.
 `evaluate` takes one point or an m x N array of points, and gives each
 point the same float operations either way.
+
+The solver itself only builds polynomials (`canonicalize`, `variable`, as
+`legkoop.dynamics` reads a config) and evaluates them (`evaluate`, for the
+observables' `_ref` columns on RK4 states).  `poly_mul` and
+`box_inner_product` serve the monomial reference in `legkoop.invariants`
+and the tests that check `K`, `H` and the Gram matrix against it.
 """
 
 from __future__ import annotations
@@ -26,9 +32,7 @@ __all__ = [
     "Polynomial",
     "canonicalize",
     "variable",
-    "poly_add",
     "poly_mul",
-    "partial_derivative",
     "box_inner_product",
     "evaluate",
 ]
@@ -55,11 +59,6 @@ class Polynomial:
     def total_degree(self) -> int:
         """Largest total degree over all terms (0 for the zero polynomial)."""
         return max((sum(t.exp) for t in self.terms), default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 
 def _grade_key(exp: Exponents) -> tuple:
@@ -115,12 +114,6 @@ def _check_same_dimension(a: Polynomial, b: Polynomial) -> None:
         raise ValueError(f"dimension mismatch: {a.m} vs {b.m}")
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a + b in canonical form."""
-    _check_same_dimension(a, b)
-    return canonicalize(list(a.terms) + list(b.terms), a.m)
-
-
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b: coefficients multiply, exponents add componentwise."""
     _check_same_dimension(a, b)
@@ -131,19 +124,6 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
                 (ta.coef * tb.coef, tuple(x + y for x, y in zip(ta.exp, tb.exp)))
             )
     return canonicalize(products, a.m)
-
-
-def partial_derivative(p: Polynomial, var: int) -> Polynomial:
-    """d/dx_var applied term-wise; terms constant in x_var vanish."""
-    if not 0 <= var < p.m:
-        raise ValueError(f"variable index {var} out of range for dimension {p.m}")
-    out = []
-    for t in p.terms:
-        e = t.exp[var]
-        if e:
-            exp = t.exp[:var] + (e - 1,) + t.exp[var + 1 :]
-            out.append((t.coef * e, exp))
-    return canonicalize(out, p.m)
 
 
 # Dekker's exact two-product.  Individual inner-product contributions can be

@@ -634,6 +634,16 @@ def test_a_sweep_row_is_the_row_of_that_order_swept_alone(tmp_path):
         assert _sweep_rows_without_wall_time(out) == [rows[0], rows[1 + order]]
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_solve_and_sweep_help_list_the_shared_options(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    for option in ("--config CONFIG", "--rk-step RK_STEP", "--out-dir OUT_DIR"):
+        assert option in text
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--orders", "1..2"]])
 def test_json_nested_too_deep_is_a_config_error(tmp_path, capsys, command):
     path = tmp_path / "deep.json"
@@ -1937,8 +1947,7 @@ def test_importing_the_cli_loads_no_monomial_or_quadrature_reference():
     # and sweep load holds them, under their own name or as an import.
     names = (
         "legendre_coefficients", "normalize_legendre", "monomial_matrix",
-        "basis_as_polynomial", "total_derivative", "gauss_legendre_nodes",
-        "gauss_legendre_inner_product",
+        "basis_as_polynomial", "total_derivative", "gauss_legendre_inner_product",
     )
     found = _after_importing_the_cli(
         f"[(m, n) for m in sorted(sys.modules) if m.partition('.')[0] == 'legkoop' "

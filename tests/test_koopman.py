@@ -31,7 +31,14 @@ from legkoop.koopman import (
     propagate_observables,
     skewness_diagnostic,
 )
-from legkoop.polyalg import Polynomial, box_inner_product, canonicalize, evaluate, variable
+from legkoop.polyalg import (
+    Polynomial,
+    box_inner_product,
+    canonicalize,
+    evaluate,
+    poly_mul,
+    variable,
+)
 from legkoop.refinteg import rk4_integrate
 
 HARMONIC = duffing_vector_field(1.0, 1.0, 1.0, 0.0)
@@ -64,7 +71,7 @@ def as_dict(p):
 
 def test_constant_basis_function_has_zero_derivative():
     basis = build_basis(3, 2)
-    assert total_derivative(basis, 0, DUFFING).is_zero
+    assert total_derivative(basis, 0, DUFFING).terms == ()
 
 
 def test_harmonic_chain_rule_maps_l1_to_l2():
@@ -88,6 +95,58 @@ def test_total_derivative_dimension_mismatch():
     vf3 = VectorField(3, tuple(variable(3, k) for k in range(3)))
     with pytest.raises(ValueError):
         total_derivative(basis, 0, vf3)
+
+
+def test_total_derivative_matches_central_differences_along_the_field():
+    # dL_i/dt at x against (L_i(x + h f(x)) - L_i(x - h f(x))) / 2h.
+    rng = np.random.default_rng(3)
+    step = 1e-5
+    for m, c in [(1, 5), (2, 4), (3, 3)]:
+        basis = build_basis(c, m)
+        vf = VectorField(m, tuple(random_poly(rng, m, 3, 4) for _ in range(m)))
+        for i in range(basis.n):
+            li = basis_as_polynomial(basis, i)
+            x = rng.uniform(-0.9, 0.9, size=m)
+            fx = np.array([evaluate(fj, x) for fj in vf.components])
+            exact = evaluate(total_derivative(basis, i, vf), x)
+            approx = (evaluate(li, x + step * fx) - evaluate(li, x - step * fx)) / (2 * step)
+            assert abs(exact - approx) <= 1e-6 * max(1.0, abs(exact))
+
+
+def _total_derivative_oracle(basis, i, vf):
+    # The composition total_derivative replaced: a canonical partial
+    # derivative per axis, times f_j, added into a canonical running sum.
+    def poly_add(a, b):
+        return canonicalize(list(a.terms) + list(b.terms), a.m)
+
+    def partial_derivative(p, var):
+        out = []
+        for t in p.terms:
+            e = t.exp[var]
+            if e:
+                out.append((t.coef * e, t.exp[:var] + (e - 1,) + t.exp[var + 1 :]))
+        return canonicalize(out, p.m)
+
+    li = basis_as_polynomial(basis, i)
+    total = canonicalize([], basis.m)
+    for j, fj in enumerate(vf.components):
+        total = poly_add(total, poly_mul(partial_derivative(li, j), fj))
+    return total
+
+
+def test_total_derivative_equals_the_add_and_differentiate_composition():
+    # Equal term for term: one canonicalize over every product adds like
+    # terms in the order the running sum did, and drops the same zeros.
+    rng = np.random.default_rng(2030)
+    cases = [(DUFFING, build_basis(c, 2)) for c in range(9)]
+    for m, top in [(1, 6), (2, 6), (3, 4)]:
+        for c in range(top + 1):
+            for _ in range(3):
+                vf = VectorField(m, tuple(random_poly(rng, m, 3, 4) for _ in range(m)))
+                cases.append((vf, build_basis(c, m)))
+    for vf, basis in cases:
+        for i in range(basis.n):
+            assert total_derivative(basis, i, vf) == _total_derivative_oracle(basis, i, vf)
 
 
 # ---------------------------------------------------------------------------

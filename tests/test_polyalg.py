@@ -11,12 +11,17 @@ from legkoop.polyalg import (
     box_inner_product,
     canonicalize,
     evaluate,
-    partial_derivative,
-    poly_add,
     poly_mul,
     variable,
 )
-from legkoop.invariants import gauss_legendre_inner_product, legendre_coefficients
+from legkoop.basis import build_basis
+from legkoop.dynamics import VectorField
+from legkoop.invariants import (
+    basis_as_polynomial,
+    gauss_legendre_inner_product,
+    legendre_coefficients,
+    total_derivative,
+)
 
 
 def P(terms, m=2):
@@ -38,7 +43,6 @@ def test_canonicalize_combines_like_terms():
 def test_canonicalize_cancellation_gives_zero_polynomial():
     p = P([(1.0, (2, 0)), (-1.0, (2, 0))])
     assert p.terms == ()
-    assert p.is_zero
     assert p.total_degree == 0
 
 
@@ -86,24 +90,6 @@ def test_canonicalize_idempotent_on_random_term_lists():
 # ---------------------------------------------------------------------------
 # ring operations
 
-def test_add_simple_and_cancelling():
-    q, p = variable(2, 0), variable(2, 1)
-    assert as_dict(poly_add(q, p)) == {(1, 0): 1.0, (0, 1): 1.0}
-    assert poly_add(q, P([(-1.0, (1, 0))])).is_zero
-
-
-def test_add_basis_style_constants():
-    a = P([(-0.559, (0, 0)), (1.677, (2, 0))])
-    b = P([(0.559, (0, 0))])
-    total = poly_add(a, b)
-    assert as_dict(total) == pytest.approx({(2, 0): 1.677})
-
-
-def test_add_requires_same_dimension():
-    with pytest.raises(ValueError):
-        poly_add(variable(2, 0), variable(3, 0))
-
-
 def test_mul_simple():
     q, p = variable(2, 0), variable(2, 1)
     assert as_dict(poly_mul(q, p)) == {(1, 1): 1.0}
@@ -142,62 +128,56 @@ def test_ring_laws_on_random_polynomials():
         scale = max(1.0, max(abs(v) for v in da.values()) if da else 1.0)
         return all(abs(da[k] - db[k]) <= 1e-12 * scale for k in da)
 
+    def add(a, b):
+        return canonicalize(a.terms + b.terms, a.m)
+
     for _ in range(30):
         m = int(rng.integers(1, 4))
         a, b, c = random_poly(m), random_poly(m), random_poly(m)
-        assert close(poly_add(a, b), poly_add(b, a))
+        assert close(add(a, b), add(b, a))
         assert close(poly_mul(a, b), poly_mul(b, a))
-        assert close(poly_add(poly_add(a, b), c), poly_add(a, poly_add(b, c)))
+        assert close(add(add(a, b), c), add(a, add(b, c)))
         assert close(poly_mul(poly_mul(a, b), c), poly_mul(a, poly_mul(b, c)))
-        assert close(
-            poly_mul(a, poly_add(b, c)), poly_add(poly_mul(a, b), poly_mul(a, c))
-        )
+        assert close(poly_mul(a, add(b, c)), add(poly_mul(a, b), poly_mul(a, c)))
 
 
 # ---------------------------------------------------------------------------
 # differentiation
+#
+# The term-wise derivative (coef * e, exponent e - 1) lives in
+# `invariants.total_derivative`; along the unit field f = e_j, dL_i/dt is
+# the partial derivative dL_i/dx_j.  Basis order for c = 3, m = 2:
+# L6 = P3(q), L8 = P1(q) P2(p).
+
+def along(m, j):
+    one, zero = canonicalize([(1.0, (0,) * m)], m), Polynomial(m, ())
+    return VectorField(m, tuple(one if k == j else zero for k in range(m)))
+
 
 def test_partial_derivative_power_rule():
-    p = P([(1.0, (3, 0))])
-    assert as_dict(partial_derivative(p, 0)) == {(2, 0): 3.0}
+    basis = build_basis(3, 2)
+    l6 = as_dict(basis_as_polynomial(basis, 6))
+    assert set(l6) == {(3, 0), (1, 0)}
+    dq = as_dict(total_derivative(basis, 6, along(2, 0)))
+    assert dq == {(2, 0): 3.0 * l6[(3, 0)], (0, 0): l6[(1, 0)]}
 
 
 def test_partial_derivative_of_missing_variable_is_zero():
-    p = P([(1.0, (2, 0))])
-    assert partial_derivative(p, 1).is_zero
+    basis = build_basis(3, 2)
+    assert set(as_dict(basis_as_polynomial(basis, 3))) == {(2, 0), (0, 0)}
+    assert total_derivative(basis, 3, along(2, 1)).terms == ()
+    assert total_derivative(basis, 6, along(2, 1)).terms == ()
 
 
 def test_partial_derivative_basis_function_8():
-    p = P([(-0.968, (1, 0)), (2.905, (1, 2))])
-    dq = partial_derivative(p, 0)
-    assert as_dict(dq) == {(0, 0): -0.968, (0, 2): 2.905}
-
-
-def test_partial_derivative_var_out_of_range():
-    with pytest.raises(ValueError):
-        partial_derivative(variable(2, 0), 2)
-    with pytest.raises(ValueError):
-        partial_derivative(variable(2, 0), -1)
-
-
-def test_partial_derivative_matches_central_differences():
-    rng = np.random.default_rng(3)
-    step = 1e-5
-    for _ in range(20):
-        m = int(rng.integers(1, 4))
-        terms = [
-            (float(rng.normal()), tuple(int(e) for e in rng.integers(0, 4, size=m)))
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        p = canonicalize(terms, m)
-        x = rng.uniform(-0.9, 0.9, size=m)
-        for var in range(m):
-            exact = evaluate(partial_derivative(p, var), x)
-            hi, lo = x.copy(), x.copy()
-            hi[var] += step
-            lo[var] -= step
-            approx = (evaluate(p, hi) - evaluate(p, lo)) / (2 * step)
-            assert abs(exact - approx) <= 1e-6 * max(1.0, abs(exact))
+    # L8 = -0.968 q + 2.905 q p^2 (rounded).
+    basis = build_basis(3, 2)
+    l8 = as_dict(basis_as_polynomial(basis, 8))
+    assert l8 == pytest.approx({(1, 0): -0.968, (1, 2): 2.905}, abs=5e-4)
+    assert as_dict(total_derivative(basis, 8, along(2, 0))) == {
+        (0, 0): l8[(1, 0)], (0, 2): l8[(1, 2)]
+    }
+    assert as_dict(total_derivative(basis, 8, along(2, 1))) == {(1, 1): 2.0 * l8[(1, 2)]}
 
 
 # ---------------------------------------------------------------------------
