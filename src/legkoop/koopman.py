@@ -113,17 +113,15 @@ def _axis_powers(basis: BasisSet, size: int, max_power: int) -> list[list[np.nda
     return axes
 
 
-def _tensor_entries(
-    factors: Sequence[np.ndarray], rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    # out[i, k] = prod_a factors[a][rows[a, i], cols[a, k]]: the Galerkin
+def _tensor_entries(factors: Sequence[np.ndarray], orders: np.ndarray) -> np.ndarray:
+    # out[i, k] = prod_a factors[a][orders[a, i], orders[a, k]]: the Galerkin
     # entries of a tensor product of univariate operators, one index row per
     # axis.  Gathering columns, then rows is a few times faster than one
     # two-dimensional gather and yields a fresh C-ordered array, whose
     # buffer numpy can reuse for the product.
-    out = factors[0][:, cols[0]][rows[0]]
+    out = factors[0][:, orders[0]][orders[0]]
     for a in range(1, len(factors)):
-        out = out * factors[a][:, cols[a]][rows[a]]
+        out = out * factors[a][:, orders[a]][orders[a]]
     return out
 
 
@@ -153,7 +151,7 @@ def assemble_koopman(basis: BasisSet, vf: VectorField) -> np.ndarray:
                     D @ powers[a][e] if a == j else powers[a][e] for a, e in enumerate(term.exp)
                 ]
                 coef = term.coef / basis.half_width[j]
-                K += coef * _tensor_entries(factors, orders, orders)
+                K += coef * _tensor_entries(factors, orders)
     K.flags.writeable = False
     return K
 
@@ -164,6 +162,12 @@ def observable_matrix(basis: BasisSet, observables: ObservableSet) -> np.ndarray
     `observables` are given in the coordinates x of the basis's box.  The
     projection reproduces g_i exactly only when deg g_i <= c, so higher
     degrees are rejected instead of silently truncated.
+
+    x^e = x^e * (sqrt2 N_0) per axis, so <x^e, N_q> = sqrt2 (A^e)[0, q]:
+    only row 0 of each per-axis power A_a^e is gathered.  The powers stay
+    the full matrix products of `_axis_powers`: row 0 computed by
+    vector-matrix products is not guaranteed to round like row 0 of a
+    matrix product.
     """
     for name, poly in zip(observables.names, observables.polys):
         if poly.m != basis.m:
@@ -174,17 +178,17 @@ def observable_matrix(basis: BasisSet, observables: ObservableSet) -> np.ndarray
             raise ValidationError(
                 f"observable '{name}' has degree {poly.total_degree} > order {basis.c}"
             )
-    # x^e = x^e * (sqrt(2) N_0) per axis, so <x^e, N_q> = sqrt(2) (A^e)[0, q].
     max_degree = max(poly.total_degree for poly in observables.polys)
     powers = _axis_powers(basis, basis.c + max_degree + 1, max_degree)
-    origin = np.zeros((basis.m, 1), dtype=int)
     orders = np.ascontiguousarray(basis.orders.T)
     scale = 2.0 ** (basis.m / 2)
     H = np.zeros((len(observables), basis.n))
     for i, g in enumerate(observables.polys):
         for term in g.terms:
-            factors = [powers[a][e] for a, e in enumerate(term.exp)]
-            H[i] += term.coef * scale * _tensor_entries(factors, origin, orders)[0]
+            entries = powers[0][term.exp[0]][0, orders[0]]
+            for a in range(1, basis.m):
+                entries = entries * powers[a][term.exp[a]][0, orders[a]]
+            H[i] += term.coef * scale * entries
     H.flags.writeable = False
     return H
 

@@ -29,6 +29,7 @@ from legkoop.dynamics import (
     MAX_NUM_STEPS,
     MAX_OUTPUT_VALUES,
     ObservableSet,
+    SystemSpec,
     VectorField,
     parse_system_config,
 )
@@ -547,21 +548,64 @@ def test_the_summary_is_json_dumps_with_indent_2(tmp_path, monkeypatch, doc, fla
     assert (summary["first_box_exit_time"] is None) == (doc["name"] != "growth")
 
 
-def test_box_rows_are_the_identity_observables_bit_for_bit():
+def _spec_on_box(vf, order, center, half_width, observables=None):
+    # `vf` on the box center +- half_width, from its center.
+    states = tuple(f"x{k}" for k in range(vf.m))
+    return SystemSpec(
+        name="box", states=states, vf=vf,
+        domain_center=tuple(center), domain_half_width=tuple(half_width),
+        initial_state=tuple(center), order=order, t_final=1.0, num_steps=2,
+        observables=ObservableSet.identity(states) if observables is None else observables,
+    )
+
+
+def test_the_box_rows_are_the_closed_form_on_shifted_boxes():
+    # The box rows track y = (x - center) / half_width whatever the box:
+    # y_k = sqrt2 J[0, 1] N_1(y_k) and sqrt2 N_0 = 1 on each other axis, so
+    # row k has one nonzero, 2^(m/2) / sqrt3, at column 1 + k, the degree-1
+    # function of axis k in graded order.
+    rng = np.random.default_rng(31)
     cases = 0
     for m in range(1, MAX_DIMENSION + 1):
+        # dx_k/dt = -x_k
+        vf = VectorField(m, tuple(
+            canonicalize([(-1.0, tuple(int(a == k) for a in range(m)))], m) for k in range(m)
+        ))
         for c in range(1, MAX_ORDER + 1):
             if math.comb(c + m, m) > MAX_BASIS_SIZE:
                 break
-            basis = build_basis(c, m)
-            identity = ObservableSet.identity(tuple(f"y{k}" for k in range(m)))
-            expected = observable_matrix(basis, identity)
-            rows = cli._box_rows(basis)
-            assert rows.shape == expected.shape and rows.dtype == expected.dtype
-            # tobytes compares sign bits too: -0.0 differs from 0.0.
-            assert rows.tobytes() == expected.tobytes(), (c, m)
+            spec = _spec_on_box(vf, c, rng.uniform(-2.0, 2.0, m), rng.uniform(0.3, 3.0, m))
+            assembly = cli._assemble(spec)
+            box = assembly.rows[m:]
+            expected = np.zeros((m, assembly.basis.n))
+            expected[np.arange(m), 1 + np.arange(m)] = 2.0 ** (m / 2) / math.sqrt(3)
+            assert _same_bits(box, expected), (c, m)
             cases += 1
     assert cases == 63
+
+
+def test_a_solve_projects_the_observables_and_the_unit_box_states_by_name(tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps cli.observable_matrix and times a call on
+    # the observables y0..y{m-1} as the box-exit layer: a solve makes that
+    # call once, on the basis moved onto the unit box, after the one for
+    # the config's observables on the config's box.
+    calls = []
+    project = cli.observable_matrix
+
+    def noting_projection(basis, observables):
+        calls.append((basis, observables))
+        return project(basis, observables)
+
+    monkeypatch.setattr(cli, "observable_matrix", noting_projection)
+    doc = {**DUFFING, "domain": {"center": [0.1, -0.2], "half_width": [1.5, 1.2]}}
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    [(basis, observables), (unit_box, box)] = calls
+    assert (basis.center, basis.half_width) == ((0.1, -0.2), (1.5, 1.2))
+    assert observables.names == ("q", "p")
+    assert (unit_box.center, unit_box.half_width) == ((0.0, 0.0), (1.0, 1.0))
+    assert unit_box.c == basis.c and _same_bits(unit_box.orders, basis.orders)
+    assert box == ObservableSet.identity(("y0", "y1"))
 
 
 def _same_bits(a, b):
@@ -579,8 +623,9 @@ def _nesting_polynomial(rng, m, degree):
 
 def test_each_order_is_the_leading_block_of_a_higher_order_bit_for_bit():
     # A sweep assembles once, at its top order C, and solves each order
-    # c <= C on the leading blocks: the basis rows, K, H, the box rows and
-    # the basis at a point must equal those of order c, sign bits included.
+    # c <= C on the leading blocks: the basis rows, K, the assembly's rows
+    # of H with the box rows, H and the basis at a point must equal those of
+    # order c, sign bits included.
     # Seeded random fields of degree <= 3, with observables of degree <= 3,
     # half of them on a shifted box.
     top = {1: MAX_ORDER, 2: 10, 3: 7, 4: 5}
@@ -596,21 +641,21 @@ def test_each_order_is_the_leading_block_of_a_higher_order_bit_for_bit():
         if seed % 8 >= 4:
             center, half_width = rng.uniform(-1.0, 1.0, m), rng.uniform(0.5, 3.0, m)
         point = center + half_width * rng.uniform(-1.0, 1.0, size=m)
-        big = build_basis(top[m], m, center, half_width)
-        K = assemble_koopman(big, vf)
-        H = [observable_matrix(big, g) for g in observables]
-        box = cli._box_rows(big)
-        values = evaluate_basis(big, point)
+        # The assembly's own rows: the constant observable, then the box rows.
+        spec = _spec_on_box(vf, top[m], center, half_width, observables[0])
+        big = cli._assemble(spec)
+        H = [observable_matrix(big.basis, g) for g in observables]
+        values = evaluate_basis(big.basis, point)
         for c in range(top[m] + 1):
-            basis = build_basis(c, m, center, half_width)
+            assembly = cli._assemble(spec.with_order(c))
+            basis = assembly.basis
             n = basis.n
-            assert _same_bits(big.orders[:n], basis.orders), (seed, c)
-            assert _same_bits(K[:n, :n], assemble_koopman(basis, vf)), (seed, c)
+            assert _same_bits(big.basis.orders[:n], basis.orders), (seed, c)
+            assert _same_bits(big.K[:n, :n], assembly.K), (seed, c)
+            assert _same_bits(big.rows[: len(assembly.rows), :n], assembly.rows), (seed, c)
             for g, rows in zip(observables, H):
                 if g.polys[0].total_degree <= c:
                     assert _same_bits(rows[:, :n], observable_matrix(basis, g)), (seed, c)
-            if c >= 1:
-                assert _same_bits(box[:, :n], cli._box_rows(basis)), (seed, c)
             assert _same_bits(values[:n], evaluate_basis(basis, point)), (seed, c)
             cases += 1
     assert cases == 6 * (13 + 11 + 8 + 6)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from legkoop.basis import build_basis, derivative_matrix, evaluate_basis, jacobi_matrix
+from legkoop.basis import MAX_ORDER, build_basis, derivative_matrix, evaluate_basis, jacobi_matrix
 from legkoop.dynamics import (
     MAX_NUM_STEPS,
     MAX_POLY_DEGREE,
@@ -20,6 +20,7 @@ from legkoop.invariants import basis_as_polynomial, gauss_legendre_inner_product
 from legkoop.koopman import (
     _TIME_BLOCK,
     EigenBlock,
+    _axis_powers,
     _evaluate_rows,
     _grouped_coefficients,
     assemble_koopman,
@@ -1201,6 +1202,50 @@ def test_assembly_equals_the_two_dimensional_gather_bit_for_bit():
                 out = factor if out is None else out * factor
             K += term.coef * out
     assert assemble_koopman(basis, vf).tobytes() == K.tobytes()
+
+
+def _observable_matrix_oracle(basis, observables):
+    # H as the tensor-entry gather of every row of each factor, then row 0:
+    # the origin's orders as the row indices, the basis's as the columns.
+    max_degree = max(poly.total_degree for poly in observables.polys)
+    powers = _axis_powers(basis, basis.c + max_degree + 1, max_degree)
+    origin = np.zeros((basis.m, 1), dtype=int)
+    orders = np.ascontiguousarray(basis.orders.T)
+    scale = 2.0 ** (basis.m / 2)
+    H = np.zeros((len(observables), basis.n))
+    for i, g in enumerate(observables.polys):
+        for term in g.terms:
+            factors = [powers[a][e] for a, e in enumerate(term.exp)]
+            entries = factors[0][:, orders[0]][origin[0]]
+            for a in range(1, basis.m):
+                entries = entries * factors[a][:, orders[a]][origin[a]]
+            H[i] += term.coef * scale * entries[0]
+    return H
+
+
+def test_observable_matrix_equals_the_full_row_gather_bit_for_bit():
+    # observable_matrix gathers only row 0 of each per-axis power; the
+    # oracle gathers every row and keeps row 0.  Seeded random observable
+    # sets of degree up to c, m = 1..6, two in three on a shifted box.
+    top = {1: MAX_ORDER, 2: 10, 3: 7, 4: 6, 5: 5, 6: 4}
+    cases = 0
+    for seed in range(36):
+        rng = np.random.default_rng(3100 + seed)
+        m = seed % 6 + 1
+        c = int(rng.integers(1, top[m] + 1))
+        center, half_width = np.zeros(m), np.ones(m)
+        if seed % 3:
+            center, half_width = rng.uniform(-2.0, 2.0, m), rng.uniform(0.3, 3.0, m)
+        basis = build_basis(c, m, center, half_width)
+        observables = ObservableSet(
+            tuple(f"g{k}" for k in range(4)),
+            tuple(random_poly(rng, m, int(rng.integers(0, c + 1)), 5) for _ in range(4)),
+        )
+        H = observable_matrix(basis, observables)
+        # tobytes compares sign bits too: -0.0 differs from 0.0.
+        assert H.tobytes() == _observable_matrix_oracle(basis, observables).tobytes(), seed
+        cases += 1
+    assert cases == 36
 
 
 def test_linear_fields_are_exactly_degree_triangular():
