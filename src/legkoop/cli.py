@@ -188,7 +188,12 @@ class _ReferenceRun:
         """Whether `values()` would return without waiting for RK4 work: in
         this process, once the message is read, or once the child has ended
         (it is reaped here).  A message larger than the pipe holds keeps the
-        child in its write until `values()` reads it.  Never blocks."""
+        child in its write until `values()` reads it.  Never blocks.
+
+        A sweep asks after each order so that it stops where a failed
+        reference is first seen, instead of solving every order after it.
+        It saves no memory for a message larger than the pipe holds (64 KiB
+        on Linux), which keeps it False until `values()`."""
         if self._pipe is None:
             return True
         if self._pid is not None and os.waitpid(self._pid, os.WNOHANG)[0]:
@@ -565,8 +570,10 @@ def run_sweep(
 ) -> int:
     """Solve at several orders against a single RK4 reference.
 
-    The basis, `K` and `H` are assembled once, at the largest order that
-    validates, and each order solves on their leading blocks (`_Assembly`).
+    Each order is validated as `solve` validates that order's config, so it
+    is refused with the same message.  The basis, `K` and `H` are assembled
+    once, at the largest order that validates, and each order solves on
+    their leading blocks (`_Assembly`).
     A row's wall time is its own order's work, from its eigendecomposition
     to its errors; the shared assembly is in none of them.
     """
@@ -584,7 +591,7 @@ def run_sweep(
     checked = []
     for order in orders:
         try:
-            checked.append(spec.with_order(order))
+            checked.append(replace(spec, order=order))
         except ValidationError as exc:
             checked.append(exc)
     top = max((c for c in checked if isinstance(c, SystemSpec)), key=lambda c: c.order)

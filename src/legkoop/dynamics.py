@@ -9,7 +9,6 @@ above the basis order, ...) raise `ValidationError`.  Missing or
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -215,7 +214,13 @@ class SystemSpec:
                 raise ValidationError(f"{field}: expected length {m}")
         if any(not h > 0 for h in self.domain_half_width):
             raise ValidationError("domain.half_width: entries must be positive")
-        self._check_order()
+        if not 0 <= self.order <= MAX_ORDER:
+            raise ValidationError(f"order: {self.order} outside 0..{MAX_ORDER}")
+        n = math.comb(self.order + m, m)
+        if n > MAX_BASIS_SIZE:
+            raise ValidationError(
+                f"order: {self.order} in {m} variables gives basis size {n} > {MAX_BASIS_SIZE}"
+            )
         if self.vf.max_degree > MAX_POLY_DEGREE:
             raise ValidationError(
                 f"dynamics: degree {self.vf.max_degree} exceeds {MAX_POLY_DEGREE}"
@@ -252,7 +257,10 @@ class SystemSpec:
         for name, poly in zip(names, polys):
             if poly.m != m:
                 raise ValidationError(f"observables.{name}: dimension {poly.m} != {m}")
-        self._check_observable_degrees()
+            if poly.total_degree > self.order:
+                raise ValidationError(
+                    f"observables.{name}: degree {poly.total_degree} exceeds order {self.order}"
+                )
         # Field component j's coefficients in y are divided by half_width[j].
         center, half_width = self.domain_center, self.domain_half_width
         scaled = itertools.chain(
@@ -265,35 +273,6 @@ class SystemSpec:
                     f"domain: rescaling to the unit box fails: {path} reaches coefficients "
                     "beyond the float range"
                 )
-
-    def _check_order(self) -> None:
-        m = len(self.states)
-        if not 0 <= self.order <= MAX_ORDER:
-            raise ValidationError(f"order: {self.order} outside 0..{MAX_ORDER}")
-        n = math.comb(self.order + m, m)
-        if n > MAX_BASIS_SIZE:
-            raise ValidationError(
-                f"order: {self.order} in {m} variables gives basis size {n} > {MAX_BASIS_SIZE}"
-            )
-
-    def _check_observable_degrees(self) -> None:
-        for name, poly in zip(self.observables.names, self.observables.polys):
-            if poly.total_degree > self.order:
-                raise ValidationError(
-                    f"observables.{name}: degree {poly.total_degree} "
-                    f"exceeds order {self.order}"
-                )
-
-    def with_order(self, order: int) -> "SystemSpec":
-        """`dataclasses.replace(self, order=order)`, field for field, or the
-        ValidationError it raises.  Only the checks that read the order run
-        again (its range, the basis size, each observable's degree); the
-        names and the unit-box bound are not checked again."""
-        spec = copy.copy(self)
-        object.__setattr__(spec, "order", order)
-        spec._check_order()
-        spec._check_observable_degrees()
-        return spec
 
 
 _TOP_LEVEL_KEYS = {

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import dataclasses
 import errno
 import itertools
 import json
@@ -647,7 +648,7 @@ def test_each_order_is_the_leading_block_of_a_higher_order_bit_for_bit():
         H = [observable_matrix(big.basis, g) for g in observables]
         values = evaluate_basis(big.basis, point)
         for c in range(top[m] + 1):
-            assembly = cli._assemble(spec.with_order(c))
+            assembly = cli._assemble(dataclasses.replace(spec, order=c))
             basis = assembly.basis
             n = basis.n
             assert _same_bits(big.basis.orders[:n], basis.orders), (seed, c)

@@ -361,13 +361,13 @@ def test_observable_pairing_checks():
 
 
 
-def _with_order_outcome(spec, order, derive):
-    # The spec's fields, or the message of the ValidationError refusing it.
+def _order_outcome(derive, order):
+    # The spec's fields, or the message of the error refusing it.
     try:
-        derived = derive(spec, order)
-    except ValidationError as exc:
+        spec = derive(order)
+    except (SchemaError, ValidationError) as exc:
         return str(exc)
-    return {f.name: getattr(derived, f.name) for f in dataclasses.fields(SystemSpec)}
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(SystemSpec)}
 
 
 @pytest.mark.parametrize(
@@ -395,12 +395,21 @@ def _with_order_outcome(spec, order, derive):
         },
     ],
 )
-def test_with_order_is_replace_with_only_the_order_checks(doc):
+def test_replacing_the_order_equals_parsing_the_config_at_that_order(doc):
+    # A sweep derives each order's spec with dataclasses.replace; it must be
+    # the spec, or the refusal, that solve gets from that order's config.
     spec = parse_system_config(json.dumps(doc))
+
+    def replaced(order):
+        return dataclasses.replace(spec, order=order)
+
+    def parsed(order):
+        return parse_system_config(json.dumps({**doc, "order": order}))
+
     refused = set()
     for order in range(-1, MAX_ORDER + 2):
-        expected = _with_order_outcome(spec, order, lambda s, c: dataclasses.replace(s, order=c))
-        assert _with_order_outcome(spec, order, SystemSpec.with_order) == expected, order
+        expected = _order_outcome(parsed, order)
+        assert _order_outcome(replaced, order) == expected, order
         if isinstance(expected, str):
             refused.add(expected.split(" ", 1)[0])
         else:
@@ -408,7 +417,7 @@ def test_with_order_is_replace_with_only_the_order_checks(doc):
     assert "order:" in refused
     if doc["name"] == "six":
         assert any(
-            _with_order_outcome(spec, c, SystemSpec.with_order).endswith(f"> {MAX_BASIS_SIZE}")
+            _order_outcome(replaced, c).endswith(f"> {MAX_BASIS_SIZE}")
             for c in range(8, MAX_ORDER + 1)
         )
     if isinstance(doc.get("observables"), list):
@@ -431,14 +440,3 @@ def test_a_field_component_is_bounded_after_division_by_its_half_width():
         config(domain=box, initial_state=[0.0, 0.0], observables=observables)
     )
     assert spec.observables.names == ("g",)
-
-
-def test_with_order_does_not_rescale_again(monkeypatch):
-    # The unit-box bound on the field and the observables is not checked again.
-    spec = parse_system_config(config(domain={"center": [0.1, -0.2], "half_width": [2.0, 1.5]}))
-
-    def refuse(*args):
-        raise AssertionError("rescaled again")
-
-    monkeypatch.setattr("legkoop.dynamics._unit_box_bound", refuse)
-    assert spec.with_order(7).vf is spec.vf
